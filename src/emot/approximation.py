@@ -18,7 +18,7 @@ import numpy as np
 
 from .convex_order import ConvexOrderError, convex_min, convex_order_projection, irreducible_decomposition, window_kernel
 from .couplings import DiscreteCoupling, adapted_wasserstein, coupling_from_plan, disintegrate, martingale_polytope_lp
-from .lp_core import LinearProgram, solve_lp, transport_plan
+from .lp_core import Block, LinearProgram, block_rows, solve_lp, transport_plan
 from .measures import DiscreteMeasure, LiftedMeasure, check_convex_order, mean, wasserstein_line
 
 STEP2_MAX_RETRIES = 5
@@ -276,45 +276,24 @@ def _refit_piece(base_kernel: DiscreteMeasure, mu_bar_piece: LiftedMeasure, nu_p
     """
     ys = nu_piece.atoms
     n, m = len(mu_bar_piece), ys.size
-    tot = nu_piece.mass
     grid = np.unique(np.concatenate([base_kernel.atoms, ys]))
     gaps = np.diff(grid)
     L = gaps.size
     fk = np.concatenate([[0.0], base_kernel.cumulative()])
     f_base = fk[np.searchsorted(base_kernel.atoms, grid, side="right")]
-    # variables: K (n*m), t (n*L)
-    nv = n * m + n * L
-    c = np.zeros(nv)
-    for i in range(n):
-        c[n * m + i * L : n * m + (i + 1) * L] = mu_bar_piece.weights[i] * gaps
-    A_eq, b_eq = [], []
-    for i in range(n):
-        row = np.zeros(nv)
-        row[i * m : (i + 1) * m] = 1.0
-        A_eq.append(row)
-        b_eq.append(1.0)
-        mrow = np.zeros(nv)
-        mrow[i * m : (i + 1) * m] = ys - mu_bar_piece.xs[i]
-        A_eq.append(mrow)
-        b_eq.append(0.0)
-    for j in range(m):
-        row = np.zeros(nv)
-        row[j : n * m : m] = mu_bar_piece.weights
-        A_eq.append(row)
-        b_eq.append(nu_piece.weights[j] / tot * mu_bar_piece.mass)
-    A_ub, b_ub = [], []
-    for i in range(n):
-        for l in range(L):
-            cover = ys <= grid[l] + 1e-12
-            for sgn in (1.0, -1.0):
-                row = np.zeros(nv)
-                row[i * m : (i + 1) * m][cover] = sgn
-                row[n * m + i * L + l] = -1.0
-                A_ub.append(row)
-                b_ub.append(sgn * f_base[l])
-    sol = solve_lp(
-        LinearProgram(c=c, A_eq=np.array(A_eq), b_eq=np.array(b_eq), A_ub=np.array(A_ub), b_ub=np.array(b_ub))
-    )
+    w, xs = mu_bar_piece.weights, mu_bar_piece.xs
+    # variables: K (n*m), t (n*L); per i a unit-mass row and a barycentre row, then
+    # per (i, l) the pair +-(CDF of K_i at grid[l]) - t_il <= +-F_base(grid[l])
+    nv, sgn = n * m + n * L, np.array([1.0, -1.0])
+    c = np.concatenate([np.zeros(n * m), (w[:, None] * gaps).ravel()])
+    eq = [Block(np.stack([np.ones((n, m)), ys[None, :] - xs[:, None]], axis=1)),
+          Block(np.broadcast_to(w, (m, 1, n)), row0=2 * n, steps=(1, m))]
+    b_eq = np.concatenate([np.tile([1.0, 0.0], n), nu_piece.weights / nu_piece.mass * mu_bar_piece.mass])
+    cdf = sgn[None, :, None] * (ys[None, None, :] <= grid[:L, None, None] + 1e-12)
+    ub = [Block(np.broadcast_to(cdf.reshape(2 * L, m), (n, 2 * L, m))), Block(-np.ones((n * L, 2, 1)), col0=n * m)]
+    b_ub = np.tile((f_base[:L, None] * sgn).ravel(), n)
+    A_eq, A_ub = block_rows(eq, (2 * n + m, nv)), block_rows(ub, (2 * n * L, nv))
+    sol = solve_lp(LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub))
     if not sol.optimal:
         raise RuntimeError(f"kernel refit LP: {sol.status}")
     K = sol.x[: n * m].reshape(n, m)

@@ -16,7 +16,7 @@ import numpy as np
 from .approximation import approximate_coupling
 from .convex_order import ConvexOrderError, irreducible_decomposition
 from .couplings import DiscreteCoupling
-from .measures import DiscreteMeasure, LiftedMeasure
+from .measures import DiscreteMeasure, LiftedMeasure, NonFiniteError
 from .solvers import (
     CostSpec,
     copula_lift,
@@ -105,18 +105,25 @@ def cmd_wmot(args) -> dict:
     }
 
 
+def _file_order(data: dict, m) -> np.ndarray:
+    """Positions in the file of the sorted atoms of ``m``, built from ``data``."""
+    atoms, weights = np.asarray(data["atoms"], dtype=float), np.asarray(data["weights"], dtype=float)
+    kept = np.flatnonzero(weights > 0)
+    if kept.size != len(m):
+        raise ConfigError("atoms closer than the merge tolerance cannot be paired with payoffs")
+    return kept[np.argsort(atoms[kept], kind="stable")]
+
+
 def cmd_amer(args) -> dict:
     data = _load(args.input)
     mu, nu = _measure(data["mu"]), _measure(data["nu"])
-    phi1 = dict(zip(mu.atoms.tolist(), data["phi1"]))
+    ix, iy = _file_order(data["mu"], mu), _file_order(data["nu"], nu)
+    phi1 = np.asarray(data["phi1"], dtype=float)
     phi2 = np.asarray(data["phi2"], dtype=float)
-    xs, ys = mu.atoms.tolist(), nu.atoms.tolist()
-    r = price_american(
-        mu,
-        nu,
-        lambda x: phi1[x],
-        lambda x, y: phi2[xs.index(x), ys.index(y)],
-    )
+    shape = (len(data["mu"]["atoms"]), len(data["nu"]["atoms"]))
+    if phi1.shape != shape[:1] or phi2.shape != shape:
+        raise ConfigError("phi1 needs one payoff per mu atom and phi2 one row per mu atom, one column per nu atom")
+    r = price_american(mu, nu, phi1[ix], phi2[np.ix_(ix, iy)])
     return {
         "value": r["value"],
         "exercise_mass": r["exercise_mass"],
@@ -247,7 +254,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.fn(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (ConfigError, NonFiniteError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except (ConvexOrderError, RuntimeError, ValueError, AssertionError) as exc:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
-from .lp_core import DimensionGuardError, LinearProgram, enumerate_vertices, solve_lp, transport_plan
+from .lp_core import DimensionGuardError, LinearProgram, enumerate_vertices, plan_rows, solve_lp, transport_plan
 from .measures import DiscreteMeasure, LiftedMeasure, mean, wasserstein_line
 
 
@@ -224,25 +225,9 @@ def simplify_coupling(c: DiscreteCoupling, eps: float):
 def martingale_polytope_lp(mu_bar: LiftedMeasure, nu: DiscreteMeasure, cost: Optional[np.ndarray] = None):
     """Standard-form LP over Pi_M(mu_bar, nu): variables pi(i, j) >= 0."""
     n, m = len(mu_bar), len(nu)
-    A_eq = []
-    b_eq = []
-    for i in range(n):
-        row = np.zeros(n * m)
-        row[i * m : (i + 1) * m] = 1.0
-        A_eq.append(row)
-        b_eq.append(mu_bar.weights[i])
-    for j in range(m):
-        row = np.zeros(n * m)
-        row[j::m] = 1.0
-        A_eq.append(row)
-        b_eq.append(nu.weights[j])
-    for i in range(n):
-        row = np.zeros(n * m)
-        row[i * m : (i + 1) * m] = nu.atoms - mu_bar.xs[i]
-        A_eq.append(row)
-        b_eq.append(0.0)
+    b_eq = np.concatenate([mu_bar.weights, nu.weights, np.zeros(n)])
     c = np.zeros(n * m) if cost is None else np.asarray(cost, dtype=float).ravel()
-    return LinearProgram(c=c, A_eq=np.array(A_eq), b_eq=np.array(b_eq))
+    return LinearProgram(c=c, A_eq=plan_rows(n, m, mart=nu.atoms[None, :] - mu_bar.xs[:, None]), b_eq=b_eq)
 
 
 def coupling_from_plan(mu_bar: LiftedMeasure, nu: DiscreteMeasure, plan: np.ndarray) -> DiscreteCoupling:
@@ -260,38 +245,16 @@ def distance_to_polytope(c: DiscreteCoupling, mu_bar: LiftedMeasure, nu: Discret
     Single LP: joint variables are a member of the polytope together with
     a transport plan from the support of c to the member's support grid.
     """
-    triples_a = [(x, u, y) for x, u, y, _ in c.joint()]
-    w_a = np.array([w for *_, w in c.joint()])
-    grid = [
-        (float(x), float(u), float(y))
-        for (x, u) in mu_bar.atoms
-        for y in nu.atoms
-    ]
-    K, G = len(triples_a), len(grid)
-    n, m = len(mu_bar), len(nu)
-    cost = _triple_cost(triples_a, grid, p)
-    # variables: T (K*G), pi (G)
-    nv = K * G + G
-    c_obj = np.concatenate([cost.ravel(), np.zeros(G)])
-    A_eq, b_eq = [], []
-    for k in range(K):
-        row = np.zeros(nv)
-        row[k * G : (k + 1) * G] = 1.0
-        A_eq.append(row)
-        b_eq.append(w_a[k])
-    for g in range(G):
-        row = np.zeros(nv)
-        row[g : K * G : G] = 1.0
-        row[K * G + g] = -1.0
-        A_eq.append(row)
-        b_eq.append(0.0)
+    joint = np.array(c.joint()).reshape(-1, 4)
+    grid = np.column_stack([np.repeat(mu_bar.atoms, len(nu), axis=0), np.tile(nu.atoms, len(mu_bar))])
+    K, G = len(joint), len(grid)
+    # variables: T (K*G), pi (G); T's column sums are tied to pi
+    c_obj = np.concatenate([_triple_cost(joint[:, :3], grid, p).ravel(), np.zeros(G)])
+    T = plan_rows(K, G)
     pol = martingale_polytope_lp(mu_bar, nu)
-    for row, rhs in zip(pol.A_eq, pol.b_eq):
-        full = np.zeros(nv)
-        full[K * G :] = row
-        A_eq.append(full)
-        b_eq.append(rhs)
-    sol = solve_lp(LinearProgram(c=c_obj, A_eq=np.array(A_eq), b_eq=np.array(b_eq)))
+    A_eq = sparse.bmat([[T[:K], None], [T[K:], -sparse.eye_array(G)], [None, pol.A_eq]], format="csr")
+    b_eq = np.concatenate([joint[:, 3], np.zeros(G), pol.b_eq])
+    sol = solve_lp(LinearProgram(c=c_obj, A_eq=A_eq, b_eq=b_eq))
     if not sol.optimal:
         raise RuntimeError(f"distance LP failed: {sol.status}")
     return float(sol.value ** (1.0 / p))

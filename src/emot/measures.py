@@ -9,7 +9,6 @@ raise.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -26,6 +25,15 @@ class EmptyMeasureError(ValueError):
 
 class MassMismatchError(ValueError):
     """Raised when two measures that must carry equal mass do not."""
+
+
+class NonFiniteError(ValueError):
+    """Raised when a measure is given a NaN or infinite atom or weight."""
+
+
+def _check_finite(atoms: np.ndarray, weights: np.ndarray):
+    if not (np.isfinite(atoms).all() and np.isfinite(weights).all()):
+        raise NonFiniteError("atoms and weights must be finite")
 
 
 def _merge_sorted(atoms: np.ndarray, weights: np.ndarray, tol: float = MERGE_TOL):
@@ -59,6 +67,7 @@ class DiscreteMeasure:
         weights = np.asarray(weights, dtype=float).ravel()
         if atoms.shape != weights.shape:
             raise ValueError("atoms and weights must have the same length")
+        _check_finite(atoms, weights)
         if np.any(weights < -MERGE_TOL):
             raise ValueError("negative weight")
         keep = weights > 0
@@ -138,17 +147,6 @@ class DiscreteMeasure:
         data = json.loads(text)
         return DiscreteMeasure(data["atoms"], data["weights"])
 
-    @staticmethod
-    def from_csv(path: str) -> "DiscreteMeasure":
-        atoms, weights = [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                atoms.append(float(row[0]))
-                weights.append(float(row[1]))
-        return DiscreteMeasure(atoms, weights)
-
     def __repr__(self) -> str:
         pairs = ", ".join(f"{a:g}: {w:g}" for a, w in zip(self.atoms, self.weights))
         return f"DiscreteMeasure({{{pairs}}})"
@@ -166,6 +164,7 @@ class LiftedMeasure:
         weights = np.asarray(weights, dtype=float).ravel()
         if atoms.shape[0] != weights.shape[0]:
             raise ValueError("atoms and weights must have the same length")
+        _check_finite(atoms, weights)
         if np.any(weights < -MERGE_TOL):
             raise ValueError("negative weight")
         keep = weights > 0
@@ -226,17 +225,6 @@ class LiftedMeasure:
     def from_json(text: str) -> "LiftedMeasure":
         data = json.loads(text)
         return LiftedMeasure(data["atoms"], data["weights"])
-
-    @staticmethod
-    def from_csv(path: str) -> "LiftedMeasure":
-        atoms, weights = [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                atoms.append((float(row[0]), float(row[1])))
-                weights.append(float(row[2]))
-        return LiftedMeasure(atoms, weights)
 
     @staticmethod
     def from_measure(m: DiscreteMeasure, label: float = 0.0) -> "LiftedMeasure":

@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import sparse
 
 from .convex_order import ConvexOrderError, binary_kernel
-from .couplings import DiscreteCoupling, coupling_from_plan, martingale_polytope_lp
-from .lp_core import LinearProgram, solve_lp
+from .couplings import DiscreteCoupling, coupling_from_plan, disintegrate, martingale_polytope_lp
+from .lp_core import Block, LinearProgram, block_rows, plan_rows, solve_lp
 from .measures import DiscreteMeasure, LiftedMeasure, check_convex_order
 
 MAX_FW_ITER = 500
@@ -34,27 +35,6 @@ class CostSpec:
     fn: Optional[Callable] = None
     kernel_cost: Optional[Callable] = None
     kernel_grad: Optional[Callable] = None
-
-    @staticmethod
-    def from_function(f: Callable) -> "CostSpec":
-        return CostSpec(fn=f)
-
-    @staticmethod
-    def tabulated(xs, us, ys, values) -> "CostSpec":
-        xs = np.asarray(xs, dtype=float)
-        us = np.asarray(us, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite tabulated cost")
-
-        def f(x, u, y):
-            i = int(np.argmin(np.abs(xs - x)))
-            j = int(np.argmin(np.abs(us - u)))
-            k = np.searchsorted(ys, np.atleast_1d(y))
-            return values[i, j, np.clip(k, 0, ys.size - 1)]
-
-        return CostSpec(fn=f)
 
 
 @dataclass(frozen=True)
@@ -153,7 +133,7 @@ def solve_wmot_fw(
 
     _check_gradient(cost, mu_bar, ys, plan / w[:, None])
 
-    fw_gap = np.inf
+    fw_gap, k = np.inf, -1  # max_iter=0 returns the feasible start uncertified
     for k in range(max_iter):
         G = gradient(plan)
         lmo = solve_lp(martingale_polytope_lp(mu_bar, nu, cost=G))
@@ -198,7 +178,8 @@ def price_american(mu: DiscreteMeasure, nu: DiscreteMeasure, phi1, phi2):
     """Robust price of a two-exercise-date American option.
 
     ``phi1`` maps x to the early-exercise payoff, ``phi2`` maps (x, y) to
-    the late payoff.  The optimal-stopping cost max(phi1(x), E[phi2(x, Y)])
+    the late payoff; either may instead be an array of payoffs at the sorted
+    atoms, of shape (len(mu),) and (len(mu), len(nu)).  The optimal-stopping cost max(phi1(x), E[phi2(x, Y)])
     is a max of two linear functionals of the kernel, so the price is the
     LP over two martingale branches per x atom: branch 1 collects the
     exercised mass (paid phi1), branch 2 the continued mass (paid phi2).
@@ -206,30 +187,17 @@ def price_american(mu: DiscreteMeasure, nu: DiscreteMeasure, phi1, phi2):
     _require_order(mu, nu)
     n, m = len(mu), len(nu)
     xs, ys = mu.atoms, nu.atoms
-    p1 = np.array([float(phi1(x)) for x in xs])
-    p2 = np.array([[float(phi2(x, y)) for y in ys] for x in xs])
-    nv = 2 * n * m  # branch-major: [pi1 (n*m), pi2 (n*m)]
+    p1 = np.array([float(phi1(x)) for x in xs]) if callable(phi1) else np.asarray(phi1, dtype=float)
+    p2 = np.array([[float(phi2(x, y)) for y in ys] for x in xs]) if callable(phi2) else np.asarray(phi2, dtype=float)
+    if p1.shape != (n,) or p2.shape != (n, m):
+        raise ValueError("payoff arrays must have shapes (len(mu),) and (len(mu), len(nu))")
+    # branch-major variables [pi1 (n*m), pi2 (n*m)]: shared marginals, own barycentres
     c = np.concatenate([np.repeat(p1, m), p2.ravel()])
-    A_eq, b_eq = [], []
-    for i in range(n):
-        row = np.zeros(nv)
-        row[i * m : (i + 1) * m] = 1.0
-        row[n * m + i * m : n * m + (i + 1) * m] = 1.0
-        A_eq.append(row)
-        b_eq.append(mu.weights[i])
-    for j in range(m):
-        row = np.zeros(nv)
-        row[j : n * m : m] = 1.0
-        row[n * m + j :: m] = 1.0
-        A_eq.append(row)
-        b_eq.append(nu.weights[j])
-    for br in range(2):
-        for i in range(n):
-            row = np.zeros(nv)
-            row[br * n * m + i * m : br * n * m + (i + 1) * m] = ys - xs[i]
-            A_eq.append(row)
-            b_eq.append(0.0)
-    sol = solve_lp(LinearProgram(c=c, A_eq=np.array(A_eq), b_eq=np.array(b_eq), sense="max"))
+    P = plan_rows(n, m, mart=ys[None, :] - xs[:, None])
+    R, C, M = P[:n], P[n : n + m], P[n + m :]
+    A_eq = sparse.bmat([[R, R], [C, C], [M, None], [None, M]], format="csr")
+    b_eq = np.concatenate([mu.weights, nu.weights, np.zeros(2 * n)])
+    sol = solve_lp(LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, sense="max"))
     if not sol.optimal:
         raise RuntimeError(f"American pricing LP: {sol.status}")
     pi1 = sol.x[: n * m].reshape(n, m)
@@ -260,47 +228,19 @@ def vix_bin_edges(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, bins: in
 
 
 def _vix_bin_lp(mu, nu, tau, edges, objective_edges):
+    """Martingale polytope over (i, bin, j) with two bin-range rows per (i, bin)."""
     n, m, nb = len(mu), len(nu), len(edges) - 1
     L = _log_contract(mu.atoms, nu.atoms, tau)
-    lo, hi = edges[:-1], edges[1:]
-    nv = n * nb * m  # index (i, b, j)
-
-    def var(i, b, j):
-        return (i * nb + b) * m + j
-
-    c = np.zeros(nv)
-    for i in range(n):
-        for b in range(nb):
-            c[var(i, b, 0) : var(i, b, m - 1) + 1] = objective_edges[b]
-    A_eq, b_eq = [], []
-    for i in range(n):
-        row = np.zeros(nv)
-        row[i * nb * m : (i + 1) * nb * m] = 1.0
-        A_eq.append(row)
-        b_eq.append(mu.weights[i])
-    for j in range(m):
-        row = np.zeros(nv)
-        row[j::m] = 1.0
-        A_eq.append(row)
-        b_eq.append(nu.weights[j])
-    for i in range(n):
-        for b in range(nb):
-            row = np.zeros(nv)
-            row[var(i, b, 0) : var(i, b, m - 1) + 1] = nu.atoms - mu.atoms[i]
-            A_eq.append(row)
-            b_eq.append(0.0)
-    A_ub, b_ub = [], []
-    for i in range(n):
-        for b in range(nb):
-            low = np.zeros(nv)
-            low[var(i, b, 0) : var(i, b, m - 1) + 1] = lo[b] ** 2 - L[i]
-            A_ub.append(low)
-            b_ub.append(0.0)
-            high = np.zeros(nv)
-            high[var(i, b, 0) : var(i, b, m - 1) + 1] = L[i] - hi[b] ** 2
-            A_ub.append(high)
-            b_ub.append(0.0)
-    return LinearProgram(c=c, A_eq=np.array(A_eq), b_eq=np.array(b_eq), A_ub=np.array(A_ub), b_ub=np.array(b_ub))
+    # float_power squares the edges with pow()'s rounding, which the bin rows use
+    lo2, hi2 = np.float_power(edges[:-1], 2)[None, :, None], np.float_power(edges[1:], 2)[None, :, None]
+    low_high = np.stack([lo2 - L[:, None, :], L[:, None, :] - hi2], axis=2).reshape(n * nb, 2, m)
+    return LinearProgram(
+        c=np.tile(np.repeat(objective_edges, m), n),
+        A_eq=plan_rows(n, m, nb, mart=nu.atoms[None, :] - mu.atoms[:, None]),
+        b_eq=np.concatenate([mu.weights, nu.weights, np.zeros(n * nb)]),
+        A_ub=block_rows([Block(low_high)], (2 * n * nb, n * nb * m)),
+        b_ub=np.zeros(2 * n * nb),
+    )
 
 
 def vix_dual_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, bins: int):
@@ -318,19 +258,10 @@ def vix_dual_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, bins: int)
     sol_hi = solve_lp(_vix_bin_lp(mu, nu, tau, edges, edges[1:]))
     if not (sol_lo.optimal and sol_hi.optimal):
         raise RuntimeError("VIX bin LP failed")
-    nb, m = len(edges) - 1, len(nu)
-    plan = sol_lo.x.reshape(len(mu), nb, m)
+    plan = sol_lo.x.reshape(len(mu), len(edges) - 1, len(nu))
+    i, b, j = np.nonzero(plan > 1e-14)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    table = [
-        (float(mu.atoms[i]), float(mids[b]), float(nu.atoms[j]), float(plan[i, b, j]))
-        for i in range(len(mu))
-        for b in range(nb)
-        for j in range(m)
-        if plan[i, b, j] > 1e-14
-    ]
-    from .couplings import disintegrate
-
-    coupling, _ = disintegrate(table)
+    coupling, _ = disintegrate(np.column_stack([mu.atoms[i], mids[b], nu.atoms[j], plan[i, b, j]]))
     return {"d_lo": sol_lo.value, "d_hi": sol_hi.value, "edges": edges, "coupling": coupling}
 
 
@@ -346,30 +277,13 @@ def vix_primal_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, u_grid: 
     """
     edges = np.asarray(u_grid, dtype=float)
     n, m, nb = len(mu), len(nu), edges.size - 1
-    L = _log_contract(mu.atoms, nu.atoms, tau)
-    lo, hi = edges[:-1], edges[1:]
     # variables: phi (n, free), psi (m, free), delta (n*nb, free),
-    #            alpha (n*nb, >=0), beta (n*nb, >=0)
-    nv = n + m + 3 * n * nb
-    c = np.zeros(nv)
-    c[:n] = mu.weights
-    c[n : n + m] = nu.weights
-    A_ub, b_ub = [], []
-    for i in range(n):
-        for b in range(nb):
-            for j in range(m):
-                row = np.zeros(nv)
-                row[i] = 1.0
-                row[n + j] = 1.0
-                row[n + m + i * nb + b] = nu.atoms[j] - mu.atoms[i]
-                row[n + m + n * nb + i * nb + b] = L[i, j] - lo[b] ** 2
-                row[n + m + 2 * n * nb + i * nb + b] = hi[b] ** 2 - L[i, j]
-                A_ub.append(row)
-                b_ub.append(lo[b])
+    #            alpha (n*nb, >=0), beta (n*nb, >=0); one row per bin-LP variable
+    dual = _vix_bin_lp(mu, nu, tau, edges, edges[:-1])
+    A_ub = sparse.hstack([dual.A_eq.T, -dual.A_ub[0::2].T, -dual.A_ub[1::2].T], format="csr")
+    c = np.concatenate([dual.b_eq, np.zeros(2 * n * nb)])
     bounds = [(None, None)] * (n + m + n * nb) + [(0, None)] * (2 * n * nb)
-    sol = solve_lp(
-        LinearProgram(c=c, A_ub=np.array(A_ub), b_ub=np.array(b_ub), bounds=bounds, sense="max")
-    )
+    sol = solve_lp(LinearProgram(c=c, A_ub=A_ub, b_ub=dual.c, bounds=bounds, sense="max"))
     if not sol.optimal:
         raise RuntimeError(f"VIX subreplication LP: {sol.status}")
     alpha = sol.x[n + m + n * nb : n + m + 2 * n * nb]

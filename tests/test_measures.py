@@ -7,6 +7,7 @@ from emot.measures import (
     DiscreteMeasure,
     EmptyMeasureError,
     LiftedMeasure,
+    NonFiniteError,
     QuantileView,
     check_convex_order,
     mean,
@@ -33,6 +34,20 @@ class TestDiscreteMeasure:
     def test_zero_weights_dropped(self):
         m = DiscreteMeasure([0.0, 1.0], [1.0, 0.0])
         assert len(m) == 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DiscreteMeasure([0.0, np.nan, 1.0], [0.5, 0.5, np.nan]),
+            lambda: DiscreteMeasure([0.0, np.inf], [0.5, 0.5]),
+            lambda: DiscreteMeasure([0.0, 1.0], [0.5, np.inf]),
+            lambda: LiftedMeasure([(0.0, np.nan), (1.0, 0.5)], [0.5, 0.5]),
+            lambda: LiftedMeasure([(0.0, 0.0), (1.0, 0.5)], [np.nan, 0.5]),
+        ],
+    )
+    def test_non_finite_rejected(self, make):
+        with pytest.raises(NonFiniteError):
+            make()
 
     def test_mass_and_mean(self):
         m = DiscreteMeasure([-1, 3], [0.25, 0.75])

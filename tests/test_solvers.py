@@ -122,6 +122,15 @@ class TestFrankWolfe:
             r = solve_wmot_fw(LiftedMeasure.from_measure(mu), nu, sq, tol=1e-8)
             assert r["value"] == pytest.approx(nu.integrate(lambda y: y**2), abs=1e-7)
 
+    def test_zero_iterations_returns_feasible_start(self):
+        mu = DiscreteMeasure([-1, 1], [0.5, 0.5])
+        nu = DiscreteMeasure([-2, 0, 2], [0.25, 0.5, 0.25])
+        r = solve_wmot_fw(LiftedMeasure.from_measure(mu), nu, self.cost(), max_iter=0)
+        assert r["iterations"] == 0
+        assert r["fw_gap"] == np.inf
+        assert check_martingale(r["coupling"])[0]
+        assert np.allclose(r["coupling"].second_marginal().weights, nu.weights)
+
     def test_wrong_gradient_aborts(self):
         mu = DiscreteMeasure([-1, 1], [0.5, 0.5])
         nu = DiscreteMeasure([-2, 2], [0.5, 0.5])
@@ -160,6 +169,16 @@ class TestAmerican:
             mu, nu, CostSpec(fn=lambda x, u, ys: np.abs(ys) / 2), sense="max"
         )["value"]
         assert r["value"] > max(0.6, continuation) + 0.1
+
+    def test_payoff_arrays_match_callables(self):
+        mu = DiscreteMeasure([-1, 2], [2 / 3, 1 / 3])
+        nu = DiscreteMeasure([-3, 0, 3], [0.25, 0.5, 0.25])
+        p1, p2 = np.array([0.0, 5.0]), np.array([[1.0, 0, 0], [0, 0, 4.0]])
+        by_array = price_american(mu, nu, p1, p2)
+        by_call = price_american(mu, nu, lambda x: p1[int(x > 0)], lambda x, y: p2[int(x > 0), int(np.sign(y)) + 1])
+        assert by_array["value"] == by_call["value"]
+        with pytest.raises(ValueError, match="shapes"):
+            price_american(mu, nu, p1[:1], p2)
 
     def test_bounds(self):
         rng = np.random.default_rng(15)
