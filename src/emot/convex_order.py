@@ -123,6 +123,12 @@ def _lower_convex_hull(xs: np.ndarray, ys: np.ndarray):
     return xs[hull], ys[hull]
 
 
+def _merge_close(xs: np.ndarray) -> np.ndarray:
+    """Sorted grid without the points closer than 1e-11 * span to their left neighbour."""
+    span = max(1.0, xs[-1] - xs[0])
+    return xs[np.concatenate([[True], np.diff(xs) > 1e-11 * span])]
+
+
 def convex_min(rho: DiscreteMeasure, q: DiscreteMeasure) -> DiscreteMeasure:
     """Convex-order minimum: potential = lower convex envelope of min(u_rho, u_q).
 
@@ -137,34 +143,9 @@ def convex_min(rho: DiscreteMeasure, q: DiscreteMeasure) -> DiscreteMeasure:
     if abs(mean(rho) - mean(q)) > 1e-9 * max(1.0, abs(mean(rho))):
         raise ValueError("convex_min requires equal means")
 
-    u1, u2 = potential(rho), potential(q)
-    cand = set(np.concatenate([rho.atoms, q.atoms]).tolist())
-    # intersections of segments of u_rho with segments of u_q
-    b1 = np.concatenate([[-np.inf], u1.breakpoints, [np.inf]])
-    b2 = np.concatenate([[-np.inf], u2.breakpoints, [np.inf]])
-    s1, s2 = u1.slopes(), u2.slopes()
-    lo_all = min(rho.atoms[0], q.atoms[0])
-    hi_all = max(rho.atoms[-1], q.atoms[-1])
-    for i in range(len(s1)):
-        for j in range(len(s2)):
-            if s1[i] == s2[j]:
-                continue
-            # affine pieces: u1 = a1 + s1[i] * y on (b1[i], b1[i+1])
-            y1 = u1.breakpoints[min(i, len(u1.breakpoints) - 1)]
-            a1 = u1(y1) - s1[i] * y1 if i < len(s1) else 0.0
-            y2 = u2.breakpoints[min(j, len(u2.breakpoints) - 1)]
-            a2 = u2(y2) - s2[j] * y2
-            y = (a2 - a1) / (s1[i] - s2[j])
-            if (
-                max(b1[i], b2[j]) - 1e-12 <= y <= min(b1[i + 1], b2[j + 1]) + 1e-12
-                and lo_all - 1e-12 <= y <= hi_all + 1e-12
-            ):
-                cand.add(float(y))
-    xs = np.array(sorted(cand))
-    # collapse near-duplicate candidates before the hull pass
-    span = max(1.0, hi_all - lo_all)
-    keep = np.concatenate([[True], np.diff(xs) > 1e-11 * span])
-    xs = xs[keep]
+    # both potentials are linear between joint atoms, so their minimum is
+    # concave there and its lower convex envelope has kinks at atoms only
+    xs = _merge_close(np.union1d(rho.atoms, q.atoms))
     h = np.minimum(potential_values(rho, xs), potential_values(q, xs))
     hx, hy = _lower_convex_hull(xs, h)
     # hull segment slopes, extended by the common affine tails
@@ -330,15 +311,11 @@ def convex_order_projection(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Discret
         return np.interp(g, [p[0] for p in pts], [p[1] for p in pts])
 
     grid = np.unique(np.concatenate([xs, [p[0] for p in left], [p[0] for p in right]]))
+    # the envelope peaks where the two running maxima cross
     diff = interp(left, grid) - interp(right, grid)
-    extra = []
-    for i in range(len(grid) - 1):
-        if diff[i] * diff[i + 1] < 0:
-            t = diff[i] / (diff[i] - diff[i + 1])
-            extra.append(grid[i] + t * (grid[i + 1] - grid[i]))
-    grid = np.unique(np.concatenate([grid, extra]))
-    span = max(1.0, grid[-1] - grid[0])
-    grid = grid[np.concatenate([[True], np.diff(grid) > 1e-11 * span])]
+    i = np.flatnonzero(diff[:-1] * diff[1:] < 0)
+    t = diff[i] / (diff[i] - diff[i + 1])
+    grid = _merge_close(np.unique(np.concatenate([grid, grid[i] + t * (grid[i + 1] - grid[i])])))
 
     d = np.minimum(interp(left, grid), interp(right, grid))
     u = potential_values(nu, grid) + d

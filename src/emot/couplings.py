@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .lp_core import DimensionGuardError, LinearProgram, enumerate_vertices, plan_rows, solve_lp, transport_plan
-from .measures import DiscreteMeasure, LiftedMeasure, mean, wasserstein_line
+from .measures import DiscreteMeasure, LiftedMeasure, lifted_groups, wasserstein_line, wasserstein_rows
 
 
 @dataclass(frozen=True)
@@ -95,30 +95,22 @@ class DiscreteCoupling:
 def disintegrate(table, warn_tol: float = 0.0):
     """Build a coupling from a sparse (x, u, y, weight) table.
 
-    Rows with zero mass are dropped; their count is returned alongside.
+    Rows whose (x, u) keys merge under ``LiftedMeasure``'s rule share one
+    kernel.  Atoms with zero mass are dropped; their count is returned
+    alongside.
     """
-    table = [(float(x), float(u), float(y), float(w)) for x, u, y, w in table]
-    if any(w < -1e-12 for *_, w in table):
+    table = np.asarray(table, dtype=float).reshape(-1, 4)
+    if np.any(table[:, 3] < -1e-12):
         raise ValueError("negative weight in table")
-    ys = np.unique([y for _, _, y, _ in table])
-    groups: dict[tuple, np.ndarray] = {}
-    for x, u, y, w in table:
-        key = (x, u)
-        if key not in groups:
-            groups[key] = np.zeros(ys.size)
-        groups[key][int(np.searchsorted(ys, y))] += w
-    dropped = 0
-    atoms, weights, kernels = [], [], []
-    for (x, u), row in sorted(groups.items()):
-        tot = row.sum()
-        if tot <= warn_tol or tot <= 0:
-            dropped += 1
-            continue
-        atoms.append((x, u))
-        weights.append(tot)
-        kernels.append(row / tot)
-    c = DiscreteCoupling(LiftedMeasure(atoms, weights), ys, np.array(kernels))
-    return c, dropped
+    ys, col = np.unique(table[:, 2], return_inverse=True)
+    order, group = lifted_groups(table[:, :2])
+    rows = np.zeros((group.max(initial=-1) + 1, ys.size))
+    np.add.at(rows, (group, col[order]), table[order, 3])
+    tot = rows.sum(axis=1)
+    keep = (tot > warn_tol) & (tot > 0)
+    atoms = table[order, :2][np.diff(group, prepend=-1) > 0]
+    c = DiscreteCoupling(LiftedMeasure(atoms[keep], tot[keep]), ys, rows[keep] / tot[keep, None])
+    return c, int((~keep).sum())
 
 
 def check_martingale(c: DiscreteCoupling, tol: float = 1e-9):
@@ -153,16 +145,11 @@ def wasserstein_coupling(c1: DiscreteCoupling, c2: DiscreteCoupling, p: float = 
 
 def adapted_wasserstein(c1: DiscreteCoupling, c2: DiscreteCoupling, p: float = 1.0) -> float:
     """Adapted W_p: outer transport on (x, u) atoms with nested kernel cost."""
-    n1, n2 = len(c1.first_marginal), len(c2.first_marginal)
-    cost = np.zeros((n1, n2))
-    for i in range(n1):
-        ki = c1.kernel_measure(i)
-        for j in range(n2):
-            inner = wasserstein_line(ki, c2.kernel_measure(j), p)
-            dx = abs(c1.first_marginal.xs[i] - c2.first_marginal.xs[j])
-            du = abs(c1.first_marginal.us[i] - c2.first_marginal.us[j])
-            cost[i, j] = dx ** p + du ** p + inner ** p
-    _, value = transport_plan(cost, c1.first_marginal.weights, c2.first_marginal.weights)
+    fm1, fm2 = c1.first_marginal, c2.first_marginal
+    inner = np.array([wasserstein_rows(c1.y_support, k, c2.y_support, c2.kernels, p) for k in c1.kernels])
+    dx = np.abs(fm1.xs[:, None] - fm2.xs[None, :])
+    du = np.abs(fm1.us[:, None] - fm2.us[None, :])
+    _, value = transport_plan(dx ** p + du ** p + inner ** p, fm1.weights, fm2.weights)
     return float(value ** (1.0 / p))
 
 
@@ -175,44 +162,25 @@ def simplify_coupling(c: DiscreteCoupling, eps: float):
     are constant in u on each cell (per x).  Returns (coupling, report)
     where the report carries the cell map and an adapted-W1 change bound.
     """
-    labels = np.unique(c.first_marginal.us)
-    cells = []
-    start = None
-    members: list[float] = []
-    for u in labels:
-        if start is None or u - start > eps:
-            if members:
-                cells.append(members)
-            start = u
-            members = [u]
-        else:
-            members.append(u)
-    if members:
-        cells.append(members)
-    cell_of = {u: ci for ci, cell in enumerate(cells) for u in cell}
+    starts: list[float] = []
+    for u in np.unique(c.first_marginal.us):
+        if not starts or u - starts[-1] > eps:
+            starts.append(u)
 
     fm = c.first_marginal
+    cell = np.searchsorted(starts, fm.us, side="right") - 1
+    keys, group = np.unique(np.column_stack([fm.xs, cell]), axis=0, return_inverse=True)
     new_kernels = np.array(c.kernels, copy=True)
     aw_change = 0.0
-    for ci in range(len(cells)):
-        for x in np.unique(fm.xs):
-            idx = [
-                i
-                for i in range(len(fm))
-                if fm.xs[i] == x and cell_of[fm.us[i]] == ci
-            ]
-            if not idx:
-                continue
-            w = fm.weights[idx]
-            mix = (w @ c.kernels[idx]) / w.sum()
-            for i in idx:
-                aw_change += fm.weights[i] * wasserstein_line(
-                    c.kernel_measure(i), DiscreteMeasure(c.y_support, mix).normalized(), 1.0
-                )
-                new_kernels[i] = mix
+    for g in range(len(keys)):
+        idx = np.flatnonzero(group == g)
+        w = fm.weights[idx]
+        mix = (w @ c.kernels[idx]) / w.sum()
+        aw_change += float(w @ wasserstein_rows(c.y_support, mix, c.y_support, c.kernels[idx], 1.0))
+        new_kernels[idx] = mix
     out = DiscreteCoupling(fm, c.y_support, new_kernels)
     report = {
-        "n_cells": len(cells),
+        "n_cells": len(starts),
         "kernel_mixture_cost": aw_change,
         "aw1_bound": eps + aw_change,
     }

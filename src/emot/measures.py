@@ -152,6 +152,21 @@ class DiscreteMeasure:
         return f"DiscreteMeasure({{{pairs}}})"
 
 
+def lifted_groups(atoms: np.ndarray):
+    """Lexicographic order of the (x, u) rows and, per sorted row, the index
+    of the merged atom it joins: a row joins the current atom when both of
+    its coordinates are within MERGE_TOL of that atom's first row."""
+    order = np.lexsort((atoms[:, 1], atoms[:, 0]))
+    xs, us = atoms[order].T.tolist()
+    new = np.zeros(len(xs), dtype=bool)
+    first = 0
+    for k in range(1, len(xs)):
+        if abs(xs[k] - xs[first]) > MERGE_TOL or abs(us[k] - us[first]) > MERGE_TOL:
+            new[k] = True
+            first = k
+    return order, np.cumsum(new)
+
+
 @dataclass(frozen=True)
 class LiftedMeasure:
     """Measure on R x U where the information space U is a finite set of real labels."""
@@ -169,19 +184,9 @@ class LiftedMeasure:
             raise ValueError("negative weight")
         keep = weights > 0
         atoms, weights = atoms[keep], weights[keep]
-        order = np.lexsort((atoms[:, 1], atoms[:, 0]))
-        atoms, weights = atoms[order], weights[order]
-        # merge pairs equal within tolerance in both coordinates
-        out_a: list[np.ndarray] = []
-        out_w: list[float] = []
-        for a, w in zip(atoms, weights):
-            if out_a and abs(a[0] - out_a[-1][0]) <= MERGE_TOL and abs(a[1] - out_a[-1][1]) <= MERGE_TOL:
-                out_w[-1] += w
-            else:
-                out_a.append(a)
-                out_w.append(w)
-        atoms = np.array(out_a).reshape(-1, 2)
-        weights = np.array(out_w)
+        order, group = lifted_groups(atoms)
+        weights = np.bincount(group, weights[order])
+        atoms = atoms[order][np.diff(group, prepend=-1) > 0]
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
@@ -279,6 +284,31 @@ def mean(m: DiscreteMeasure) -> float:
     return m.first_moment() / m.mass
 
 
+def wasserstein_rows(ya, a, yb, B, p: float = 1.0) -> np.ndarray:
+    """W_p from the weight row ``a`` on sorted atoms ``ya`` to every row of
+    ``B`` on sorted atoms ``yb``, by the quantile formula over [0, mass].
+
+    Per row, the quantile levels are the union of both cumulative sums; at a
+    tie ``a``'s level comes first, so each side's quantile index is the count
+    of its own levels before the level, exactly.  Beyond the smaller total
+    mass the segments have zero width.
+    """
+    B = np.atleast_2d(B)
+    ca = np.broadcast_to(np.cumsum(a), (B.shape[0], len(a)))
+    cb = np.cumsum(B, axis=1)
+    levels = np.concatenate([ca, cb], axis=1)
+    order = np.argsort(levels, axis=1, kind="stable")
+    levels = np.minimum(np.take_along_axis(levels, order, axis=1), np.minimum(ca[:, -1:], cb[:, -1:]))
+    from_a = order < len(a)
+    ia = np.minimum(np.cumsum(from_a, axis=1) - from_a, len(a) - 1)
+    ib = np.minimum(np.cumsum(~from_a, axis=1) - ~from_a, len(yb) - 1)
+    seg = np.diff(levels, axis=1, prepend=0.0)
+    dist = np.abs(ya[ia] - yb[ib])
+    if p == 1:
+        return (dist * seg).sum(axis=1)
+    return ((dist ** p) * seg).sum(axis=1) ** (1.0 / p)
+
+
 def wasserstein_line(m1: DiscreteMeasure, m2: DiscreteMeasure, p: float = 1.0) -> float:
     """p-Wasserstein distance on the line via the quantile formula.
 
@@ -292,15 +322,7 @@ def wasserstein_line(m1: DiscreteMeasure, m2: DiscreteMeasure, p: float = 1.0) -
         raise EmptyMeasureError("empty measure")
     if abs(m1.mass - m2.mass) > MASS_TOL * max(1.0, m1.mass):
         raise MassMismatchError(f"masses differ: {m1.mass} vs {m2.mass}")
-    c1, c2 = m1.cumulative(), m2.cumulative()
-    grid = np.union1d(c1, c2)
-    grid = grid[grid <= min(c1[-1], c2[-1]) + MASS_TOL]
-    seg = np.diff(np.concatenate([[0.0], grid]))
-    q1 = m1.atoms[np.clip(np.searchsorted(c1, grid - 1e-15, side="left"), 0, len(m1) - 1)]
-    q2 = m2.atoms[np.clip(np.searchsorted(c2, grid - 1e-15, side="left"), 0, len(m2) - 1)]
-    if p == 1:
-        return float(np.dot(np.abs(q1 - q2), seg))
-    return float(np.dot(np.abs(q1 - q2) ** p, seg) ** (1.0 / p))
+    return float(wasserstein_rows(m1.atoms, m1.weights, m2.atoms, m2.weights, p)[0])
 
 
 def potential_values(m: DiscreteMeasure, ys) -> np.ndarray:

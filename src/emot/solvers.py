@@ -8,7 +8,7 @@ shadow couplings with barrier-map extraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -227,15 +227,16 @@ def vix_bin_edges(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, bins: in
     return np.linspace(0.0, u_max, bins + 1)
 
 
-def _vix_bin_lp(mu, nu, tau, edges, objective_edges):
-    """Martingale polytope over (i, bin, j) with two bin-range rows per (i, bin)."""
+def _vix_bin_lp(mu, nu, tau, edges):
+    """Martingale polytope over (i, bin, j) with two bin-range rows per (i, bin),
+    pricing the label at the lower bin edge."""
     n, m, nb = len(mu), len(nu), len(edges) - 1
     L = _log_contract(mu.atoms, nu.atoms, tau)
     # float_power squares the edges with pow()'s rounding, which the bin rows use
     lo2, hi2 = np.float_power(edges[:-1], 2)[None, :, None], np.float_power(edges[1:], 2)[None, :, None]
     low_high = np.stack([lo2 - L[:, None, :], L[:, None, :] - hi2], axis=2).reshape(n * nb, 2, m)
     return LinearProgram(
-        c=np.tile(np.repeat(objective_edges, m), n),
+        c=np.tile(np.repeat(edges[:-1], m), n),
         A_eq=plan_rows(n, m, nb, mart=nu.atoms[None, :] - mu.atoms[:, None]),
         b_eq=np.concatenate([mu.weights, nu.weights, np.zeros(n * nb)]),
         A_ub=block_rows([Block(low_high)], (2 * n * nb, n * nb * m)),
@@ -254,8 +255,9 @@ def vix_dual_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, bins: int)
     """
     _require_order(mu, nu)
     edges = vix_bin_edges(mu, nu, tau, bins)
-    sol_lo = solve_lp(_vix_bin_lp(mu, nu, tau, edges, edges[:-1]))
-    sol_hi = solve_lp(_vix_bin_lp(mu, nu, tau, edges, edges[1:]))
+    lp = _vix_bin_lp(mu, nu, tau, edges)
+    sol_lo = solve_lp(lp)
+    sol_hi = solve_lp(replace(lp, c=np.tile(np.repeat(edges[1:], len(nu)), len(mu))))
     if not (sol_lo.optimal and sol_hi.optimal):
         raise RuntimeError("VIX bin LP failed")
     plan = sol_lo.x.reshape(len(mu), len(edges) - 1, len(nu))
@@ -279,7 +281,7 @@ def vix_primal_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, u_grid: 
     n, m, nb = len(mu), len(nu), edges.size - 1
     # variables: phi (n, free), psi (m, free), delta (n*nb, free),
     #            alpha (n*nb, >=0), beta (n*nb, >=0); one row per bin-LP variable
-    dual = _vix_bin_lp(mu, nu, tau, edges, edges[:-1])
+    dual = _vix_bin_lp(mu, nu, tau, edges)
     A_ub = sparse.hstack([dual.A_eq.T, -dual.A_ub[0::2].T, -dual.A_ub[1::2].T], format="csr")
     c = np.concatenate([dual.b_eq, np.zeros(2 * n * nb)])
     bounds = [(None, None)] * (n + m + n * nb) + [(0, None)] * (2 * n * nb)

@@ -127,6 +127,14 @@ class TestRearrangement:
         ok, _ = check_martingale(c, tol=1e-9)
         assert ok
 
+    def test_mass_drift_within_order_tolerance(self):
+        # the convex-order check accepts a mass gap that W1 alone rejects
+        theta = DiscreteMeasure([0], [1.0 + 3e-12])
+        nu = DiscreteMeasure([-1, 1], [0.5, 0.5])
+        _, rep = min_cost_martingale_rearrangement(theta, nu)
+        assert rep["cost"] == pytest.approx(1.0)
+        assert rep["bound"] == pytest.approx(2.0)
+
     def test_order_violation_raises(self):
         with pytest.raises(ConvexOrderError):
             min_cost_martingale_rearrangement(

@@ -67,6 +67,13 @@ class TestDisintegrate:
         assert np.allclose(c.kernels, c2.kernels)
         assert np.allclose(c.first_marginal.weights, c2.first_marginal.weights)
 
+    def test_near_duplicate_keys_share_a_kernel(self):
+        # keys within MERGE_TOL are one first-marginal atom, so one kernel row
+        c, dropped = disintegrate([(0.0, 0.0, 1.0, 0.5), (1e-13, 0.0, 2.0, 0.5)])
+        assert dropped == 0
+        assert len(c.first_marginal) == 1
+        assert np.array_equal(c.kernels, [[0.5, 0.5]])
+
     def test_zero_rows_counted(self):
         table = [(0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 1.0, 0.0)]
         _, dropped = disintegrate(table)

@@ -168,7 +168,7 @@ def _vix_case():
 
 def _layout_vix_bins(rng, monkeypatch):
     mu, nu, tau, edges = _vix_case()
-    lp = solvers._vix_bin_lp(mu, nu, tau, edges, edges[:-1])
+    lp = solvers._vix_bin_lp(mu, nu, tau, edges)
     P = rng.uniform(size=(2, 4, 3))  # (x atom, bin, y atom)
     L = (2.0 / tau) * (np.log(mu.atoms)[:, None] - np.log(nu.atoms)[None, :])
     moment = (P * L[:, None, :]).sum(-1)
@@ -181,7 +181,7 @@ def _layout_vix_bins(rng, monkeypatch):
 def _layout_vix_primal(rng, monkeypatch):
     mu, nu, tau, edges = _vix_case()
     lp = _captured(monkeypatch, solvers, lambda: solvers.vix_primal_lp(mu, nu, tau, edges))
-    dual = solvers._vix_bin_lp(mu, nu, tau, edges, edges[:-1])
+    dual = solvers._vix_bin_lp(mu, nu, tau, edges)
     transposed = sparse.hstack([dual.A_eq.T, -dual.A_ub[0::2].T, -dual.A_ub[1::2].T])
     assert np.array_equal(lp.A_ub.toarray(), transposed.toarray())
     assert np.array_equal(lp.c, np.concatenate([dual.b_eq, np.zeros(16)]))
