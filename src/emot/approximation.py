@@ -12,12 +12,11 @@ projection / redistribution scheme, and refit kernels piece by piece.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .convex_order import ConvexOrderError, convex_min, convex_order_projection, irreducible_decomposition, window_kernel
-from .couplings import DiscreteCoupling, adapted_wasserstein, coupling_from_plan, disintegrate, martingale_polytope_lp
+from .couplings import DiscreteCoupling, _point_cost, adapted_wasserstein, coupling_from_plan, disintegrate, martingale_polytope_lp
 from .lp_core import Block, LinearProgram, block_rows, solve_lp, transport_plan
 from .measures import DiscreteMeasure, LiftedMeasure, check_convex_order, mean, wasserstein_line
 
@@ -31,19 +30,17 @@ class MarginalSplit:
 
     pieces: list  # per component: dict with base/perturbed marginal pieces
     stationary_mu_bar: LiftedMeasure | None
-    stationary_nu: DiscreteMeasure | None
-    gamma_kernels: np.ndarray  # feasible kernels of Pi_M(mu_bar', nu')
-    gamma_first: LiftedMeasure
-    gamma_support: np.ndarray
+    stationary_kernels: np.ndarray | None  # rows over nu' atoms, aligned with stationary_mu_bar
 
 
-def _feasible_extended_coupling(mu_bar: LiftedMeasure, nu: DiscreteMeasure) -> DiscreteCoupling:
-    """Minimal mean-displacement member of Pi_M(mu_bar, nu)."""
+def _min_displacement(mu_bar: LiftedMeasure, nu: DiscreteMeasure):
+    """Plan, with rows aligned to mu_bar's atoms, and value of the minimal
+    mean-displacement member of Pi_M(mu_bar, nu)."""
     cost = np.abs(nu.atoms[None, :] - mu_bar.xs[:, None])
     sol = solve_lp(martingale_polytope_lp(mu_bar, nu, cost=cost.ravel()))
     if not sol.optimal:
-        raise ConvexOrderError("no martingale coupling between the given marginals")
-    return coupling_from_plan(mu_bar, nu, sol.x)
+        raise ConvexOrderError(f"no martingale coupling between the given marginals: {sol.status}")
+    return sol.x.reshape(cost.shape), sol.value
 
 
 def split_marginals(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: DiscreteMeasure) -> MarginalSplit:
@@ -58,60 +55,45 @@ def split_marginals(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Discret
     """
     mu_bar = pi.first_marginal
     mu = pi.x_marginal()
-    nu = pi.second_marginal()
     ok, witness = check_convex_order(mu_bar_p.x_marginal(), nu_p)
     if not ok:
         raise ConvexOrderError("perturbed marginals are not in convex order", witness)
-    decomp = irreducible_decomposition(mu, nu)
+    decomp = irreducible_decomposition(mu, pi.second_marginal())
+    plan, _ = transport_plan(_point_cost(mu_bar.atoms, mu_bar_p.atoms, 1.0), mu_bar.weights, mu_bar_p.weights)
 
-    a = mu_bar.atoms[:, None, :]
-    b = mu_bar_p.atoms[None, :, :]
-    plan, _ = transport_plan(np.abs(a - b).sum(axis=2), mu_bar.weights, mu_bar_p.weights)
+    gamma, _ = _min_displacement(mu_bar_p, nu_p)
+    rows = gamma.sum(axis=1, keepdims=True)
+    G = np.divide(gamma, rows, out=np.zeros_like(gamma), where=rows > 1e-14)
+    for i in np.flatnonzero(rows <= 1e-14):  # zero-mass atom: any mean-x kernel works
+        G[i, np.argmin(np.abs(nu_p.atoms - mu_bar_p.xs[i]))] = 1.0
 
-    gamma = _feasible_extended_coupling(mu_bar_p, nu_p)
-    # expand gamma's kernels back onto the full perturbed atom list
-    G = np.zeros((len(mu_bar_p), gamma.y_support.size))
-    gi = 0
-    for i in range(len(mu_bar_p)):
-        if gi < len(gamma.first_marginal) and np.allclose(
-            gamma.first_marginal.atoms[gi], mu_bar_p.atoms[i]
-        ):
-            G[i] = gamma.kernels[gi]
-            gi += 1
-        else:  # zero-mass atom: any mean-x kernel works
-            G[i, np.argmin(np.abs(gamma.y_support - mu_bar_p.xs[i]))] = 1.0
+    # component labels of mu's atoms (the components hold bitwise copies of
+    # them, -1 is stationary); a base atom takes the label of the mu atom its
+    # x merged into
+    labels = np.full(len(mu), -1)
+    for c, comp in enumerate(decomp.components):
+        labels[np.isin(mu.atoms, comp.mu.atoms)] = c
+    base_labels = labels[np.abs(mu_bar.xs[:, None] - mu.atoms[None, :]).argmin(axis=1)]
 
     pieces = []
-    for comp in decomp.components:
-        comp_xs = set(np.round(comp.mu.atoms, 12))
-        mask = np.array([round(x, 12) in comp_xs for x in mu_bar.xs])
-        if not mask.any():
-            continue
-        idx = np.where(mask)[0]
+    for c, comp in enumerate(decomp.components):
+        idx = np.flatnonzero(base_labels == c)
         w_p = plan[idx].sum(axis=0)
         keep = w_p > 1e-14
-        mu_bar_pn = LiftedMeasure(mu_bar_p.atoms[keep], w_p[keep])
-        nu_pn = DiscreteMeasure(gamma.y_support, w_p[keep] @ G[keep])
         pieces.append(
             {
                 "interval": comp.interval,
                 "base_indices": idx,
                 "plan_rows": plan[idx],
-                "mu_bar": mu_bar_pn,
-                "nu": nu_pn,
+                "mu_bar": LiftedMeasure(mu_bar_p.atoms[keep], w_p[keep]),
+                "nu": DiscreteMeasure(nu_p.atoms, w_p[keep] @ G[keep]),
             }
         )
-    stat_mu_bar = stat_nu = None
-    if not decomp.stationary.is_zero:
-        stat_xs = set(np.round(decomp.stationary.atoms, 12))
-        mask = np.array([round(x, 12) in stat_xs for x in mu_bar.xs])
-        idx = np.where(mask)[0]
-        w_p = plan[idx].sum(axis=0)
-        keep = w_p > 1e-14
-        if keep.any():
-            stat_mu_bar = LiftedMeasure(mu_bar_p.atoms[keep], w_p[keep])
-            stat_nu = DiscreteMeasure(gamma.y_support, w_p[keep] @ G[keep])
-    return MarginalSplit(pieces, stat_mu_bar, stat_nu, G, mu_bar_p, gamma.y_support)
+    w_p = plan[base_labels == -1].sum(axis=0)
+    keep = w_p > 1e-14
+    if not keep.any():
+        return MarginalSplit(pieces, None, None)
+    return MarginalSplit(pieces, LiftedMeasure(mu_bar_p.atoms[keep], w_p[keep]), G[keep])
 
 
 def _window_ladder(interval):
@@ -130,33 +112,21 @@ def _window_ladder(interval):
     return [(mid - w / 2.0, mid + w / 2.0) for w in widths]
 
 
-def _trim_cell(xs, ws, kernels, am, bm) -> DiscreteMeasure:
-    """Second marginal of the cell after capping kernels by the window
-    kernel: inside the window the kernel is replaced by its convex-order
-    minimum with the two-point window law, outside by a Dirac."""
-    total = None
-    for x, w, k in zip(xs, ws, kernels):
-        if am <= x <= bm:
-            capped = convex_min(k, window_kernel(x, am, bm))
-        else:
-            capped = DiscreteMeasure([x], [1.0])
-        piece = capped.scaled(w)
-        total = piece if total is None else total + piece
-    return total
+def _trim_cell(mu_j: DiscreteMeasure, nu_j: DiscreteMeasure, am, bm) -> DiscreteMeasure:
+    """Second marginal of a one-atom cell after capping its kernel by the
+    window kernel: inside the window its convex-order minimum with the
+    two-point window law, outside a Dirac."""
+    x = mu_j.atoms[0]
+    if am <= x <= bm:
+        return convex_min(nu_j, window_kernel(x, am, bm).scaled(mu_j.mass))
+    return mu_j
 
 
-def approximate_pairs(
-    mu_js: list,
-    nu_js: list,
-    mu_p_js: list,
-    interval,
-    nu_p: DiscreteMeasure,
-    eps: float,
-    kernels_by_cell: Optional[list] = None,
-):
+def approximate_pairs(mu_js: list, nu_js: list, mu_p_js: list, interval, nu_p: DiscreteMeasure, eps: float):
     """Per-cell second marginals for perturbed cells of one component.
 
-    Given base cells (mu_j, nu_j) summing to an irreducible pair on
+    Given one-atom base cells mu_j = w_j delta_{x_j} with second marginals
+    nu_j (w_j times the kernel at x_j) summing to an irreducible pair on
     ``interval``, perturbed first marginals mu'_j, and the component's
     perturbed second marginal nu', produce nu'_j with mu'_j <= nu'_j in
     convex order and sum nu'_j = nu' exactly.  Three stages: a windowed
@@ -165,28 +135,15 @@ def approximate_pairs(
     against nu' fails), and an LP-minimal martingale redistribution onto
     nu'.
     """
-    J = len(mu_js)
-    if kernels_by_cell is None:
-        kernels_by_cell = []
-        for mu_j, nu_j in zip(mu_js, nu_js):
-            c = _feasible_extended_coupling(
-                LiftedMeasure.from_measure(mu_j.normalized()), nu_j.normalized()
-            )
-            xs = c.first_marginal.xs
-            ws = c.first_marginal.weights * mu_j.mass
-            kernels_by_cell.append((xs, ws, [c.kernel_measure(i) for i in range(len(xs))]))
+    if any(len(mu_j) != 1 for mu_j in mu_js):
+        raise ValueError("approximate_pairs takes one-atom base cells")
 
     margin_trace = []
     found = None
     for attempt in range(STEP2_MAX_RETRIES + 1):
         for am, bm in _window_ladder(interval):
-            trimmed = [
-                _trim_cell(xs, ws, kerns, am, bm) for xs, ws, kerns in kernels_by_cell
-            ]
-            tilde = [
-                _project_cell(mu_j, mu_p_j, tn, am, bm, eps)
-                for mu_j, mu_p_j, tn in zip(mu_js, mu_p_js, trimmed)
-            ]
+            trimmed = [_trim_cell(mu_j, nu_j, am, bm) for mu_j, nu_j in zip(mu_js, nu_js)]
+            tilde = [_project_cell(mu_p_j, tn, am, bm, eps) for mu_p_j, tn in zip(mu_p_js, trimmed)]
             theta = tilde[0]
             for t in tilde[1:]:
                 theta = theta + t
@@ -228,7 +185,7 @@ def approximate_pairs(
     return nu_out, diag
 
 
-def _project_cell(mu_j, mu_p_j, tilde_nu_j, am, bm, eps):
+def _project_cell(mu_p_j, tilde_nu_j, am, bm, eps):
     """Stage-two mix for one cell: project the windowed perturbed mass
     onto the trimmed base marginal, cap with the window kernel, and blend
     with an eps share of the raw perturbed marginal."""
@@ -258,17 +215,12 @@ def min_cost_martingale_rearrangement(theta: DiscreteMeasure, nu: DiscreteMeasur
     if not ok:
         raise ConvexOrderError("rearrangement requires convex order", witness)
     mb = LiftedMeasure.from_measure(theta)
-    cost = np.abs(nu.atoms[None, :] - theta.atoms[:, None])
-    sol = solve_lp(martingale_polytope_lp(mb, nu, cost=cost.ravel()))
-    if not sol.optimal:
-        raise RuntimeError(f"rearrangement LP: {sol.status}")
+    plan, cost = _min_displacement(mb, nu)
     # the order check allows a mass gap of 1e-9; W1 needs equal masses
     bound = 2.0 * wasserstein_line(theta.scaled(nu.mass / theta.mass), nu, 1.0)
-    if sol.value > bound + 1e-9:
-        raise AssertionError(
-            f"martingale rearrangement cost {sol.value:.6g} exceeds 2 W1 = {bound:.6g}"
-        )
-    return coupling_from_plan(mb, nu, sol.x), {"cost": sol.value, "bound": bound}
+    if cost > bound + 1e-9:
+        raise AssertionError(f"martingale rearrangement cost {cost:.6g} exceeds 2 W1 = {bound:.6g}")
+    return coupling_from_plan(mb, nu, plan), {"cost": cost, "bound": bound}
 
 
 def _refit_piece(base_kernel: DiscreteMeasure, mu_bar_piece: LiftedMeasure, nu_piece: DiscreteMeasure):
@@ -326,39 +278,24 @@ def approximate_coupling(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Di
     table = []
     stages = []
     for piece in split.pieces:
-        idx = piece["base_indices"]
-        mu_js, nu_js, mu_p_js, kernels_by_cell = [], [], [], []
-        for r, i in enumerate(idx):
-            x = base_mu.xs[i]
-            w = base_mu.weights[i]
-            mu_js.append(DiscreteMeasure([x], [w]))
-            nu_js.append(pi.kernel_measure(i).scaled(w))
-            row = piece["plan_rows"][r]
-            keep = row > 1e-14
-            mu_p_js.append(DiscreteMeasure(mu_bar_p.xs[keep], row[keep]))
-            kernels_by_cell.append((np.array([x]), np.array([w]), [pi.kernel_measure(i)]))
+        idx, plan_rows = piece["base_indices"], piece["plan_rows"]
+        kernels = [pi.kernel_measure(i) for i in idx]
+        mu_js = [DiscreteMeasure([base_mu.xs[i]], [base_mu.weights[i]]) for i in idx]
+        nu_js = [k.scaled(base_mu.weights[i]) for k, i in zip(kernels, idx)]
+        mu_p_js = [DiscreteMeasure(mu_bar_p.xs[row > 1e-14], row[row > 1e-14]) for row in plan_rows]
         try:
-            nu_out, diag = approximate_pairs(
-                mu_js, nu_js, mu_p_js, piece["interval"], piece["nu"], eps, kernels_by_cell
-            )
+            nu_out, diag = approximate_pairs(mu_js, nu_js, mu_p_js, piece["interval"], piece["nu"], eps)
         except (ConvexOrderError, RuntimeError) as exc:
             raise RuntimeError(f"component {piece['interval']}: {exc}") from exc
         stages.append(diag)
-        for r, i in enumerate(idx):
-            row = piece["plan_rows"][r]
+        for kernel, row, nu_j in zip(kernels, plan_rows, nu_out):
             keep = row > 1e-14
-            piece_mu_bar = LiftedMeasure(mu_bar_p.atoms[keep], row[keep])
-            fitted = _refit_piece(pi.kernel_measure(i), piece_mu_bar, nu_out[r])
-            table.extend(fitted.joint())
+            table.extend(_refit_piece(kernel, LiftedMeasure(mu_bar_p.atoms[keep], row[keep]), nu_j).joint())
     if split.stationary_mu_bar is not None:
         # stationary mass rides the feasible coupling's kernels directly
-        sm = split.stationary_mu_bar
-        for i in range(len(sm)):
-            j = int(np.argmin(np.abs(split.gamma_first.atoms - sm.atoms[i]).sum(axis=1)))
-            for yj, y in enumerate(split.gamma_support):
-                wk = split.gamma_kernels[j, yj]
-                if wk > 0:
-                    table.append((sm.xs[i], sm.us[i], float(y), float(sm.weights[i] * wk)))
+        sm, K = split.stationary_mu_bar, split.stationary_kernels
+        i, j = np.nonzero(K > 0)
+        table.extend(zip(sm.xs[i], sm.us[i], nu_p.atoms[j], sm.weights[i] * K[i, j]))
     out, _ = disintegrate(table)
     aw = adapted_wasserstein(out, pi, 1.0)
     return out, {"aw1": aw, "stages": stages}

@@ -18,6 +18,8 @@ from .convex_order import ConvexOrderError, irreducible_decomposition
 from .couplings import DiscreteCoupling
 from .measures import DiscreteMeasure, LiftedMeasure, NonFiniteError
 from .solvers import (
+    COSTS,
+    KERNEL_COSTS,
     CostSpec,
     copula_lift,
     price_american,
@@ -29,26 +31,6 @@ from .solvers import (
     vix_primal_lp,
 )
 from .stability import ConfigError, ExperimentConfig, emit, run_stability
-
-COSTS = {
-    "abs": lambda x, u, ys: np.abs(ys - x),
-    "square": lambda x, u, ys: np.asarray(ys) ** 2,
-    "root": lambda x, u, ys: np.sqrt(1.0 + np.asarray(ys) ** 2),
-    "shadow": lambda x, u, ys: (1.0 - u) * np.sqrt(1.0 + np.asarray(ys) ** 2),
-    "uy": lambda x, u, ys: u * np.asarray(ys),
-}
-
-KERNEL_COSTS = {
-    "meanabs_sq": CostSpec(
-        kernel_cost=lambda x, u, ys, k: float(np.dot(np.abs(ys), k)) ** 2,
-        kernel_grad=lambda x, u, ys, k: 2.0 * float(np.dot(np.abs(ys), k)) * np.abs(ys),
-    ),
-    "variance": CostSpec(
-        kernel_cost=lambda x, u, ys, k: float(np.dot(ys**2, k)) - float(np.dot(ys, k)) ** 2,
-        kernel_grad=lambda x, u, ys, k: np.asarray(ys) ** 2 - 2.0 * float(np.dot(ys, k)) * np.asarray(ys),
-    ),
-}
-
 
 def _load(path: str) -> dict:
     with open(path) as fh:

@@ -126,9 +126,10 @@ def product_coupling(mu_bar: LiftedMeasure, nu: DiscreteMeasure) -> DiscreteCoup
     return DiscreteCoupling(mu_bar, nu.atoms, K)
 
 
-def _triple_cost(a_triples, b_triples, p: float) -> np.ndarray:
-    a = np.asarray(a_triples)[:, None, :]
-    b = np.asarray(b_triples)[None, :, :]
+def _point_cost(a_points, b_points, p: float) -> np.ndarray:
+    """Sum over coordinates of |a - b|^p, for every pair of rows."""
+    a = np.asarray(a_points)[:, None, :]
+    b = np.asarray(b_points)[None, :, :]
     return (np.abs(a - b) ** p).sum(axis=2)
 
 
@@ -139,7 +140,7 @@ def wasserstein_coupling(c1: DiscreteCoupling, c2: DiscreteCoupling, p: float = 
     t2 = [(x, u, y) for x, u, y, _ in j2]
     w1 = np.array([w for *_, w in j1])
     w2 = np.array([w for *_, w in j2])
-    _, value = transport_plan(_triple_cost(t1, t2, p), w1, w2)
+    _, value = transport_plan(_point_cost(t1, t2, p), w1, w2)
     return float(value ** (1.0 / p))
 
 
@@ -217,7 +218,7 @@ def distance_to_polytope(c: DiscreteCoupling, mu_bar: LiftedMeasure, nu: Discret
     grid = np.column_stack([np.repeat(mu_bar.atoms, len(nu), axis=0), np.tile(nu.atoms, len(mu_bar))])
     K, G = len(joint), len(grid)
     # variables: T (K*G), pi (G); T's column sums are tied to pi
-    c_obj = np.concatenate([_triple_cost(joint[:, :3], grid, p).ravel(), np.zeros(G)])
+    c_obj = np.concatenate([_point_cost(joint[:, :3], grid, p).ravel(), np.zeros(G)])
     T = plan_rows(K, G)
     pol = martingale_polytope_lp(mu_bar, nu)
     A_eq = sparse.bmat([[T[:K], None], [T[K:], -sparse.eye_array(G)], [None, pol.A_eq]], format="csr")
@@ -277,8 +278,5 @@ def hausdorff_mot(
 
 
 def _lifted_wasserstein(m1: LiftedMeasure, m2: LiftedMeasure, p: float = 1.0) -> float:
-    a = m1.atoms[:, None, :]
-    b = m2.atoms[None, :, :]
-    cost = (np.abs(a - b) ** p).sum(axis=2)
-    _, value = transport_plan(cost, m1.weights, m2.weights)
+    _, value = transport_plan(_point_cost(m1.atoms, m2.atoms, p), m1.weights, m2.weights)
     return float(value ** (1.0 / p))

@@ -37,6 +37,27 @@ class CostSpec:
     kernel_grad: Optional[Callable] = None
 
 
+# named costs, the choices of the CLI's --cost flags
+COSTS = {
+    "abs": lambda x, u, ys: np.abs(ys - x),
+    "square": lambda x, u, ys: np.asarray(ys) ** 2,
+    "root": lambda x, u, ys: np.sqrt(1.0 + np.asarray(ys) ** 2),
+    "shadow": lambda x, u, ys: (1.0 - u) * np.sqrt(1.0 + np.asarray(ys) ** 2),
+    "uy": lambda x, u, ys: u * np.asarray(ys),
+}
+
+KERNEL_COSTS = {
+    "meanabs_sq": CostSpec(
+        kernel_cost=lambda x, u, ys, k: float(np.dot(np.abs(ys), k)) ** 2,
+        kernel_grad=lambda x, u, ys, k: 2.0 * float(np.dot(np.abs(ys), k)) * np.abs(ys),
+    ),
+    "variance": CostSpec(
+        kernel_cost=lambda x, u, ys, k: float(np.dot(ys**2, k)) - float(np.dot(ys, k)) ** 2,
+        kernel_grad=lambda x, u, ys, k: np.asarray(ys) ** 2 - 2.0 * float(np.dot(ys, k)) * np.asarray(ys),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class BarrierMaps:
     """Per-atom barrier pair (T1, T2) with T1 <= x <= T2."""
@@ -303,7 +324,7 @@ def vix_primal_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, u_grid: 
 
 
 def shadow_cost() -> CostSpec:
-    return CostSpec(fn=lambda x, u, ys: (1.0 - u) * np.sqrt(1.0 + np.asarray(ys) ** 2))
+    return CostSpec(fn=COSTS["shadow"])
 
 
 def shadow_coupling(mu_bar: LiftedMeasure, nu: DiscreteMeasure):

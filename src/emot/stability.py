@@ -28,6 +28,8 @@ from .measures import (
     wasserstein_line,
 )
 from .solvers import (
+    COSTS,
+    KERNEL_COSTS,
     CostSpec,
     copula_lift,
     extract_barriers,
@@ -170,19 +172,12 @@ def _barrier_exceedance(c_base, c_pert, threshold: float) -> tuple:
     return exceed, tv
 
 
-def _wmot_cost() -> CostSpec:
-    return CostSpec(
-        kernel_cost=lambda x, u, ys, k: float(np.dot(np.abs(ys), k)) ** 2,
-        kernel_grad=lambda x, u, ys, k: 2.0 * float(np.dot(np.abs(ys), k)) * np.abs(ys),
-    )
-
-
 def _solve(problem: str, mu, nu, cfg: ExperimentConfig):
     if problem == "mot":
-        r = solve_mot(mu, nu, CostSpec(fn=lambda x, u, ys: np.abs(ys - x)))
+        r = solve_mot(mu, nu, CostSpec(fn=COSTS["abs"]))
         return r["value"], r["coupling"]
     if problem == "wmot":
-        r = solve_wmot_fw(LiftedMeasure.from_measure(mu), nu, _wmot_cost(), tol=1e-8)
+        r = solve_wmot_fw(LiftedMeasure.from_measure(mu), nu, KERNEL_COSTS["meanabs_sq"], tol=1e-8)
         if r["fw_gap"] > 1e-6:
             raise RuntimeError(f"Frank-Wolfe gap {r['fw_gap']:.2e} above certificate")
         return r["value"], r["coupling"]

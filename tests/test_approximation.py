@@ -75,6 +75,25 @@ class TestSplitMarginals:
         for p in s.pieces:
             assert p["mu_bar"].mass == pytest.approx(0.5, abs=0.02)
 
+    def test_merged_base_atoms_keep_their_mass(self):
+        # two base atoms 8e-13 apart share one x-marginal atom; both must land
+        # in that atom's component
+        mb = LiftedMeasure([(0.3, 0.25), (0.3 + 8e-13, 0.75), (-0.6, 0.5)], [0.25, 0.25, 0.5])
+        ys = np.array([-1.5, 1.5])
+        pi = DiscreteCoupling(mb, ys, np.column_stack([(1.5 - mb.xs) / 3.0, (mb.xs + 1.5) / 3.0]))
+        mu_p = LiftedMeasure(mb.atoms + [0.01, 0.0], mb.weights)
+        nu_p = repaired(mu_p.x_marginal(), DiscreteMeasure([-1.51, 1.51], pi.second_marginal().weights))
+        s = split_marginals(pi, mu_p, nu_p)
+        total = s.pieces[0]["mu_bar"]
+        for p in s.pieces[1:]:
+            total = total + p["mu_bar"]
+        if s.stationary_mu_bar is not None:
+            total = total + s.stationary_mu_bar
+        assert np.array_equal(total.atoms, mu_p.atoms)
+        assert np.allclose(total.weights, mu_p.weights, atol=1e-12)
+        out, _ = approximate_coupling(pi, mu_p, nu_p, 0.05)
+        assert wasserstein_line(out.second_marginal(), nu_p, 1.0) < 1e-9
+
     def test_rejects_bad_order(self):
         pi = f1_base()
         mu_p = LiftedMeasure.from_measure(DiscreteMeasure([-3, 3], [0.5, 0.5]))
@@ -110,6 +129,12 @@ class TestApproximatePairs:
             ok, _ = check_convex_order(mu_p, o, tol=1e-8)
             assert ok
         assert diag["step3_cost"] <= diag["step3_bound"] + 1e-9
+
+    def test_rejects_multi_atom_cell(self):
+        mu = DiscreteMeasure([-1, 1], [0.5, 0.5])
+        nu = DiscreteMeasure([-2, 2], [0.5, 0.5])
+        with pytest.raises(ValueError, match="one-atom"):
+            approximate_pairs([mu], [nu], [mu], (-2.0, 2.0), nu, eps=0.05)
 
 
 class TestRearrangement:

@@ -127,6 +127,14 @@ class TestConvexMin:
             )
             assert check_convex_order(probe, out)[0]
 
+    def test_rounding_level_hull_vertices_dropped(self):
+        # the hull keeps the two outer tail points with slope jumps of about
+        # 3e-14 and 8e-15; their exact weight is zero
+        rho = DiscreteMeasure([-2.028266101383045, 1.970757336116955], [0.24993894993894994, 0.7500610500610501])
+        q = DiscreteMeasure([-1.99951171875, 1.99951171875], [0.25712930105402637, 0.7428706989459736])
+        out = convex_min(rho, q)
+        assert out.atoms.tolist() == [-1.99951171875, 1.970757336116955]
+
     def test_window_shrinks_trim_error(self):
         rho = DiscreteMeasure([-2, -0.5, 1, 2.5], [0.25, 0.25, 0.25, 0.25])
         mid = mean(rho)
