@@ -129,6 +129,25 @@ def _merge_close(xs: np.ndarray) -> np.ndarray:
     return xs[np.concatenate([[True], np.diff(xs) > 1e-11 * span])]
 
 
+def _measure_from_potential(grid: np.ndarray, values: np.ndarray, m: float) -> DiscreteMeasure:
+    """Measure of mass m whose potential is the convex piecewise-linear
+    interpolant of (grid, values) with tail slopes -m and m.
+
+    An atom weighs half the slope jump at its grid point.  A weight of at
+    most 1e-12 * m is a kink left by rounding and is dropped; the weights
+    are then rescaled to mass m.
+    """
+    slopes = np.concatenate([[-m], np.diff(values) / np.diff(grid), [m]])
+    weights = np.diff(slopes) / 2.0
+    if weights.min() < -1e-8 * max(1.0, m):
+        raise AssertionError("potential has a concave kink")
+    weights = np.where(weights > 1e-12 * m, weights, 0.0)
+    total = weights.sum()
+    if abs(total - m) > 1e-8 * max(1.0, m):
+        raise AssertionError("potential slopes lost mass")
+    return DiscreteMeasure(grid, weights * (m / total))
+
+
 def convex_min(rho: DiscreteMeasure, q: DiscreteMeasure) -> DiscreteMeasure:
     """Convex-order minimum: potential = lower convex envelope of min(u_rho, u_q).
 
@@ -148,19 +167,7 @@ def convex_min(rho: DiscreteMeasure, q: DiscreteMeasure) -> DiscreteMeasure:
     xs = _merge_close(np.union1d(rho.atoms, q.atoms))
     h = np.minimum(potential_values(rho, xs), potential_values(q, xs))
     hx, hy = _lower_convex_hull(xs, h)
-    # hull segment slopes, extended by the common affine tails
-    m = rho.mass
-    seg = np.diff(hy) / np.diff(hx) if len(hx) > 1 else np.array([])
-    slopes = np.concatenate([[-m], seg, [m]])
-    weights = np.diff(slopes) / 2.0
-    if weights.min(initial=0.0) < -1e-8 * max(1.0, m):
-        raise AssertionError("convex_min produced a concave kink")
-    # a slope jump of at most 1e-12 * m is a hull vertex left by rounding
-    out = DiscreteMeasure(hx, np.where(weights > 0.5e-12 * m, weights, 0.0))
-    # guard against drift from hull arithmetic
-    if abs(out.mass - m) > 1e-8 * max(1.0, m):
-        raise AssertionError("convex_min mass drift")
-    return out
+    return _measure_from_potential(hx, hy, rho.mass)
 
 
 # -- irreducible decomposition ------------------------------------------
@@ -190,56 +197,21 @@ def irreducible_decomposition(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: flo
         raise ConvexOrderError("mu is not dominated by nu in convex order", witness)
     pts = np.union1d(mu.atoms, nu.atoms)
     gap = potential_values(nu, pts) - potential_values(mu, pts)
-    scale = max(1.0, nu.mass, float(np.max(np.abs(pts))) if pts.size else 1.0)
+    scale = max(1.0, nu.mass, float(np.abs(pts).max()))
+    # maximal runs pts[start:stop] of strict inequality; the gap is linear
+    # between atoms and vanishes at the nu atoms on either side of a run,
+    # which are the component's endpoints nu.atoms[ia] and nu.atoms[ib]
     strict = gap > tol * scale
+    starts, stops = np.flatnonzero(np.diff(strict, prepend=False, append=False)).reshape(-1, 2).T
+    ia = np.maximum(np.searchsorted(nu.atoms, pts[starts]) - 1, 0)
+    ib = np.minimum(np.searchsorted(nu.atoms, pts[stops - 1], side="right"), len(nu) - 1)
+    mu_pos = np.searchsorted(pts, mu.atoms)
 
-    # maximal runs of strict inequality, with endpoints located by linear
-    # interpolation of the potential gap between breakpoints
-    components = []
-    i = 0
-    n = len(pts)
-    while i < n:
-        if not strict[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and strict[j + 1]:
-            j += 1
-        # left endpoint
-        if i == 0:
-            a = pts[0]  # gap vanishes at -inf; equality holds left of support
-        else:
-            ga, gb = gap[i - 1], gap[i]
-            a = pts[i - 1] + (pts[i] - pts[i - 1]) * (0.0 - ga) / (gb - ga) if gb > ga else pts[i - 1]
-        if j == n - 1:
-            b = pts[-1]
-        else:
-            ga, gb = gap[j], gap[j + 1]
-            b = pts[j] + (pts[j + 1] - pts[j]) * (ga - 0.0) / (ga - gb) if ga > gb else pts[j + 1]
-        components.append((float(a), float(b)))
-        i = j + 1
-
-    in_component = np.zeros(len(mu), dtype=bool)
     comp_out = []
-    nu_left = {float(x): float(w) for x, w in zip(nu.atoms, nu.weights)}
-    mu_gap = potential_values(nu, mu.atoms) - potential_values(mu, mu.atoms)
-
-    def take_nu(x: float, amount: float):
-        key = None
-        for k in nu_left:
-            if abs(k - x) <= 1e-9 * scale:
-                key = k
-                break
-        if key is None or nu_left[key] < amount - 1e-8 * scale:
-            raise AssertionError("endpoint atom allocation exceeds available mass")
-        nu_left[key] -= min(amount, nu_left[key])
-
-    for a, b in components:
-        # mu atoms with a strict potential gap inside the interval; atoms at
-        # the endpoints have gap zero and stay in the stationary part
-        sel = (mu.atoms > a - tol * scale) & (mu.atoms < b + tol * scale) & (mu_gap > tol * scale)
+    alphas, betas = [], []
+    for start, stop, a, b in zip(starts, stops, nu.atoms[ia], nu.atoms[ib]):
+        sel = (mu_pos >= start) & (mu_pos < stop)
         mu_n = DiscreteMeasure(mu.atoms[sel], mu.weights[sel])
-        in_component |= sel
         interior = nu.restrict(a, b, closed=False)
         # endpoint masses alpha (at a) and beta (at b) from mass and mean match
         dm = mu_n.mass - interior.mass
@@ -252,35 +224,31 @@ def irreducible_decomposition(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: flo
         if alpha < -1e-8 * scale or beta < -1e-8 * scale:
             raise AssertionError("negative endpoint allocation in decomposition")
         alpha, beta = max(alpha, 0.0), max(beta, 0.0)
-        nu_n = interior
-        if alpha > 0:
-            take_nu(a, alpha)
-            nu_n = nu_n + DiscreteMeasure([a], [alpha])
-        if beta > 0:
-            take_nu(b, beta)
-            nu_n = nu_n + DiscreteMeasure([b], [beta])
-        comp_out.append(IrreducibleComponent((a, b), mu_n, nu_n))
+        alphas.append(alpha)
+        betas.append(beta)
+        nu_n = interior + DiscreteMeasure([a, b], [alpha, beta])
+        comp_out.append(IrreducibleComponent((float(a), float(b)), mu_n, nu_n))
 
-    eta = DiscreteMeasure(mu.atoms[~in_component], mu.weights[~in_component])
-    return IrreducibleDecomposition(tuple(comp_out), eta)
+    # components that share an endpoint atom split its nu mass
+    booked = np.bincount(np.concatenate([ia, ib]), alphas + betas, minlength=len(nu))
+    if np.any(booked > nu.weights + 1e-8 * scale):
+        raise AssertionError("endpoint atom allocation exceeds available mass")
+    stay = ~strict[mu_pos]
+    return IrreducibleDecomposition(tuple(comp_out), DiscreteMeasure(mu.atoms[stay], mu.weights[stay]))
 
 
 # -- Wasserstein projection in convex order ------------------------------
 
 
-def _running_max_points(xs: np.ndarray, gs: np.ndarray) -> list:
-    """Kink points (x, value) of y -> max_{z<=x} g(z), g piecewise linear."""
-    pts = [(float(xs[0]), float(gs[0]))]
-    m = gs[0]
-    for i in range(len(xs) - 1):
-        x0, x1, g0, g1 = xs[i], xs[i + 1], gs[i], gs[i + 1]
-        if g1 > m:
-            if g0 < m:  # the segment crosses the current running maximum
-                xc = x0 + (m - g0) / (g1 - g0) * (x1 - x0)
-                pts.append((float(xc), float(m)))
-            m = g1
-        pts.append((float(x1), float(m)))
-    return pts
+def _running_max_points(xs: np.ndarray, gs: np.ndarray):
+    """Kink points (x, value) of y -> max_{z<=y} g(z), g piecewise linear
+    through (xs, gs): the grid with the running maximum, plus a point where
+    a segment rises through the running maximum, inserted before the
+    segment's right end."""
+    run = np.maximum.accumulate(gs)
+    i = np.flatnonzero((gs[1:] > run[:-1]) & (gs[:-1] < run[:-1]))
+    xc = xs[i] + (run[i] - gs[i]) / (gs[i + 1] - gs[i]) * (xs[i + 1] - xs[i])
+    return np.insert(xs, i + 1, xc), np.insert(run, i + 1, run[i])
 
 
 def convex_order_projection(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
@@ -304,29 +272,16 @@ def convex_order_projection(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Discret
 
     xs = np.union1d(mu.atoms, nu.atoms)
     gap = np.maximum(potential_values(mu, xs) - potential_values(nu, xs), 0.0)
-    left = _running_max_points(xs, gap)
-    right_rev = _running_max_points(-xs[::-1], gap[::-1])
-    right = [(-x, v) for x, v in right_rev][::-1]
-
-    def interp(pts, g):
-        return np.interp(g, [p[0] for p in pts], [p[1] for p in pts])
-
-    grid = np.unique(np.concatenate([xs, [p[0] for p in left], [p[0] for p in right]]))
-    # the envelope peaks where the two running maxima cross
-    diff = interp(left, grid) - interp(right, grid)
-    i = np.flatnonzero(diff[:-1] * diff[1:] < 0)
-    t = diff[i] / (diff[i] - diff[i + 1])
-    grid = _merge_close(np.unique(np.concatenate([grid, grid[i] + t * (grid[i + 1] - grid[i])])))
-
-    d = np.minimum(interp(left, grid), interp(right, grid))
-    u = potential_values(nu, grid) + d
-    seg = np.diff(u) / np.diff(grid) if len(grid) > 1 else np.array([])
-    slopes = np.concatenate([[-m], seg, [m]])
-    weights = np.maximum(np.diff(slopes) / 2.0, 0.0)
-    total = weights.sum()
-    if abs(total - m) > 1e-8 * max(1.0, m):
-        raise AssertionError("projection mass drift")
-    return DiscreteMeasure(grid, weights * (m / total))
+    # both running maxima reach the peak at the gap's first maximum, so the
+    # envelope is the left one up to it and the right one after it
+    peak = xs[np.argmax(gap)]
+    lx, lv = _running_max_points(xs, gap)
+    rx, rv = _running_max_points(-xs[::-1], gap[::-1])
+    rx, rv = -rx[::-1], rv[::-1]
+    ex = np.concatenate([lx[lx <= peak], rx[rx > peak]])
+    ev = np.concatenate([lv[lx <= peak], rv[rx > peak]])
+    grid = _merge_close(np.unique(ex))
+    return _measure_from_potential(grid, potential_values(nu, grid) + np.interp(grid, ex, ev), m)
 
 
 def window_kernel(x: float, a: float, b: float) -> DiscreteMeasure:

@@ -11,7 +11,7 @@ enumeration; it is the exactness backbone of the Hausdorff estimates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np

@@ -8,13 +8,13 @@ shadow couplings with barrier-map extraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
 
-from .convex_order import ConvexOrderError, binary_kernel
+from .convex_order import ConvexOrderError
 from .couplings import DiscreteCoupling, coupling_from_plan, disintegrate, martingale_polytope_lp
 from .lp_core import Block, LinearProgram, block_rows, plan_rows, solve_lp
 from .measures import DiscreteMeasure, LiftedMeasure, check_convex_order

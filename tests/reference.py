@@ -2,17 +2,19 @@
 
 These are the straightforward per-pair forms that ``emot`` replaced with
 array code: the per-pair quantile W_p, adapted W_p built from one pair of
-kernel measures at a time, and the convex-order minimum that intersects
-every pair of affine pieces of the two potentials.  Tests compare the
-array code against them.
+kernel measures at a time, the convex-order minimum that intersects every
+pair of affine pieces of the two potentials, the convex-order projection
+that walks the running maxima point by point and joins them where they
+cross, and the quantile cell restriction one atom at a time.  Tests
+compare the array code against them.
 """
 
 import numpy as np
 
-from emot.convex_order import _lower_convex_hull, potential
+from emot.convex_order import _lower_convex_hull, _merge_close, potential
 from emot.couplings import DiscreteCoupling
 from emot.lp_core import transport_plan
-from emot.measures import DiscreteMeasure, potential_values
+from emot.measures import DiscreteMeasure, QuantileView, potential_values
 
 
 def wasserstein_line(m1: DiscreteMeasure, m2: DiscreteMeasure, p: float = 1.0) -> float:
@@ -76,3 +78,57 @@ def convex_min(rho: DiscreteMeasure, q: DiscreteMeasure) -> DiscreteMeasure:
     seg = np.diff(hy) / np.diff(hx) if len(hx) > 1 else np.array([])
     weights = np.diff(np.concatenate([[-m], seg, [m]])) / 2.0
     return DiscreteMeasure(hx, np.maximum(weights, 0.0))
+
+
+def _running_max_points(xs, gs) -> list:
+    """Kink points (x, value) of y -> max_{z<=y} g(z), g piecewise linear."""
+    pts = [(float(xs[0]), float(gs[0]))]
+    m = gs[0]
+    for i in range(len(xs) - 1):
+        x0, x1, g0, g1 = xs[i], xs[i + 1], gs[i], gs[i + 1]
+        if g1 > m:
+            if g0 < m:  # the segment crosses the current running maximum
+                xc = x0 + (m - g0) / (g1 - g0) * (x1 - x0)
+                pts.append((float(xc), float(m)))
+            m = g1
+        pts.append((float(x1), float(m)))
+    return pts
+
+
+def convex_order_projection(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
+    """W1 projection of nu onto the measures dominating mu, with the envelope
+    min(left running max, right running max) evaluated on a grid that holds
+    every kink of both and every sign change of their difference; negative
+    slope jumps are clipped and the weights rescaled to the mass."""
+    m = mu.mass
+    shift = mu.first_moment() / m - nu.first_moment() / nu.mass
+    nu = DiscreteMeasure(nu.atoms + shift, nu.weights)
+    xs = np.union1d(mu.atoms, nu.atoms)
+    gap = np.maximum(potential_values(mu, xs) - potential_values(nu, xs), 0.0)
+    left = _running_max_points(xs, gap)
+    right = [(-x, v) for x, v in _running_max_points(-xs[::-1], gap[::-1])][::-1]
+
+    def interp(pts, g):
+        return np.interp(g, [p[0] for p in pts], [p[1] for p in pts])
+
+    grid = np.unique(np.concatenate([xs, [p[0] for p in left], [p[0] for p in right]]))
+    diff = interp(left, grid) - interp(right, grid)
+    i = np.flatnonzero(diff[:-1] * diff[1:] < 0)
+    t = diff[i] / (diff[i] - diff[i + 1])
+    grid = _merge_close(np.unique(np.concatenate([grid, grid[i] + t * (grid[i + 1] - grid[i])])))
+    u = potential_values(nu, grid) + np.minimum(interp(left, grid), interp(right, grid))
+    seg = np.diff(u) / np.diff(grid) if len(grid) > 1 else np.array([])
+    weights = np.maximum(np.diff(np.concatenate([[-m], seg, [m]])) / 2.0, 0.0)
+    return DiscreteMeasure(grid, weights * (m / weights.sum()))
+
+
+def cell_restriction(m: DiscreteMeasure, q_lo: float, q_hi: float) -> DiscreteMeasure:
+    """Submeasure of m carrying the quantile mass of (q_lo, q_hi]."""
+    cum = np.concatenate([[0.0], QuantileView(m).cum])
+    atoms, weights = [], []
+    for i, a in enumerate(m.atoms):
+        w = min(cum[i + 1], q_hi) - max(cum[i], q_lo)
+        if w > 0:
+            atoms.append(a)
+            weights.append(w)
+    return DiscreteMeasure(atoms, weights)

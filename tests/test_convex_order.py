@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import reference
 from emot.convex_order import (
     ConvexOrderError,
     binary_kernel,
@@ -26,6 +28,28 @@ def centred_random_pair(rng, n_max=5):
     m2 = draw()
     m2 = DiscreteMeasure(m2.atoms - mean(m2) + mean(m1), m2.weights)
     return m1, m2
+
+
+@st.composite
+def float_measures(draw, max_atoms):
+    """Probability measures with arbitrary float atoms, whose potentials
+    carry rounding at every kink."""
+    n = draw(st.integers(1, max_atoms))
+    atoms = draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n))
+    w = np.array(draw(st.lists(st.floats(0.1, 1), min_size=n, max_size=n)))
+    return DiscreteMeasure(atoms, w / w.sum())
+
+
+@st.composite
+def spread_pairs(draw):
+    """(mu, nu) with nu = mu's atoms each spread into a binary kernel, so
+    mu <=_cx nu and the spreads that do not overlap give separate components."""
+    mu = draw(float_measures(5))
+    nu = DiscreteMeasure([], [])
+    for x, w in zip(mu.atoms, mu.weights):
+        lo, hi = draw(st.floats(0, 3)), draw(st.floats(0, 3))
+        nu = nu + binary_kernel(x, x - lo, x + hi).scaled(w)
+    return mu, nu
 
 
 class TestPotential:
@@ -174,6 +198,24 @@ class TestDecomposition:
             assert wasserstein_line(mu_sum, mu, 1.0) < 1e-10
             assert wasserstein_line(nu_sum, nu, 1.0) < 1e-10
 
+    def test_shared_endpoint_atom(self):
+        # nu's atom at 0 ends both components and gives each of them 0.25
+        mu = DiscreteMeasure([-1, 1], [0.5, 0.5])
+        nu = DiscreteMeasure([-2, 0, 2], [0.25, 0.5, 0.25])
+        d = irreducible_decomposition(mu, nu)
+        assert [c.interval for c in d.components] == [(-2.0, 0.0), (0.0, 2.0)]
+        assert [c.nu.atoms.tolist() for c in d.components] == [[-2.0, 0.0], [0.0, 2.0]]
+        assert [c.nu.weights.tolist() for c in d.components] == [[0.25, 0.25], [0.25, 0.25]]
+        assert d.stationary.is_zero
+
+    @settings(max_examples=100)
+    @given(spread_pairs())
+    def test_component_atoms_are_atoms_of_nu(self, pair):
+        mu, nu = pair
+        d = irreducible_decomposition(mu, nu)
+        for comp in d.components:
+            assert set(comp.nu.atoms.tolist()) <= set(nu.atoms.tolist())
+
     def test_stationary_part(self):
         mu = DiscreteMeasure([-1, 0, 1], [0.25, 0.5, 0.25])
         nu = DiscreteMeasure([-1, 0, 1], [0.25, 0.5, 0.25])
@@ -218,6 +260,21 @@ class TestProjection:
             lhs = wasserstein_line(p1, p2, 1.0)
             rhs = wasserstein_line(m1, m1b, 1.0) + 2 * wasserstein_line(m2, m2b, 1.0)
             assert lhs <= rhs + 1e-8
+
+    @settings(max_examples=100)
+    @given(float_measures(6), float_measures(8))
+    def test_matches_reference(self, mu, nu):
+        # atoms closer than 1e-6 put the slopes' rounding near the 1e-8 mass and
+        # 1e-9 convex-order tolerances, where the reference fails as well
+        assume(np.diff(np.union1d(mu.atoms, nu.atoms - mean(nu) + mean(mu))).min(initial=1.0) > 1e-6)
+        out = convex_order_projection(mu, nu)
+        ref = reference.convex_order_projection(mu, nu)
+        atoms = np.concatenate([out.atoms, ref.atoms])
+        assert wasserstein_line(out, ref, 1.0) <= 1e-12 * mu.mass * max(1.0, atoms.max() - atoms.min())
+        assert abs(out.mass - mu.mass) <= 1e-15 * mu.mass
+        # a kink left by rounding gets no atom
+        assert out.weights.min() >= 1e-12 * mu.mass
+        assert check_convex_order(mu, out)[0]
 
 
 def test_window_kernel_cases():

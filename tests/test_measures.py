@@ -173,3 +173,11 @@ def test_total_variation():
     b = DiscreteMeasure([0, 2], [0.5, 0.5])
     assert total_variation(a, b) == pytest.approx(0.5)
     assert total_variation(a, a) == pytest.approx(0.0)
+
+
+def test_total_variation_matches_near_duplicate_atoms_once():
+    # 0 and 5e-13 are one support point: |0.5 - 0.3| + |0.5 - 0.7|
+    a = DiscreteMeasure([0, 1], [0.5, 0.5])
+    b = DiscreteMeasure([5e-13, 1], [0.3, 0.7])
+    assert total_variation(a, b) == pytest.approx(0.2)
+    assert total_variation(b, a) == pytest.approx(0.2)

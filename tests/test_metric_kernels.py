@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import reference
 from emot.convex_order import convex_min
 from emot.couplings import DiscreteCoupling, adapted_wasserstein
-from emot.measures import DiscreteMeasure, LiftedMeasure, mean, potential_values, wasserstein_line
+from emot.measures import DiscreteMeasure, LiftedMeasure, QuantileView, mean, potential_values, wasserstein_line
 
 # atoms on a coarse grid and small integer weights, so that atoms and
 # cumulative weights tie often
@@ -53,3 +53,12 @@ def test_convex_min_matches_slope_pairs(rho, q):
     assert wasserstein_line(out, ref, 1.0) <= 1e-12
     pts = np.concatenate([rho.atoms, q.atoms, out.atoms, ref.atoms])
     assert np.abs(potential_values(out, pts) - potential_values(ref, pts)).max() <= 1e-12
+
+
+@settings(max_examples=50)
+@given(measures(), st.integers(0, 16), st.integers(0, 16))
+def test_cell_restriction_matches_loop(m, i, j):
+    q_lo, q_hi = sorted((i / 16, j / 16))
+    out = QuantileView(m).cell_restriction(q_lo, q_hi)
+    ref = reference.cell_restriction(m, q_lo, q_hi)
+    assert out.atoms.tolist() == ref.atoms.tolist() and out.weights.tolist() == ref.weights.tolist()
