@@ -164,15 +164,15 @@ def approximate_pairs(mu_js: list, nu_js: list, mu_p_js: list, interval, nu_p: D
         )
     am, bm, tilde, theta, trim_err = found
 
-    chi, step3 = min_cost_martingale_rearrangement(theta, nu_p)
-    # redistribute each cell through chi's kernels
-    nu_out = []
-    for t in tilde:
-        w = np.zeros(chi.y_support.size)
-        for x, wx in zip(t.atoms, t.weights):
-            i = int(np.argmin(np.abs(chi.first_marginal.xs - x)))
-            w += wx * chi.kernels[i]
-        nu_out.append(DiscreteMeasure(chi.y_support, w))
+    _, step3 = min_cost_martingale_rearrangement(theta, nu_p)
+    # redistribute each cell through the plan's rows: a cell atom belongs to
+    # the theta atom it merged into, the nearest one, as theta's atoms lie
+    # more than MERGE_TOL apart
+    row = np.searchsorted(0.5 * (theta.atoms[1:] + theta.atoms[:-1]), np.concatenate([t.atoms for t in tilde]))
+    cell = np.repeat(np.arange(len(tilde)), [len(t) for t in tilde])
+    masses = np.zeros((len(tilde), len(theta)))
+    np.add.at(masses, (cell, row), np.concatenate([t.weights for t in tilde]))
+    nu_out = [DiscreteMeasure(nu_p.atoms, w) for w in masses / theta.weights @ step3["plan"]]
     diag = {
         "eps_used": eps,
         "window": (am, bm),
@@ -209,7 +209,8 @@ def min_cost_martingale_rearrangement(theta: DiscreteMeasure, nu: DiscreteMeasur
 
     The transport cost of the returned coupling is asserted to be at most
     2 W1(theta, nu); the minimal coupling is dominated by any feasible
-    one, so the classical rearrangement bound carries over.
+    one, so the classical rearrangement bound carries over.  The report
+    holds the cost, the bound and the plan, one row per atom of theta.
     """
     ok, witness = check_convex_order(theta, nu)
     if not ok:
@@ -220,7 +221,7 @@ def min_cost_martingale_rearrangement(theta: DiscreteMeasure, nu: DiscreteMeasur
     bound = 2.0 * wasserstein_line(theta.scaled(nu.mass / theta.mass), nu, 1.0)
     if cost > bound + 1e-9:
         raise AssertionError(f"martingale rearrangement cost {cost:.6g} exceeds 2 W1 = {bound:.6g}")
-    return coupling_from_plan(mb, nu, plan), {"cost": cost, "bound": bound}
+    return coupling_from_plan(mb, nu, plan), {"cost": cost, "bound": bound, "plan": plan}
 
 
 def _refit_piece(base_kernel: DiscreteMeasure, mu_bar_piece: LiftedMeasure, nu_piece: DiscreteMeasure):
@@ -275,7 +276,7 @@ def approximate_coupling(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Di
         return pi, {"aw1": 0.0, "stages": []}
 
     split = split_marginals(pi, mu_bar_p, nu_p)
-    table = []
+    tables = []
     stages = []
     for piece in split.pieces:
         idx, plan_rows = piece["base_indices"], piece["plan_rows"]
@@ -290,12 +291,12 @@ def approximate_coupling(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Di
         stages.append(diag)
         for kernel, row, nu_j in zip(kernels, plan_rows, nu_out):
             keep = row > 1e-14
-            table.extend(_refit_piece(kernel, LiftedMeasure(mu_bar_p.atoms[keep], row[keep]), nu_j).joint())
+            tables.append(_refit_piece(kernel, LiftedMeasure(mu_bar_p.atoms[keep], row[keep]), nu_j).joint())
     if split.stationary_mu_bar is not None:
         # stationary mass rides the feasible coupling's kernels directly
         sm, K = split.stationary_mu_bar, split.stationary_kernels
         i, j = np.nonzero(K > 0)
-        table.extend(zip(sm.xs[i], sm.us[i], nu_p.atoms[j], sm.weights[i] * K[i, j]))
-    out, _ = disintegrate(table)
+        tables.append(np.column_stack([sm.xs[i], sm.us[i], nu_p.atoms[j], sm.weights[i] * K[i, j]]))
+    out, _ = disintegrate(np.concatenate(tables))
     aw = adapted_wasserstein(out, pi, 1.0)
     return out, {"aw1": aw, "stages": stages}

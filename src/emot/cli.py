@@ -32,6 +32,19 @@ from .solvers import (
 )
 from .stability import ConfigError, ExperimentConfig, emit, run_stability
 
+def _positive(kind):
+    """argparse type for a positive number of the given kind."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _load(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
@@ -203,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("vix", help="VIX subreplication sandwich")
     common(sp)
-    sp.add_argument("--tau", type=float, default=1.0)
-    sp.add_argument("--bins", type=int, default=200)
+    sp.add_argument("--tau", type=_positive(float), default=1.0)
+    sp.add_argument("--bins", type=_positive(int), default=200)
     sp.set_defaults(fn=cmd_vix)
 
     sp = sub.add_parser("shadow", help="shadow coupling from a copula lift")
     common(sp)
     sp.add_argument("--copula", choices=["hoeffding_frechet", "independence"], default="hoeffding_frechet")
-    sp.add_argument("--m", type=int, default=8)
+    sp.add_argument("--m", type=_positive(int), default=8)
     sp.set_defaults(fn=cmd_shadow)
 
     sp = sub.add_parser("decompose", help="irreducible decomposition")

@@ -55,26 +55,23 @@ class DiscreteCoupling:
     def x_marginal(self) -> DiscreteMeasure:
         return self.first_marginal.x_marginal()
 
-    def joint(self):
-        """Sparse (x, u, y, weight) table of the joint measure."""
-        out = []
-        for i, ((x, u), w) in enumerate(zip(self.first_marginal.atoms, self.first_marginal.weights)):
-            for j, y in enumerate(self.y_support):
-                if self.kernels[i, j] > 0:
-                    out.append((float(x), float(u), float(y), float(w * self.kernels[i, j])))
-        return out
+    def joint(self) -> np.ndarray:
+        """(k, 4) table of (x, u, y, weight) over the joint measure's support,
+        row-major in (first-marginal atom, y)."""
+        i, j = np.nonzero(self.kernels > 0)
+        fm = self.first_marginal
+        return np.column_stack([fm.xs[i], fm.us[i], self.y_support[j], fm.weights[i] * self.kernels[i, j]])
 
     def proj13(self) -> "DiscreteCoupling":
         """Forget the information label: coupling of (x marginal, nu)."""
-        xs = np.unique(self.first_marginal.xs)
-        K = np.zeros((xs.size, self.y_support.size))
+        fm = self.first_marginal
+        xs, row = np.unique(fm.xs, return_inverse=True)
         w = np.zeros(xs.size)
-        for i, ((x, _u), wi) in enumerate(zip(self.first_marginal.atoms, self.first_marginal.weights)):
-            j = int(np.searchsorted(xs, x))
-            K[j] += wi * self.kernels[i]
-            w[j] += wi
-        K = K / w[:, None]
-        return DiscreteCoupling(LiftedMeasure(np.column_stack([xs, np.zeros(xs.size)]), w), self.y_support, K)
+        K = np.zeros((xs.size, self.y_support.size))
+        np.add.at(w, row, fm.weights)
+        np.add.at(K, row, fm.weights[:, None] * self.kernels)
+        flat = LiftedMeasure(np.column_stack([xs, np.zeros(xs.size)]), w)
+        return DiscreteCoupling(flat, self.y_support, K / w[:, None])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -136,11 +133,7 @@ def _point_cost(a_points, b_points, p: float) -> np.ndarray:
 def wasserstein_coupling(c1: DiscreteCoupling, c2: DiscreteCoupling, p: float = 1.0) -> float:
     """Flat W_p between joint measures with the product metric on R x U x R."""
     j1, j2 = c1.joint(), c2.joint()
-    t1 = [(x, u, y) for x, u, y, _ in j1]
-    t2 = [(x, u, y) for x, u, y, _ in j2]
-    w1 = np.array([w for *_, w in j1])
-    w2 = np.array([w for *_, w in j2])
-    _, value = transport_plan(_point_cost(t1, t2, p), w1, w2)
+    _, value = transport_plan(_point_cost(j1[:, :3], j2[:, :3], p), j1[:, 3], j2[:, 3])
     return float(value ** (1.0 / p))
 
 
@@ -214,7 +207,7 @@ def distance_to_polytope(c: DiscreteCoupling, mu_bar: LiftedMeasure, nu: Discret
     Single LP: joint variables are a member of the polytope together with
     a transport plan from the support of c to the member's support grid.
     """
-    joint = np.array(c.joint()).reshape(-1, 4)
+    joint = c.joint()
     grid = np.column_stack([np.repeat(mu_bar.atoms, len(nu), axis=0), np.tile(nu.atoms, len(mu_bar))])
     K, G = len(joint), len(grid)
     # variables: T (K*G), pi (G); T's column sums are tied to pi

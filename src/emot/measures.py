@@ -246,11 +246,12 @@ class QuantileView:
         idx = np.clip(idx, 0, len(self.measure) - 1)
         return self.measure.atoms[idx]
 
-    def cell_restriction(self, q_lo: float, q_hi: float) -> DiscreteMeasure:
-        """Submeasure carrying the quantile mass of (q_lo, q_hi]."""
+    def cell_masses(self, levels) -> np.ndarray:
+        """Mass of each atom inside each quantile cell (levels[c], levels[c+1]]:
+        one row per cell, one column per atom, zero outside the cell."""
+        levels = np.asarray(levels, dtype=float)[:, None]
         cum = np.concatenate([[0.0], self.cum])
-        w = np.minimum(cum[1:], q_hi) - np.maximum(cum[:-1], q_lo)
-        return DiscreteMeasure(self.measure.atoms[w > 0], w[w > 0])
+        return np.maximum(np.minimum(cum[1:], levels[1:]) - np.maximum(cum[:-1], levels[:-1]), 0.0)
 
 
 # -- operations ----------------------------------------------------------
@@ -344,14 +345,10 @@ def quantile_discretize(m: DiscreteMeasure, k: int) -> DiscreteMeasure:
         raise ValueError("k must be >= 1")
     if m.mass <= 0:
         raise EmptyMeasureError("empty measure")
-    qv = QuantileView(m)
-    atoms, weights = [], []
-    for i in range(k):
-        cell = qv.cell_restriction(i * m.mass / k, (i + 1) * m.mass / k)
-        if cell.mass > 0:
-            atoms.append(mean(cell))
-            weights.append(cell.mass)
-    return DiscreteMeasure(atoms, weights)
+    W = QuantileView(m).cell_masses(np.arange(k + 1) * m.mass / k)
+    mass = W.sum(axis=1)
+    full = mass > 0
+    return DiscreteMeasure(W[full] @ m.atoms / mass[full], mass[full])
 
 
 def total_variation(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:

@@ -17,7 +17,7 @@ from scipy import sparse
 from .convex_order import ConvexOrderError
 from .couplings import DiscreteCoupling, coupling_from_plan, disintegrate, martingale_polytope_lp
 from .lp_core import Block, LinearProgram, block_rows, plan_rows, solve_lp
-from .measures import DiscreteMeasure, LiftedMeasure, check_convex_order
+from .measures import DiscreteMeasure, LiftedMeasure, QuantileView, check_convex_order
 
 MAX_FW_ITER = 500
 
@@ -334,6 +334,15 @@ def shadow_coupling(mu_bar: LiftedMeasure, nu: DiscreteMeasure):
     return solve_extended_mot(mu_bar, nu, shadow_cost(), sense="min")
 
 
+def _support_ends(c: DiscreteCoupling, tol: float):
+    """Kernel entries above tol, and each kernel row's first and last
+    supported y."""
+    on = c.kernels > tol
+    first = np.argmax(on, axis=1)
+    last = on.shape[1] - 1 - np.argmax(on[:, ::-1], axis=1)
+    return on, c.y_support[first], c.y_support[last]
+
+
 def extract_barriers(c: DiscreteCoupling, tol: float = 1e-10):
     """Barrier maps of a vertex coupling with at-most-binary kernels.
 
@@ -341,26 +350,13 @@ def extract_barriers(c: DiscreteCoupling, tol: float = 1e-10):
     support endpoints.  Kernels with larger support are excluded and
     reported in the diagnostics with their count and carried mass.
     """
-    atoms, weights, t1, t2 = [], [], [], []
-    excluded = 0
-    excluded_mass = 0.0
-    for i in range(len(c.first_marginal)):
-        supp = c.y_support[c.kernels[i] > tol]
-        x = c.first_marginal.xs[i]
-        if supp.size > 2:
-            excluded += 1
-            excluded_mass += float(c.first_marginal.weights[i])
-            continue
-        if supp.size == 1:
-            lo = hi = x
-        else:
-            lo, hi = float(supp[0]), float(supp[1])
-        atoms.append(c.first_marginal.atoms[i])
-        weights.append(c.first_marginal.weights[i])
-        t1.append(lo)
-        t2.append(hi)
-    bm = BarrierMaps(np.array(atoms).reshape(-1, 2), np.array(weights), np.array(t1), np.array(t2))
-    return bm, {"excluded_count": excluded, "excluded_mass": excluded_mass}
+    on, lo, hi = _support_ends(c, tol)
+    size = on.sum(axis=1)
+    keep = size <= 2
+    fm = c.first_marginal
+    t1, t2 = np.where(size == 1, fm.xs, lo), np.where(size == 1, fm.xs, hi)
+    bm = BarrierMaps(fm.atoms[keep], fm.weights[keep], t1[keep], t2[keep])
+    return bm, {"excluded_count": int((~keep).sum()), "excluded_mass": float(fm.weights[~keep].sum())}
 
 
 def barrier_monotonicity_violation(bm: BarrierMaps, tol: float = 1e-9) -> float:
@@ -369,15 +365,11 @@ def barrier_monotonicity_violation(bm: BarrierMaps, tol: float = 1e-9) -> float:
     For each x and each adjacent label pair v < u the intervals
     [T1(x, v), T2(x, v)] must sit inside [T1(x, u), T2(x, u)].
     """
-    bad = 0.0
-    for x in np.unique(bm.atoms[:, 0]):
-        idx = np.where(bm.atoms[:, 0] == x)[0]
-        idx = idx[np.argsort(bm.atoms[idx, 1])]
-        for a, b in zip(idx[:-1], idx[1:]):
-            # label at b is larger: its interval must contain the one at a
-            if bm.t1[b] > bm.t1[a] + tol or bm.t2[b] < bm.t2[a] - tol:
-                bad += float(bm.weights[b])
-    return bad
+    order = np.lexsort((bm.atoms[:, 1], bm.atoms[:, 0]))
+    a, b = order[:-1], order[1:]
+    # label at b is larger: its interval must contain the one at a
+    bad = (bm.atoms[a, 0] == bm.atoms[b, 0]) & ((bm.t1[b] > bm.t1[a] + tol) | (bm.t2[b] < bm.t2[a] - tol))
+    return float(bm.weights[b[bad]].sum())
 
 
 def left_monotone_violation(c: DiscreteCoupling, tol: float = 1e-10) -> float:
@@ -387,23 +379,14 @@ def left_monotone_violation(c: DiscreteCoupling, tol: float = 1e-10) -> float:
     between two support points of the kernel at some x < x'.
     """
     flat = c.proj13()
-    xs = flat.first_marginal.xs
-    bad = 0.0
-    for i2 in range(len(xs)):
-        for j, y in enumerate(flat.y_support):
-            if flat.kernels[i2, j] <= tol:
-                continue
-            hit = False
-            for i1 in range(len(xs)):
-                if xs[i1] >= xs[i2] - tol:
-                    continue
-                supp = flat.y_support[flat.kernels[i1] > tol]
-                if supp.size >= 2 and supp[0] + tol < y < supp[-1] - tol and not np.any(np.abs(supp - y) <= tol):
-                    hit = True
-                    break
-            if hit:
-                bad += float(flat.first_marginal.weights[i2] * flat.kernels[i2, j])
-    return bad
+    xs, ys = flat.first_marginal.xs, flat.y_support
+    on, lo, hi = _support_ends(flat, tol)
+    # inside[i, j]: y_j lies strictly between the support ends of the kernel
+    # at x_i, farther than tol from each of its support points
+    near = on @ (np.abs(ys[:, None] - ys[None, :]) <= tol)
+    inside = (on.sum(axis=1) >= 2)[:, None] & (lo[:, None] + tol < ys) & (ys < hi[:, None] - tol) & ~near
+    hit = (xs[None, :] < xs[:, None] - tol) @ inside
+    return float((flat.first_marginal.weights[:, None] * flat.kernels)[on & hit].sum())
 
 
 def copula_lift(mu: DiscreteMeasure, copula: str = "independence", m: int = 1, table=None) -> LiftedMeasure:
@@ -418,9 +401,6 @@ def copula_lift(mu: DiscreteMeasure, copula: str = "independence", m: int = 1, t
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    from .measures import QuantileView
-
-    mass = mu.mass
     if copula == "independence":
         cells = np.full((m, m), 1.0 / (m * m))
     elif copula == "hoeffding_frechet":
@@ -431,15 +411,13 @@ def copula_lift(mu: DiscreteMeasure, copula: str = "independence", m: int = 1, t
             raise ValueError("tabulated copula must be an m-by-m matrix")
         if np.any(np.abs(cells.sum(axis=1) - 1.0 / m) > 1e-9):
             raise ValueError("tabulated copula rows must sum to 1/m")
+        if np.any(cells < 0):
+            raise ValueError("tabulated copula masses must be nonnegative")
     else:
         raise ValueError(f"unknown copula {copula!r}")
-    qv = QuantileView(mu)
-    out: Optional[LiftedMeasure] = None
-    for i in range(m):
-        piece = qv.cell_restriction(i * mass / m, (i + 1) * mass / m)
-        for k in range(m):
-            if cells[i, k] <= 0:
-                continue
-            lift = LiftedMeasure.from_measure(piece.scaled(m * cells[i, k]), (k + 0.5) / m)
-            out = lift if out is None else out + lift
-    return out
+    # quantile cell i of mu, scaled by m * cells[i, k], carries label (k + 1/2) / m
+    W = QuantileView(mu).cell_masses(np.arange(m + 1) * mu.mass / m)
+    weights = (m * cells)[:, :, None] * W[:, None, :]
+    labels = np.broadcast_to(((np.arange(m) + 0.5) / m)[None, :, None], weights.shape)
+    atoms = np.column_stack([np.broadcast_to(mu.atoms, weights.shape).ravel(), labels.ravel()])
+    return LiftedMeasure(atoms, weights.ravel())

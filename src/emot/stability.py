@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .convex_order import ConvexOrderError, convex_order_projection
-from .couplings import adapted_wasserstein, hausdorff_mot
+from .couplings import _point_cost, adapted_wasserstein, hausdorff_mot
 from .lp_core import DimensionGuardError
 from .measures import (
     DiscreteMeasure,
@@ -50,6 +51,11 @@ class ConfigError(ValueError):
     pass
 
 
+def _is(value, kind) -> bool:
+    """Whether value is a number of the ``numbers`` kind; a bool is not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     mu: DiscreteMeasure
@@ -69,6 +75,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown problem {self.problem!r}")
         if self.perturbation not in PERTURBATIONS:
             raise ConfigError(f"unknown perturbation {self.perturbation!r}")
+        if not _is(self.seed, numbers.Integral):
+            raise ConfigError("seed must be an integer")
+        if not (_is(self.tau, numbers.Real) and self.tau > 0):
+            raise ConfigError("tau must be positive")
+        if not (_is(self.bins, numbers.Integral) and self.bins >= 1):
+            raise ConfigError("bins must be a positive integer")
+        if not (_is(self.copula_m, numbers.Integral) and self.copula_m >= 1):
+            raise ConfigError("copula_m must be a positive integer")
+        if not all(_is(s, numbers.Real) for s in self.scales):
+            raise ConfigError("scales must be numbers")
         scales = tuple(float(s) for s in self.scales)
         if len(scales) == 0 or any(s <= 0 for s in scales):
             raise ConfigError("scales must be positive")
@@ -154,18 +170,13 @@ def _barrier_exceedance(c_base, c_pert, threshold: float) -> tuple:
     diagnostic of the lifted first marginals."""
     bm0, _ = extract_barriers(c_base)
     bm1, _ = extract_barriers(c_pert)
-    exceed = 0.0
-    for i in range(len(bm0.weights)):
-        if bm0.t1[i] == bm0.t2[i]:
-            continue
-        d = np.abs(bm1.atoms - bm0.atoms[i]).sum(axis=1)
-        if d.size == 0:
-            exceed += float(bm0.weights[i])
-            continue
-        j = int(np.argmin(d))
-        drift = abs(bm1.t1[j] - bm0.t1[i]) + abs(bm1.t2[j] - bm0.t2[i])
-        if drift > threshold:
-            exceed += float(bm0.weights[i])
+    if len(bm1.weights):
+        # each base atom is compared with the L1-nearest perturbed atom
+        j = _point_cost(bm0.atoms, bm1.atoms, 1.0).argmin(axis=1)
+        drift = np.abs(bm1.t1[j] - bm0.t1) + np.abs(bm1.t2[j] - bm0.t2)
+    else:
+        drift = np.full(len(bm0.weights), np.inf)
+    exceed = float(bm0.weights[(bm0.t1 != bm0.t2) & (drift > threshold)].sum())
     tv = total_variation(
         c_base.first_marginal.x_marginal(), c_pert.first_marginal.x_marginal()
     )

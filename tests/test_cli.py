@@ -59,3 +59,83 @@ def test_non_finite_input_is_a_config_error(tmp_path, capsys, bad):
     }))
     assert main(["mot", "--input", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# mu <=_cx nu: nu spreads each mu atom x to x - 1 and x + 1 (VIX: to x -+ 0.1)
+SPREAD = {
+    "mu": {"atoms": [-1.0, 0.0, 1.0], "weights": [0.25, 0.5, 0.25]},
+    "nu": {"atoms": [-2.0, -1.0, 0.0, 1.0, 2.0], "weights": [0.125, 0.25, 0.25, 0.25, 0.125]},
+}
+POSITIVE = {
+    "mu": {"atoms": [0.9, 1.0, 1.1], "weights": [0.25, 0.5, 0.25]},
+    "nu": {"atoms": [0.8, 0.9, 1.0, 1.1, 1.2], "weights": [0.125, 0.25, 0.25, 0.25, 0.125]},
+}
+LIFTED = {
+    "mu_bar": {"atoms": [[-1.0, 0.2], [0.0, 0.5], [0.0, 0.8], [1.0, 0.5]], "weights": [0.25, 0.25, 0.25, 0.25]},
+    "nu": SPREAD["nu"],
+}
+
+
+def _exit_code(argv) -> int:
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _input(tmp_path, data, name="input.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, data, args",
+    [
+        ("mot", SPREAD, []),
+        ("emot", LIFTED, []),
+        ("shadow", SPREAD, ["--copula", "independence", "--m", "2"]),
+        ("vix", POSITIVE, ["--bins", "4"]),
+        ("decompose", SPREAD, []),
+    ],
+)
+@pytest.mark.parametrize("order", ["reversed", "rolled"])
+def test_output_ignores_atom_order(tmp_path, command, data, args, order):
+    def permuted(measure):
+        idx = np.arange(len(measure["weights"]))
+        idx = idx[::-1] if order == "reversed" else np.roll(idx, 1)
+        return {key: [measure[key][i] for i in idx] for key in ("atoms", "weights")}
+
+    outputs = []
+    for name, d in [("sorted", data), ("permuted", {key: permuted(m) for key, m in data.items()})]:
+        out = tmp_path / f"{name}.out"
+        assert main([command, "--input", _input(tmp_path, d, f"{name}.json"), "--out", str(out)] + args) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("vix", ["--tau", "0"]), ("vix", ["--tau", "-1"]), ("vix", ["--bins", "0"]), ("shadow", ["--m", "0"])],
+)
+def test_non_positive_flag_is_a_usage_error(tmp_path, command, flags):
+    data = POSITIVE if command == "vix" else SPREAD
+    assert _exit_code([command, "--input", _input(tmp_path, data)] + flags) == 2
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"seed": "x"},
+        {"scales": ["a"]},
+        {"problem": "shadow", "copula_m": 0},
+        {"problem": "vix", "tau": 0},
+        {"problem": "vix", "bins": 0},
+    ],
+)
+def test_bad_stability_config_is_a_config_error(tmp_path, capsys, override):
+    config = {**POSITIVE, "problem": "mot", "scales": [0.1], **override}
+    path = _input(tmp_path, config, "config.json")
+    assert _exit_code(["stability", "--config", path, "--out-prefix", str(tmp_path / "report")]) == 2
+    assert "config error" in capsys.readouterr().err

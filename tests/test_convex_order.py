@@ -213,8 +213,14 @@ class TestDecomposition:
     def test_component_atoms_are_atoms_of_nu(self, pair):
         mu, nu = pair
         d = irreducible_decomposition(mu, nu)
+        mu_sum = nu_sum = d.stationary
         for comp in d.components:
             assert set(comp.nu.atoms.tolist()) <= set(nu.atoms.tolist())
+            mu_sum, nu_sum = mu_sum + comp.mu, nu_sum + comp.nu
+        # the pieces put both marginals back together; the stationary part is
+        # mu's, so nu's atoms within the potential tolerance of it move a little
+        assert wasserstein_line(mu_sum, mu, 1.0) <= 1e-12
+        assert wasserstein_line(nu_sum, nu, 1.0) <= 1e-8
 
     def test_stationary_part(self):
         mu = DiscreteMeasure([-1, 0, 1], [0.25, 0.5, 0.25])

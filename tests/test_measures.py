@@ -102,7 +102,7 @@ class TestQuantileView:
     def test_cell_restriction_partitions(self):
         m = DiscreteMeasure([0, 1, 2], [0.2, 0.5, 0.3])
         q = QuantileView(m)
-        cells = [q.cell_restriction(i / 4, (i + 1) / 4) for i in range(4)]
+        cells = [DiscreteMeasure(m.atoms, w) for w in q.cell_masses([i / 4 for i in range(5)])]
         total = cells[0]
         for c in cells[1:]:
             total = total + c

@@ -335,6 +335,8 @@ class TestCopulaLift:
         mu = DiscreteMeasure([0], [1.0])
         with pytest.raises(ValueError, match="rows"):
             copula_lift(mu, "tabulated", 2, table=[[0.5, 0.5], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            copula_lift(mu, "tabulated", 2, table=[[0.75, -0.25], [0.25, 0.25]])
         lm = copula_lift(mu, "tabulated", 2, table=np.full((2, 2), 0.25))
         assert np.allclose(lm.weights, 0.5)
 

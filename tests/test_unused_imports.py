@@ -1,7 +1,9 @@
-"""Every name a module in ``src/emot`` imports is read somewhere in it.
+"""Every name a module in ``src/emot`` imports is read somewhere in it, and
+every private module-level function or class is read by some module.
 
 No linter is part of the toolchain, so this check stands in for one.
-``__init__.py`` is skipped: its imports are the package's public API.
+``__init__.py`` is skipped by the import check: its imports are the
+package's public API.
 """
 
 import ast
@@ -10,6 +12,15 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "emot"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def names_read(tree: ast.Module) -> set:
+    annotations = [node.annotation for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    # a quoted annotation such as -> "DiscreteMeasure" reads the names inside it
+    quoted = [ast.parse(a.value, mode="eval") for a in annotations if isinstance(a, ast.Constant)]
+    return {node.id for root in [tree, *quoted] for node in ast.walk(root) if isinstance(node, ast.Name)}
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -21,14 +32,32 @@ def unused_imports(tree: ast.Module) -> list:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    annotations = [node.annotation for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.AnnAssign))]
-    annotations += [node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-    # a quoted annotation such as -> "DiscreteMeasure" reads the names inside it
-    quoted = [ast.parse(a.value, mode="eval") for a in annotations if isinstance(a, ast.Constant)]
-    read = {node.id for root in [tree, *quoted] for node in ast.walk(root) if isinstance(node, ast.Name)}
+    read = names_read(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name)
+def unread_private_definitions(trees: dict) -> list:
+    """Module-level ``_name`` functions and classes (dunders aside) that no
+    module reads, by name or as a module attribute."""
+    read = set()
+    for tree in trees.values():
+        read |= names_read(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return sorted(
+        f"{name}: {node.name} (line {node.lineno})"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and node.name not in read
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_no_unread_private_definitions():
+    assert unread_private_definitions({p.name: ast.parse(p.read_text()) for p in MODULES}) == []
