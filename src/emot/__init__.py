@@ -20,12 +20,10 @@ from .convex_order import (
     ConvexOrderError,
     IrreducibleComponent,
     IrreducibleDecomposition,
-    PiecewiseLinearConvex,
     binary_kernel,
     convex_min,
     convex_order_projection,
     irreducible_decomposition,
-    potential,
     w1_binary,
     window_kernel,
 )

@@ -18,7 +18,7 @@ import numpy as np
 from .convex_order import ConvexOrderError, convex_min, convex_order_projection, irreducible_decomposition, window_kernel
 from .couplings import DiscreteCoupling, _point_cost, adapted_wasserstein, coupling_from_plan, disintegrate, martingale_polytope_lp
 from .lp_core import Block, LinearProgram, block_rows, solve_lp, transport_plan
-from .measures import DiscreteMeasure, LiftedMeasure, check_convex_order, mean, wasserstein_line
+from .measures import DiscreteMeasure, LiftedMeasure, cdf, check_convex_order, mean, wasserstein_line
 
 STEP2_MAX_RETRIES = 5
 WINDOW_MAX_LEVEL = 50
@@ -233,8 +233,7 @@ def _refit_piece(base_kernel: DiscreteMeasure, mu_bar_piece: LiftedMeasure, nu_p
     grid = np.unique(np.concatenate([base_kernel.atoms, ys]))
     gaps = np.diff(grid)
     L = gaps.size
-    fk = np.concatenate([[0.0], base_kernel.cumulative()])
-    f_base = fk[np.searchsorted(base_kernel.atoms, grid, side="right")]
+    f_base = cdf(base_kernel, grid)
     w, xs = mu_bar_piece.weights, mu_bar_piece.xs
     # variables: K (n*m), t (n*L); per i a unit-mass row and a barycentre row, then
     # per (i, l) the pair +-(CDF of K_i at grid[l]) - t_il <= +-F_base(grid[l])
@@ -243,8 +242,8 @@ def _refit_piece(base_kernel: DiscreteMeasure, mu_bar_piece: LiftedMeasure, nu_p
     eq = [Block(np.stack([np.ones((n, m)), ys[None, :] - xs[:, None]], axis=1)),
           Block(np.broadcast_to(w, (m, 1, n)), row0=2 * n, steps=(1, m))]
     b_eq = np.concatenate([np.tile([1.0, 0.0], n), nu_piece.weights / nu_piece.mass * mu_bar_piece.mass])
-    cdf = sgn[None, :, None] * (ys[None, None, :] <= grid[:L, None, None] + 1e-12)
-    ub = [Block(np.broadcast_to(cdf.reshape(2 * L, m), (n, 2 * L, m))), Block(-np.ones((n * L, 2, 1)), col0=n * m)]
+    k_cdf = sgn[None, :, None] * (ys[None, None, :] <= grid[:L, None, None] + 1e-12)
+    ub = [Block(np.broadcast_to(k_cdf.reshape(2 * L, m), (n, 2 * L, m))), Block(-np.ones((n * L, 2, 1)), col0=n * m)]
     b_ub = np.tile((f_base[:L, None] * sgn).ravel(), n)
     A_eq, A_ub = block_rows(eq, (2 * n + m, nv)), block_rows(ub, (2 * n * L, nv))
     sol = solve_lp(LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub))

@@ -2,8 +2,9 @@
 Wasserstein projection in the convex order, and binary martingale kernels.
 
 A potential u_m(y) = integral |y - x| m(dx) is piecewise linear and convex
-with kinks exactly at the atoms of m; the measure is recovered from a
-potential by placing weight (slope jump)/2 at every kink.
+with kinks exactly at the atoms of m.  Its slope right of y is 2F(y) - mass,
+with F(y) the mass of m at or left of y, so the measure is recovered from a
+potential's slopes as the jumps of F = (slope + mass)/2.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .measures import (
     DiscreteMeasure,
     EmptyMeasureError,
     MassMismatchError,
+    cdf,
     check_convex_order,
     mean,
     potential_values,
@@ -30,53 +32,6 @@ class ConvexOrderError(ValueError):
     def __init__(self, message: str, witness: Optional[float] = None):
         super().__init__(message)
         self.witness = witness
-
-
-@dataclass(frozen=True)
-class PiecewiseLinearConvex:
-    """Convex piecewise-linear function given by breakpoints and values.
-
-    ``left_slope`` and ``right_slope`` are the asymptotic slopes beyond the
-    first and last breakpoint.  Slopes are nondecreasing across segments.
-    """
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-    left_slope: float
-    right_slope: float
-
-    def __call__(self, ys):
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        b, v = self.breakpoints, self.values
-        out = np.empty_like(ys)
-        idx = np.searchsorted(b, ys)
-        left = idx == 0
-        right = idx == len(b)
-        out[left] = v[0] + self.left_slope * (ys[left] - b[0])
-        out[right] = v[-1] + self.right_slope * (ys[right] - b[-1])
-        mid = ~(left | right)
-        i = idx[mid]
-        frac = (ys[mid] - b[i - 1]) / (b[i] - b[i - 1])
-        out[mid] = v[i - 1] + frac * (v[i] - v[i - 1])
-        return out if out.size > 1 else float(out[0])
-
-    def slopes(self) -> np.ndarray:
-        """Slopes of the n+1 affine pieces, left tail first."""
-        seg = np.diff(self.values) / np.diff(self.breakpoints) if len(self.breakpoints) > 1 else np.array([])
-        return np.concatenate([[self.left_slope], seg, [self.right_slope]])
-
-    def to_measure(self) -> DiscreteMeasure:
-        """Measure whose potential this function is: weight = slope jump / 2."""
-        s = self.slopes()
-        return DiscreteMeasure(self.breakpoints, np.diff(s) / 2.0)
-
-
-def potential(m: DiscreteMeasure) -> PiecewiseLinearConvex:
-    """Exact piecewise-linear potential function of a discrete measure."""
-    if m.is_zero:
-        return PiecewiseLinearConvex(np.array([0.0]), np.array([0.0]), 0.0, 0.0)
-    vals = potential_values(m, m.atoms)
-    return PiecewiseLinearConvex(m.atoms.copy(), vals, -m.mass, m.mass)
 
 
 def binary_kernel(x: float, l: float, r: float) -> DiscreteMeasure:
@@ -129,23 +84,23 @@ def _merge_close(xs: np.ndarray) -> np.ndarray:
     return xs[np.concatenate([[True], np.diff(xs) > 1e-11 * span])]
 
 
-def _measure_from_potential(grid: np.ndarray, values: np.ndarray, m: float) -> DiscreteMeasure:
-    """Measure of mass m whose potential is the convex piecewise-linear
-    interpolant of (grid, values) with tail slopes -m and m.
+def _measure_from_cdf(points: np.ndarray, F: np.ndarray, m: float) -> DiscreteMeasure:
+    """Measure of mass m on the sorted points whose cumulative mass is F[k]
+    between points[k] and points[k + 1], 0 left of the first point and m
+    from the last one on.
 
-    An atom weighs half the slope jump at its grid point.  A weight of at
-    most 1e-12 * m is a kink left by rounding and is dropped; the weights
-    are then rescaled to mass m.
+    An atom weighs the jump of F at its point.  A weight of at most
+    1e-12 * m is left by rounding and is dropped; the weights are then
+    rescaled to mass m.
     """
-    slopes = np.concatenate([[-m], np.diff(values) / np.diff(grid), [m]])
-    weights = np.diff(slopes) / 2.0
+    weights = np.diff(np.concatenate([[0.0], F, [m]]))
     if weights.min() < -1e-8 * max(1.0, m):
         raise AssertionError("potential has a concave kink")
     weights = np.where(weights > 1e-12 * m, weights, 0.0)
     total = weights.sum()
     if abs(total - m) > 1e-8 * max(1.0, m):
         raise AssertionError("potential slopes lost mass")
-    return DiscreteMeasure(grid, weights * (m / total))
+    return DiscreteMeasure(points, weights * (m / total))
 
 
 def convex_min(rho: DiscreteMeasure, q: DiscreteMeasure) -> DiscreteMeasure:
@@ -167,7 +122,7 @@ def convex_min(rho: DiscreteMeasure, q: DiscreteMeasure) -> DiscreteMeasure:
     xs = _merge_close(np.union1d(rho.atoms, q.atoms))
     h = np.minimum(potential_values(rho, xs), potential_values(q, xs))
     hx, hy = _lower_convex_hull(xs, h)
-    return _measure_from_potential(hx, hy, rho.mass)
+    return _measure_from_cdf(hx, (np.diff(hy) / np.diff(hx) + rho.mass) / 2.0, rho.mass)
 
 
 # -- irreducible decomposition ------------------------------------------
@@ -261,6 +216,13 @@ def convex_order_projection(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Discret
     of u_nu, dominates u_mu, and its peak value max(u_mu - u_nu)^+ is a
     lower bound for the projection distance, so the construction is exact.
     This choice of minimizer is 1-Lipschitz in mu and 2-Lipschitz in nu.
+
+    The result is read off cumulative masses, with no slope taken from
+    potential values: between the envelope's kink points its cumulative
+    mass is F_nu where d is flat, and (1 - theta) F_nu + theta F_mu where d
+    follows the chord of the clipped gap over a grid segment, with theta
+    the share of the gap's change that survives the clipping (exactly 1
+    where the gap is >= 0 at both ends).
     """
     if mu.mass <= 0 or nu.mass <= 0:
         raise EmptyMeasureError("empty measure")
@@ -271,7 +233,11 @@ def convex_order_projection(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Discret
     nu = DiscreteMeasure(nu.atoms + shift, nu.weights)
 
     xs = np.union1d(mu.atoms, nu.atoms)
-    gap = np.maximum(potential_values(mu, xs) - potential_values(nu, xs), 0.0)
+    diff = potential_values(mu, xs) - potential_values(nu, xs)
+    # outside the joint support both potentials are m |y - mean|, so the gap
+    # is zero at the grid's ends; setting it drops the prefix sums' rounding
+    diff[[0, -1]] = 0.0
+    gap = np.maximum(diff, 0.0)
     # both running maxima reach the peak at the gap's first maximum, so the
     # envelope is the left one up to it and the right one after it
     peak = xs[np.argmax(gap)]
@@ -280,8 +246,15 @@ def convex_order_projection(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Discret
     rx, rv = -rx[::-1], rv[::-1]
     ex = np.concatenate([lx[lx <= peak], rx[rx > peak]])
     ev = np.concatenate([lv[lx <= peak], rv[rx > peak]])
-    grid = _merge_close(np.unique(ex))
-    return _measure_from_potential(grid, potential_values(nu, grid) + np.interp(grid, ex, ev), m)
+    # pieces between kink points; a crossing that rounds onto a grid point
+    # leaves a piece of no length, which carries no mass
+    k = np.flatnonzero(np.diff(ex) > 0)
+    left = ex[k]
+    follow = ev[k + 1] != ev[k]
+    i = np.searchsorted(xs, left[follow], side="right") - 1
+    theta = np.zeros(k.size)
+    theta[follow] = (gap[i + 1] - gap[i]) / (diff[i + 1] - diff[i])
+    return _measure_from_cdf(np.append(left, ex[-1]), (1.0 - theta) * cdf(nu, left) + theta * cdf(mu, left), m)
 
 
 def window_kernel(x: float, a: float, b: float) -> DiscreteMeasure:

@@ -240,32 +240,25 @@ def hausdorff_mot(
     """
     lifted_w1 = _lifted_wasserstein(mu_bar1, mu_bar2, p)
     nu_w = wasserstein_line(nu1, nu2, p)
+    # each side's couplings measured against the other side's polytope
+    sides = [(mu_bar1, nu1, mu_bar2, nu2), (mu_bar2, nu2, mu_bar1, nu1)]
     try:
-        v1 = enumerate_vertices(martingale_polytope_lp(mu_bar1, nu1))
-        v2 = enumerate_vertices(martingale_polytope_lp(mu_bar2, nu2))
-        d12 = max(
-            distance_to_polytope(coupling_from_plan(mu_bar1, nu1, v), mu_bar2, nu2, p) for v in v1
+        vertices = [enumerate_vertices(martingale_polytope_lp(mb, nu)) for mb, nu, _, _ in sides]
+        d = max(
+            distance_to_polytope(coupling_from_plan(mb, nu, v), mb_o, nu_o, p)
+            for (mb, nu, mb_o, nu_o), vs in zip(sides, vertices)
+            for v in vs
         )
-        d21 = max(
-            distance_to_polytope(coupling_from_plan(mu_bar2, nu2, v), mu_bar1, nu1, p) for v in v2
-        )
-        d = max(d12, d21)
         return {"lower": d, "upper": d, "mode": "exact"}
     except DimensionGuardError:
         pass
     rng = np.random.default_rng(seed)
     lower = 0.0
     for _ in range(n_samples):
-        cost = rng.standard_normal((len(mu_bar1), len(nu1)))
-        sol = solve_lp(martingale_polytope_lp(mu_bar1, nu1, cost))
-        if sol.optimal:
-            c = coupling_from_plan(mu_bar1, nu1, sol.x)
-            lower = max(lower, distance_to_polytope(c, mu_bar2, nu2, p))
-        cost2 = rng.standard_normal((len(mu_bar2), len(nu2)))
-        sol2 = solve_lp(martingale_polytope_lp(mu_bar2, nu2, cost2))
-        if sol2.optimal:
-            c2 = coupling_from_plan(mu_bar2, nu2, sol2.x)
-            lower = max(lower, distance_to_polytope(c2, mu_bar1, nu1, p))
+        for mb, nu, mb_o, nu_o in sides:
+            sol = solve_lp(martingale_polytope_lp(mb, nu, rng.standard_normal((len(mb), len(nu)))))
+            if sol.optimal:
+                lower = max(lower, distance_to_polytope(coupling_from_plan(mb, nu, sol.x), mb_o, nu_o, p))
     upper = lower + lifted_w1 + 2.0 * nu_w
     return {"lower": lower, "upper": upper, "mode": "sampled"}
 

@@ -19,7 +19,6 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 FEAS_TOL = 1e-9
-GAP_TOL = 1e-8
 
 
 class DimensionGuardError(ValueError):

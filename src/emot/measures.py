@@ -305,12 +305,24 @@ def wasserstein_line(m1: DiscreteMeasure, m2: DiscreteMeasure, p: float = 1.0) -
     return float(wasserstein_rows(m1.atoms, m1.weights, m2.atoms, m2.weights, p)[0])
 
 
+def cdf(m: DiscreteMeasure, ys) -> np.ndarray:
+    """Mass of m at or left of each y."""
+    return np.concatenate([[0.0], m.cumulative()])[np.searchsorted(m.atoms, ys, side="right")]
+
+
 def potential_values(m: DiscreteMeasure, ys) -> np.ndarray:
-    """Potential u_m(y) = integral of |y - x| dm(x), vectorized in y."""
+    """Potential u_m(y) = integral of |y - x| dm(x), vectorized in y.
+
+    With F and S the mass and first moment at or left of y, the potential
+    is y (2F - mass) + first moment - 2S: one prefix sum of each.
+    """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    if m.is_zero:
-        return np.zeros_like(ys)
-    return np.abs(ys[:, None] - m.atoms[None, :]) @ m.weights
+    prefix = np.zeros((2, len(m) + 1))
+    prefix[:, 1:] = m.weights
+    prefix[1, 1:] *= m.atoms
+    prefix.cumsum(axis=1, out=prefix)
+    F, S = prefix[:, np.searchsorted(m.atoms, ys, side="right")]
+    return ys * (2.0 * F - prefix[0, -1]) + (prefix[1, -1] - 2.0 * S)
 
 
 def check_convex_order(m1: DiscreteMeasure, m2: DiscreteMeasure, tol: float = 1e-9):

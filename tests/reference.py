@@ -6,15 +6,66 @@ kernel measures at a time, the convex-order minimum that intersects every
 pair of affine pieces of the two potentials, the convex-order projection
 that walks the running maxima point by point and joins them where they
 cross, and the quantile cell restriction one atom at a time.  Tests
-compare the array code against them.
+compare the array code against them.  The convex-order minimum's oracle
+reads potentials through ``PiecewiseLinearConvex``, a potential held as
+breakpoint values with slopes taken from their differences.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from emot.convex_order import _lower_convex_hull, _merge_close, potential
+from emot.convex_order import _lower_convex_hull, _merge_close
 from emot.couplings import DiscreteCoupling
 from emot.lp_core import transport_plan
 from emot.measures import DiscreteMeasure, QuantileView, potential_values
+
+
+@dataclass(frozen=True)
+class PiecewiseLinearConvex:
+    """Convex piecewise-linear function given by breakpoints and values.
+
+    ``left_slope`` and ``right_slope`` are the asymptotic slopes beyond the
+    first and last breakpoint.  Slopes are nondecreasing across segments.
+    """
+
+    breakpoints: np.ndarray
+    values: np.ndarray
+    left_slope: float
+    right_slope: float
+
+    def __call__(self, ys):
+        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        b, v = self.breakpoints, self.values
+        out = np.empty_like(ys)
+        idx = np.searchsorted(b, ys)
+        left = idx == 0
+        right = idx == len(b)
+        out[left] = v[0] + self.left_slope * (ys[left] - b[0])
+        out[right] = v[-1] + self.right_slope * (ys[right] - b[-1])
+        mid = ~(left | right)
+        i = idx[mid]
+        frac = (ys[mid] - b[i - 1]) / (b[i] - b[i - 1])
+        out[mid] = v[i - 1] + frac * (v[i] - v[i - 1])
+        return out if out.size > 1 else float(out[0])
+
+    def slopes(self) -> np.ndarray:
+        """Slopes of the n+1 affine pieces, left tail first."""
+        seg = np.diff(self.values) / np.diff(self.breakpoints) if len(self.breakpoints) > 1 else np.array([])
+        return np.concatenate([[self.left_slope], seg, [self.right_slope]])
+
+    def to_measure(self) -> DiscreteMeasure:
+        """Measure whose potential this function is: weight = slope jump / 2."""
+        s = self.slopes()
+        return DiscreteMeasure(self.breakpoints, np.diff(s) / 2.0)
+
+
+def potential(m: DiscreteMeasure) -> PiecewiseLinearConvex:
+    """Exact piecewise-linear potential function of a discrete measure."""
+    if m.is_zero:
+        return PiecewiseLinearConvex(np.array([0.0]), np.array([0.0]), 0.0, 0.0)
+    vals = potential_values(m, m.atoms)
+    return PiecewiseLinearConvex(m.atoms.copy(), vals, -m.mass, m.mass)
 
 
 def wasserstein_line(m1: DiscreteMeasure, m2: DiscreteMeasure, p: float = 1.0) -> float:
