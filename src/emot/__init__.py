@@ -41,8 +41,6 @@ from .couplings import (
     check_martingale,
     disintegrate,
     hausdorff_mot,
-    product_coupling,
-    simplify_coupling,
     wasserstein_coupling,
 )
 from .solvers import (

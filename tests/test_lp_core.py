@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize import linprog
 
 from emot import approximation, couplings, lp_core, solvers
+from emot.convex_order import convex_order_projection
 from emot.measures import DiscreteMeasure, LiftedMeasure
 from emot.lp_core import (
+    Block,
     DimensionGuardError,
     LinearProgram,
-    dump_lp,
+    block_rows,
     enumerate_vertices,
     solve_lp,
     transport_plan,
 )
+from reference import block_rows_coo, product_coupling
 
 
 class TestSolveLP:
@@ -107,12 +111,6 @@ class TestEnumerateVertices:
             assert sol.value == pytest.approx(best, abs=1e-8)
 
 
-def test_dump_contains_all_rows():
-    p = LinearProgram(c=[1.0, 2.0], A_eq=[[1, 1]], b_eq=[1.0], A_ub=[[1, 0]], b_ub=[0.5])
-    text = dump_lp(p)
-    assert "eq" in text and "ub" in text and "objective" in text
-
-
 # -- block builder layout ----------------------------------------------------
 
 
@@ -197,7 +195,7 @@ def _layout_vix_primal(rng, monkeypatch):
 def _layout_distance(rng, monkeypatch):
     mb = LiftedMeasure.from_measure(DiscreteMeasure([-1, 1], [0.5, 0.5]))
     nu = DiscreteMeasure([-2, 0, 2], [0.25, 0.5, 0.25])
-    c = couplings.product_coupling(mb, nu)
+    c = product_coupling(mb, nu)
     lp = _captured(monkeypatch, couplings, lambda: couplings.distance_to_polytope(c, mb, nu))
     K, G = len(c.joint()), 6
     T, pi = rng.uniform(size=(K, G)), rng.uniform(size=(2, 3))
@@ -239,3 +237,90 @@ def test_linear_program_holds_csr():
     for A in (p.A_eq, p.A_ub):
         assert isinstance(A, sparse.csr_array) and A.nnz == 1
     assert isinstance(LinearProgram(c=[1.0], A_eq=sparse.coo_array([[2]]), b_eq=[1.0]).A_eq, sparse.csr_array)
+
+
+def _random_blocks(rng):
+    """Blocks over shared rows with disjoint column ranges, listed out of
+    column order, with zero coefficients and non-default steps."""
+    blocks, col0, n_rows = [], 0, int(rng.integers(1, 12))
+    for _ in range(int(rng.integers(1, 5))):
+        r = int(rng.integers(1, min(5, n_rows) + 1))
+        k, m = int(rng.integers(1, n_rows // r + 1)), int(rng.integers(1, 6))
+        steps = None if rng.random() < 0.3 else (int(rng.integers(0, 4)) * m, int(rng.integers(1, 3)))
+        q_step, t_step = steps or (m, 1)
+        coef = rng.uniform(-2, 2, (k, r, m)) * (rng.random((k, r, m)) < 0.7)
+        blocks.append(Block(coef, int(rng.integers(0, n_rows - k * r + 1)), col0, steps))
+        col0 += (k - 1) * q_step + (m - 1) * t_step + 1
+    rng.shuffle(blocks)
+    return blocks, (n_rows, col0)
+
+
+def test_block_rows_matches_coo_build():
+    """The directly filled CSR is the canonical matrix the COO path builds,
+    array for array, so HiGHS sees the same input."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        blocks, shape = _random_blocks(rng)
+        A, B = block_rows(blocks, shape), block_rows_coo(blocks, shape)
+        assert A.shape == B.shape and A.has_canonical_format
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(A, name), getattr(B, name)), name
+    block = Block(rng.uniform(-1, 1, (2, 2, 3)), row0=1, col0=2, steps=(1, 2))
+    assert np.array_equal(block_rows([block, block], (5, 9)).toarray(), 2 * block_rows([block], (5, 9)).toarray())
+
+
+# -- method rule -------------------------------------------------------------
+
+
+def _methods(monkeypatch):
+    """The HiGHS method of every later ``lp_core.linprog`` call."""
+    seen, call = [], lp_core.linprog
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["method"])
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(lp_core, "linprog", spy)
+    return seen
+
+
+def _mot_lp(rng, mu_bar, m_raw):
+    """min |y - x| over Pi_M(mu_bar, nu), nu drawn wide and repaired into convex order."""
+    mu = mu_bar.x_marginal()
+    raw = rng.uniform(-2.5, 2.5, m_raw)
+    raw += mu.atoms @ mu.weights / mu.mass - raw.mean()
+    nu = convex_order_projection(mu, DiscreteMeasure(raw, np.full(m_raw, mu.mass / m_raw)))
+    return nu, couplings.martingale_polytope_lp(mu_bar, nu, np.abs(nu.atoms[None, :] - mu_bar.xs[:, None]))
+
+
+def test_large_mot_lp_takes_interior_point_with_crossover(monkeypatch):
+    rng = np.random.default_rng(0)
+    mu = DiscreteMeasure(rng.uniform(-1, 1, 100), np.full(100, 0.01))
+    mb = LiftedMeasure.from_measure(mu)
+    nu, lp = _mot_lp(rng, mb, 145)
+    assert lp.n_vars >= lp_core.IPM_MIN_COLS
+    oracle = linprog(lp.c, A_eq=lp.A_eq, b_eq=lp.b_eq, method="highs-ds")
+    methods = _methods(monkeypatch)
+    first, second = solve_lp(lp), solve_lp(lp)
+    assert methods == ["highs-ipm", "highs-ipm"]
+    assert first.optimal and first.is_vertex
+    assert abs(first.value - oracle.fun) <= 1e-9 * max(1.0, abs(oracle.fun))
+    assert np.count_nonzero(first.x > 1e-12) <= lp.A_eq.shape[0]  # a vertex: support within the rows
+    plan = first.x.reshape(len(mb), len(nu))
+    assert np.abs(plan.sum(1) - mb.weights).max() <= 1e-9
+    assert np.abs(plan.sum(0) - nu.weights).max() <= 1e-9
+    assert np.abs(plan @ nu.atoms - plan.sum(1) * mb.xs).max() <= 1e-9
+    for name in ("x", "duals_eq"):
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
+
+
+def test_transport_and_mid_sized_mot_stay_on_dual_simplex(monkeypatch):
+    rng = np.random.default_rng(1)
+    w = np.full(100, 0.01)
+    lifted = LiftedMeasure(np.column_stack([rng.uniform(-1, 1, 40), rng.uniform(0, 1, 40)]), np.full(40, 1 / 40))
+    _, mot = _mot_lp(rng, lifted, 58)
+    assert mot.n_vars < lp_core.IPM_MIN_COLS
+    methods = _methods(monkeypatch)
+    transport_plan(rng.uniform(size=(100, 100)), w, w)
+    assert solve_lp(mot).optimal
+    assert methods == ["highs-ds", "highs-ds"]
