@@ -30,6 +30,7 @@ from .convex_order import (
 from .lp_core import (
     DimensionGuardError,
     LinearProgram,
+    LPError,
     LPSolution,
     enumerate_vertices,
     solve_lp,

@@ -38,8 +38,6 @@ def _min_displacement(mu_bar: LiftedMeasure, nu: DiscreteMeasure):
     mean-displacement member of Pi_M(mu_bar, nu)."""
     cost = np.abs(nu.atoms[None, :] - mu_bar.xs[:, None])
     sol = solve_lp(martingale_polytope_lp(mu_bar, nu, cost=cost.ravel()))
-    if not sol.optimal:
-        raise ConvexOrderError(f"no martingale coupling between the given marginals: {sol.status}")
     return sol.x.reshape(cost.shape), sol.value
 
 
@@ -247,10 +245,7 @@ def _refit_piece(base_kernel: DiscreteMeasure, mu_bar_piece: LiftedMeasure, nu_p
     b_ub = np.tile((f_base[:L, None] * sgn).ravel(), n)
     A_eq, A_ub = block_rows(eq, (2 * n + m, nv)), block_rows(ub, (2 * n * L, nv))
     sol = solve_lp(LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub))
-    if not sol.optimal:
-        raise RuntimeError(f"kernel refit LP: {sol.status}")
-    K = sol.x[: n * m].reshape(n, m)
-    return DiscreteCoupling(mu_bar_piece, ys, K)
+    return DiscreteCoupling(mu_bar_piece, ys, sol.x[: n * m].reshape(n, m))
 
 
 def approximate_coupling(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: DiscreteMeasure, eps: float):

@@ -14,11 +14,12 @@ slower.  Structure: a matrix of 0/+-1 entries is a transport (network) LP,
 where dual simplex won at every size measured (the interior point took
 about 2x as long at 60x60, 100x100 and 150x150).
 
-Solves are deterministic for fixed input and always return dual
-multipliers and a vertex flag: crossover ends the interior point on a
-basic solution.  ``enumerate_vertices`` lists all extreme
-points of small standard-form polytopes by basic-feasible-solution
-enumeration; it is the exactness backbone of the Hausdorff estimates.
+Solves are deterministic for fixed input.  ``solve_lp`` returns an optimal
+vertex with its dual multipliers (crossover ends the interior point on a
+basic solution) or raises ``LPError``, so callers check no status.
+``enumerate_vertices`` lists all extreme points of small standard-form
+polytopes by basic-feasible-solution enumeration; it is the exactness
+backbone of the Hausdorff estimates.
 """
 
 from __future__ import annotations
@@ -33,10 +34,24 @@ from scipy.optimize import linprog
 
 FEAS_TOL = 1e-9
 IPM_MIN_COLS = 3000
+MAX_VERTICES = 10000  # enumerate_vertices stops after this many
 
 
 class DimensionGuardError(ValueError):
     """Polytope too large for exhaustive vertex enumeration."""
+
+
+class LPError(RuntimeError):
+    """An LP that HiGHS did not solve to optimality, raised as
+    ``LPError(status, message)``.  ``status`` is "infeasible", "unbounded"
+    or "failed"; the message gives the LP's shape and HiGHS's own message."""
+
+    @property
+    def status(self) -> str:
+        return self.args[0]
+
+    def __str__(self) -> str:
+        return self.args[1]
 
 
 class Block(NamedTuple):
@@ -119,20 +134,17 @@ class LinearProgram:
 
 @dataclass
 class LPSolution:
-    status: str  # optimal / infeasible / unbounded
-    x: Optional[np.ndarray]
+    """An optimal vertex of an LP, with the multipliers of its equality and
+    inequality rows (None where the LP has no such rows)."""
+
+    x: np.ndarray
     duals_eq: Optional[np.ndarray]
     duals_ub: Optional[np.ndarray]
-    value: Optional[float]
-    is_vertex: bool = False
-
-    @property
-    def optimal(self) -> bool:
-        return self.status == "optimal"
+    value: float
 
 
 def solve_lp(p: LinearProgram) -> LPSolution:
-    """Solve with HiGHS; vertex solutions, duals attached.
+    """Solve with HiGHS: an optimal vertex with duals attached, or ``LPError``.
 
     The method follows the LP: interior point with crossover when it has at
     least ``IPM_MIN_COLS`` columns and a constraint coefficient other than
@@ -151,16 +163,14 @@ def solve_lp(p: LinearProgram) -> LPSolution:
         bounds=p.bounds if p.bounds is not None else (0, None),
         method="highs-ipm" if ipm else "highs-ds",
     )
-    if res.status == 2:
-        return LPSolution("infeasible", None, None, None, None)
-    if res.status == 3:
-        return LPSolution("unbounded", None, None, None, None)
-    if res.status != 0:
-        raise RuntimeError(f"LP solver failure: {res.message}")
+    if not res.success:
+        status = {2: "infeasible", 3: "unbounded"}.get(res["status"], "failed")
+        rows = sum(A.shape[0] for A in (p.A_eq, p.A_ub) if A is not None)
+        raise LPError(status, f"LP ({rows} rows, {p.n_vars} columns) {status}: {res.message}")
     duals_eq = sign * np.asarray(res.eqlin.marginals) if p.A_eq is not None else None
     duals_ub = sign * np.asarray(res.ineqlin.marginals) if p.A_ub is not None else None
     value = sign * float(res.fun)
-    return LPSolution("optimal", np.asarray(res.x), duals_eq, duals_ub, value, is_vertex=True)
+    return LPSolution(np.asarray(res.x), duals_eq, duals_ub, value)
 
 
 def transport_plan(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
@@ -177,17 +187,15 @@ def transport_plan(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
     A_eq = plan_rows(n, m)
     b_eq = np.concatenate([w_row, w_col])
     sol = solve_lp(LinearProgram(c=cost.ravel(), A_eq=A_eq, b_eq=b_eq))
-    if not sol.optimal:
-        raise RuntimeError(f"transport LP failed: {sol.status}")
     return sol.x.reshape(n, m), sol.value
 
 
-def enumerate_vertices(p: LinearProgram, max_vertices: int = 10000) -> list:
+def enumerate_vertices(p: LinearProgram) -> list:
     """All vertices of a small polytope by basic-solution enumeration.
 
     Inequality rows are converted to equalities with slack variables; the
     total variable count (including slacks) is guarded.  Duplicate vertices
-    within 1e-9 are removed.
+    within 1e-9 are removed, and the list stops at ``MAX_VERTICES``.
     """
     n = p.n_vars
     n_slack = 0 if p.A_ub is None else p.A_ub.shape[0]
@@ -224,7 +232,7 @@ def enumerate_vertices(p: LinearProgram, max_vertices: int = 10000) -> list:
         if any(np.max(np.abs(x - v)) <= 1e-9 for v in vertices):
             continue
         vertices.append(x)
-        if len(vertices) >= max_vertices:
+        if len(vertices) >= MAX_VERTICES:
             break
     return vertices
 

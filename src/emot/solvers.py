@@ -8,7 +8,7 @@ shadow couplings with barrier-map extraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,8 +86,6 @@ def solve_extended_mot(mu_bar: LiftedMeasure, nu: DiscreteMeasure, cost: CostSpe
     lp = martingale_polytope_lp(mu_bar, nu, cost=C)
     lp.sense = sense
     sol = solve_lp(lp)
-    if not sol.optimal:
-        raise RuntimeError(f"martingale transport LP: {sol.status}")
     return {"value": sol.value, "coupling": coupling_from_plan(mu_bar, nu, sol.x)}
 
 
@@ -146,21 +144,14 @@ def solve_wmot_fw(
             [cost.kernel_grad(mu_bar.xs[i], mu_bar.us[i], ys, K[i]) for i in range(len(mu_bar))]
         )
 
-    lp0 = martingale_polytope_lp(mu_bar, nu)
-    sol0 = solve_lp(lp0)
-    if not sol0.optimal:
-        raise RuntimeError(f"initial feasibility LP: {sol0.status}")
-    plan = sol0.x.reshape(len(mu_bar), len(nu))
+    plan = solve_lp(martingale_polytope_lp(mu_bar, nu)).x.reshape(len(mu_bar), len(nu))
 
     _check_gradient(cost, mu_bar, ys, plan / w[:, None])
 
     fw_gap, k = np.inf, -1  # max_iter=0 returns the feasible start uncertified
     for k in range(max_iter):
         G = gradient(plan)
-        lmo = solve_lp(martingale_polytope_lp(mu_bar, nu, cost=G))
-        if not lmo.optimal:
-            raise RuntimeError(f"linear minimization oracle: {lmo.status}")
-        S = lmo.x.reshape(plan.shape)
+        S = solve_lp(martingale_polytope_lp(mu_bar, nu, cost=G)).x.reshape(plan.shape)
         fw_gap = float(np.sum(G * (plan - S)))
         if fw_gap <= tol:
             break
@@ -212,17 +203,12 @@ def price_american(mu: DiscreteMeasure, nu: DiscreteMeasure, phi1, phi2):
     p2 = np.array([[float(phi2(x, y)) for y in ys] for x in xs]) if callable(phi2) else np.asarray(phi2, dtype=float)
     if p1.shape != (n,) or p2.shape != (n, m):
         raise ValueError("payoff arrays must have shapes (len(mu),) and (len(mu), len(nu))")
-    # branch-major variables [pi1 (n*m), pi2 (n*m)]: shared marginals, own barycentres
-    c = np.concatenate([np.repeat(p1, m), p2.ravel()])
-    P = plan_rows(n, m, mart=ys[None, :] - xs[:, None])
-    R, C, M = P[:n], P[n : n + m], P[n + m :]
-    A_eq = sparse.bmat([[R, R], [C, C], [M, None], [None, M]], format="csr")
+    # variables (i, branch, j): shared marginals, one barycentre row per (i, branch)
+    c = np.stack([np.broadcast_to(p1[:, None], (n, m)), p2], axis=1).ravel()
+    A_eq = plan_rows(n, m, 2, mart=ys[None, :] - xs[:, None])
     b_eq = np.concatenate([mu.weights, nu.weights, np.zeros(2 * n)])
     sol = solve_lp(LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, sense="max"))
-    if not sol.optimal:
-        raise RuntimeError(f"American pricing LP: {sol.status}")
-    pi1 = sol.x[: n * m].reshape(n, m)
-    pi2 = sol.x[n * m :].reshape(n, m)
+    pi1, pi2 = sol.x.reshape(n, 2, m).transpose(1, 0, 2)
     return {
         "value": sol.value,
         "exercise_plan": pi1,
@@ -272,20 +258,20 @@ def vix_dual_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, bins: int)
     that the conditional log-contract moment equals u^2.  Binning u into
     intervals relaxes the equality to the bin's square range; pricing the
     label at the lower (resp. upper) bin edge gives d_lo <= D_sub <= d_hi
-    with gap at most one bin width.
+    with gap at most one bin width.  Only the lower-edge LP is solved: the
+    edges are equally spaced, so the upper-edge cost is the lower-edge cost
+    plus the bin width on every variable, and every feasible plan has mass
+    mu(R); the same plan is optimal for both, and d_hi = d_lo + width mu(R).
     """
     _require_order(mu, nu)
     edges = vix_bin_edges(mu, nu, tau, bins)
-    lp = _vix_bin_lp(mu, nu, tau, edges)
-    sol_lo = solve_lp(lp)
-    sol_hi = solve_lp(replace(lp, c=np.tile(np.repeat(edges[1:], len(nu)), len(mu))))
-    if not (sol_lo.optimal and sol_hi.optimal):
-        raise RuntimeError("VIX bin LP failed")
-    plan = sol_lo.x.reshape(len(mu), len(edges) - 1, len(nu))
+    sol = solve_lp(_vix_bin_lp(mu, nu, tau, edges))
+    plan = sol.x.reshape(len(mu), len(edges) - 1, len(nu))
     i, b, j = np.nonzero(plan > 1e-14)
     mids = 0.5 * (edges[:-1] + edges[1:])
     coupling, _ = disintegrate(np.column_stack([mu.atoms[i], mids[b], nu.atoms[j], plan[i, b, j]]))
-    return {"d_lo": sol_lo.value, "d_hi": sol_hi.value, "edges": edges, "coupling": coupling}
+    d_hi = sol.value + (edges[-1] - edges[0]) / bins * mu.mass
+    return {"d_lo": sol.value, "d_hi": d_hi, "edges": edges, "coupling": coupling}
 
 
 def vix_primal_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, u_grid: np.ndarray):
@@ -307,8 +293,6 @@ def vix_primal_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, u_grid: 
     c = np.concatenate([dual.b_eq, np.zeros(2 * n * nb)])
     bounds = [(None, None)] * (n + m + n * nb) + [(0, None)] * (2 * n * nb)
     sol = solve_lp(LinearProgram(c=c, A_ub=A_ub, b_ub=dual.c, bounds=bounds, sense="max"))
-    if not sol.optimal:
-        raise RuntimeError(f"VIX subreplication LP: {sol.status}")
     alpha = sol.x[n + m + n * nb : n + m + 2 * n * nb]
     beta = sol.x[n + m + 2 * n * nb :]
     return {

@@ -5,7 +5,8 @@ array code: the per-pair quantile W_p, adapted W_p built from one pair of
 kernel measures at a time, the convex-order minimum that intersects every
 pair of affine pieces of the two potentials, the convex-order projection
 that walks the running maxima point by point and joins them where they
-cross, and the quantile cell restriction one atom at a time.  Tests
+cross, in exact rational arithmetic so that it carries no rounding atoms,
+and the quantile cell restriction one atom at a time.  Tests
 compare the array code against them.  The convex-order minimum's oracle
 reads potentials through ``PiecewiseLinearConvex``, a potential held as
 breakpoint values with slopes taken from their differences.
@@ -14,12 +15,14 @@ start from, and ``block_rows_coo`` is the constraint-matrix builder that
 went through scipy's COO-to-CSR conversion.
 """
 
+import bisect
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
 
-from emot.convex_order import _lower_convex_hull, _merge_close
+from emot.convex_order import _lower_convex_hull
 from emot.couplings import DiscreteCoupling
 from emot.lp_core import transport_plan
 from emot.measures import DiscreteMeasure, LiftedMeasure, QuantileView, potential_values
@@ -158,45 +161,64 @@ def convex_min(rho: DiscreteMeasure, q: DiscreteMeasure) -> DiscreteMeasure:
 
 
 def _running_max_points(xs, gs) -> list:
-    """Kink points (x, value) of y -> max_{z<=y} g(z), g piecewise linear."""
-    pts = [(float(xs[0]), float(gs[0]))]
+    """Kink points (x, value) of y -> max_{z<=y} g(z), g piecewise linear
+    through (xs, gs); exact when the inputs are ``Fraction``s."""
+    pts = [(xs[0], gs[0])]
     m = gs[0]
     for i in range(len(xs) - 1):
         x0, x1, g0, g1 = xs[i], xs[i + 1], gs[i], gs[i + 1]
         if g1 > m:
             if g0 < m:  # the segment crosses the current running maximum
                 xc = x0 + (m - g0) / (g1 - g0) * (x1 - x0)
-                pts.append((float(xc), float(m)))
+                pts.append((xc, m))
             m = g1
-        pts.append((float(x1), float(m)))
+        pts.append((x1, m))
     return pts
 
 
+def _exact_potential(atoms, weights, ys) -> list:
+    """y -> sum_i w_i |y - x_i| at each y, in the inputs' arithmetic."""
+    return [sum(w * abs(y - x) for x, w in zip(atoms, weights)) for y in ys]
+
+
+def _interp(pts, g):
+    """Value at g of the piecewise-linear function through the increasing
+    kink points ``pts``, constant beyond them."""
+    k = bisect.bisect_right([p[0] for p in pts], g)
+    if k in (0, len(pts)):
+        return pts[min(k, len(pts) - 1)][1]
+    (x0, v0), (x1, v1) = pts[k - 1], pts[k]
+    return v0 + (g - x0) / (x1 - x0) * (v1 - v0)
+
+
 def convex_order_projection(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
-    """W1 projection of nu onto the measures dominating mu, with the envelope
-    min(left running max, right running max) evaluated on a grid that holds
-    every kink of both and every sign change of their difference; negative
-    slope jumps are clipped and the weights rescaled to the mass."""
-    m = mu.mass
-    shift = mu.first_moment() / m - nu.first_moment() / nu.mass
-    nu = DiscreteMeasure(nu.atoms + shift, nu.weights)
-    xs = np.union1d(mu.atoms, nu.atoms)
-    gap = np.maximum(potential_values(mu, xs) - potential_values(nu, xs), 0.0)
+    """W1 projection of nu onto the measures dominating mu, in exact rational
+    arithmetic from the float inputs; only the returned atoms and weights are
+    rounded.  nu is scaled to mu's mass and shifted to its mean.  The clipped
+    potential gap (u_mu - u_nu)^+ is interpolated between the atoms, and its
+    envelope min(left running max, right running max) is evaluated on a grid
+    that holds every kink of both and every crossing of the two; the weights
+    are half the slope jumps of u_nu plus the envelope."""
+    mu_x, mu_w = [Fraction(a) for a in mu.atoms], [Fraction(w) for w in mu.weights]
+    nu_x, nu_w = [Fraction(a) for a in nu.atoms], [Fraction(w) for w in nu.weights]
+    m, m_nu = sum(mu_w), sum(nu_w)
+    shift = sum(x * w for x, w in zip(mu_x, mu_w)) / m - sum(y * w for y, w in zip(nu_x, nu_w)) / m_nu
+    nu_x, nu_w = [y + shift for y in nu_x], [w * m / m_nu for w in nu_w]
+    xs = sorted(set(mu_x) | set(nu_x))
+    gap = [max(a - b, 0) for a, b in zip(_exact_potential(mu_x, mu_w, xs), _exact_potential(nu_x, nu_w, xs))]
     left = _running_max_points(xs, gap)
-    right = [(-x, v) for x, v in _running_max_points(-xs[::-1], gap[::-1])][::-1]
-
-    def interp(pts, g):
-        return np.interp(g, [p[0] for p in pts], [p[1] for p in pts])
-
-    grid = np.unique(np.concatenate([xs, [p[0] for p in left], [p[0] for p in right]]))
-    diff = interp(left, grid) - interp(right, grid)
-    i = np.flatnonzero(diff[:-1] * diff[1:] < 0)
-    t = diff[i] / (diff[i] - diff[i + 1])
-    grid = _merge_close(np.unique(np.concatenate([grid, grid[i] + t * (grid[i + 1] - grid[i])])))
-    u = potential_values(nu, grid) + np.minimum(interp(left, grid), interp(right, grid))
-    seg = np.diff(u) / np.diff(grid) if len(grid) > 1 else np.array([])
-    weights = np.maximum(np.diff(np.concatenate([[-m], seg, [m]])) / 2.0, 0.0)
-    return DiscreteMeasure(grid, weights * (m / weights.sum()))
+    right = [(-x, v) for x, v in _running_max_points([-x for x in xs[::-1]], gap[::-1])][::-1]
+    grid = sorted(set(xs) | {p[0] for p in left + right})
+    diff = [_interp(left, g) - _interp(right, g) for g in grid]
+    cross = {g0 + d0 / (d0 - d1) * (g1 - g0)
+             for g0, g1, d0, d1 in zip(grid, grid[1:], diff, diff[1:]) if d0 * d1 < 0}
+    grid = sorted(set(grid) | cross)
+    u = [p + min(_interp(left, g), _interp(right, g)) for p, g in zip(_exact_potential(nu_x, nu_w, grid), grid)]
+    slopes = [-m] + [(u1 - u0) / (g1 - g0) for g0, g1, u0, u1 in zip(grid, grid[1:], u, u[1:])] + [m]
+    weights = [(s1 - s0) / 2 for s0, s1 in zip(slopes, slopes[1:])]
+    assert min(weights) >= 0, "the projected potential is not convex"
+    keep = [k for k, w in enumerate(weights) if w > 0]
+    return DiscreteMeasure([float(grid[k]) for k in keep], [float(weights[k]) for k in keep])
 
 
 def cell_restriction(m: DiscreteMeasure, q_lo: float, q_hi: float) -> DiscreteMeasure:

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from emot import lp_core
 from emot.cli import main
+from emot.lp_core import LPError
 from emot.measures import DiscreteMeasure
-from emot.solvers import price_american
+from emot.solvers import COSTS, CostSpec, price_american, solve_mot
 
 MU = {-1.0: 2 / 3, 2.0: 1 / 3}
 NU = {-3.0: 0.25, 0.0: 0.5, 3.0: 0.25}
@@ -139,3 +142,16 @@ def test_bad_stability_config_is_a_config_error(tmp_path, capsys, override):
     path = _input(tmp_path, config, "config.json")
     assert _exit_code(["stability", "--config", path, "--out-prefix", str(tmp_path / "report")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_infeasible_lp_is_an_lp_error_and_exit_3(tmp_path, capsys, monkeypatch):
+    def infeasible(*args, **kwargs):
+        return OptimizeResult(status=2, success=False, message="The problem is infeasible.")
+
+    monkeypatch.setattr(lp_core, "linprog", infeasible)
+    mu, nu = (DiscreteMeasure(SPREAD[k]["atoms"], SPREAD[k]["weights"]) for k in ("mu", "nu"))
+    with pytest.raises(LPError) as err:
+        solve_mot(mu, nu, CostSpec(fn=COSTS["abs"]))
+    assert err.value.status == "infeasible"
+    assert main(["mot", "--input", _input(tmp_path, SPREAD)]) == 3
+    assert "infeasible" in capsys.readouterr().err

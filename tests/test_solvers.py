@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from emot.convex_order import ConvexOrderError
+from emot import solvers
 from emot.couplings import check_martingale
+from emot.lp_core import solve_lp
 from emot.measures import DiscreteMeasure, LiftedMeasure, check_convex_order, mean
 from emot.solvers import (
     CostSpec,
@@ -224,6 +226,18 @@ class TestVix:
             gaps.append(r["d_hi"] - r["d_lo"])
             assert r["d_lo"] <= r["d_hi"] + 1e-12
         assert gaps[2] <= gaps[1] + 1e-9 <= gaps[0] + 2e-9
+
+    def test_upper_edge_is_an_identity(self):
+        """d_hi = d_lo + width mu(R) agrees with the upper-edge bin LP solved."""
+        rng = np.random.default_rng(17)
+        for _ in range(12):
+            mu, nu = (DiscreteMeasure(m.atoms + 4.0, m.weights) for m in random_in_order_pair(rng))
+            tau, bins = rng.uniform(0.25, 2.0), int(rng.integers(2, 40))
+            r = vix_dual_lp(mu, nu, tau, bins)
+            upper = solvers._vix_bin_lp(mu, nu, tau, r["edges"])
+            upper.c = np.tile(np.repeat(r["edges"][1:], len(nu)), len(mu))
+            solved = solve_lp(upper).value
+            assert abs(r["d_hi"] - solved) <= 1e-12 * abs(solved)
 
     def test_primal_duality(self):
         mu = DiscreteMeasure([1.0], [1.0])
