@@ -19,7 +19,6 @@ from .measures import (
 from .convex_order import (
     ConvexOrderError,
     IrreducibleComponent,
-    IrreducibleDecomposition,
     binary_kernel,
     convex_min,
     convex_order_projection,
@@ -28,6 +27,7 @@ from .convex_order import (
     window_kernel,
 )
 from .lp_core import (
+    CertificateError,
     DimensionGuardError,
     LinearProgram,
     LPError,

@@ -1,6 +1,7 @@
 """Extended couplings on R x U x R: disintegration, martingale checks,
 flat and adapted Wasserstein distances, simple-coupling reduction, and
-Hausdorff estimates between martingale polytopes.
+Hausdorff distances between martingale polytopes (``hausdorff_mot``: exact
+by vertex enumeration within the dimension guard, sampled bounds past it).
 
 A coupling is stored in kernel view: first-marginal atoms (x, u), each
 carrying a probability kernel over one shared y-support.  This is the
@@ -192,7 +193,9 @@ def hausdorff_mot(
     sides (the sup of a convex distance function over a polytope is
     attained at a vertex).  Otherwise a lower bound sampled from 8 vertices
     per side (random costs, seed 0) and a triangle-type upper bound via the
-    marginal distances are returned.
+    marginal distances are returned.  ``mode`` says which: "exact" or
+    "sampled".  ``run_stability`` reaches the sampled mode when the
+    perturbation adds atoms (``quantile_discretize`` on a 3 x 3 pair).
     """
     lifted_w1 = _lifted_wasserstein(mu_bar1, mu_bar2, p)
     nu_w = wasserstein_line(nu1, nu2, p)

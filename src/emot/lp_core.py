@@ -54,6 +54,10 @@ class LPError(RuntimeError):
         return self.args[1]
 
 
+class CertificateError(RuntimeError):
+    """A solver's answer that failed its own check."""
+
+
 class Block(NamedTuple):
     """Rows for ``block_rows``: with ``coef`` of shape (k, r, m), row
     row0 + q*r + s carries coef[q, s, t] in column col0 + q*steps[0] +

@@ -16,7 +16,7 @@ from scipy import sparse
 
 from .convex_order import ConvexOrderError
 from .couplings import DiscreteCoupling, coupling_from_plan, disintegrate, martingale_polytope_lp
-from .lp_core import Block, LinearProgram, block_rows, plan_rows, solve_lp
+from .lp_core import Block, CertificateError, LinearProgram, block_rows, plan_rows, solve_lp
 from .measures import DiscreteMeasure, LiftedMeasure, QuantileView, check_convex_order
 
 MAX_FW_ITER = 500
@@ -252,7 +252,7 @@ def _vix_bin_lp(mu, nu, tau, edges):
 
 
 def vix_dual_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, bins: int):
-    """Two-sided bracket of the VIX subreplication dual value.
+    """Two-sided bracket of the VIX subreplication dual value, and its portfolio.
 
     The information label is the future VIX level u with the constraint
     that the conditional log-contract moment equals u^2.  Binning u into
@@ -262,16 +262,36 @@ def vix_dual_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, bins: int)
     edges are equally spaced, so the upper-edge cost is the lower-edge cost
     plus the bin width on every variable, and every feasible plan has mass
     mu(R); the same plan is optimal for both, and d_hi = d_lo + width mu(R).
+
+    The result also carries the subreplicating portfolio, with the keys of
+    ``vix_primal_lp`` (the bin LP's exact dual), read from this solve's duals:
+    phi, psi, delta_s from the mass and barycentre rows, alpha, beta >= 0
+    (delta_l = alpha - beta) from the bin-range rows; ``emot vix`` prints its
+    ``p_value``.  phi(x) is lowered by the worst excess of its inequalities,
+    so that every one holds and ``p_value`` = mu(phi) + nu(psi) <= D_sub by
+    weak duality; an excess above 1e-6 max(1, max cost) is a ``CertificateError``.
     """
     _require_order(mu, nu)
     edges = vix_bin_edges(mu, nu, tau, bins)
-    sol = solve_lp(_vix_bin_lp(mu, nu, tau, edges))
-    plan = sol.x.reshape(len(mu), len(edges) - 1, len(nu))
+    n, m, nb = len(mu), len(nu), len(edges) - 1
+    lp = _vix_bin_lp(mu, nu, tau, edges)
+    sol = solve_lp(lp)
+    # HiGHS's duals are dual feasible to 1e-7 on its scaled LP, so a sign or an inequality may be
+    # off (by up to 7.9e-8 seen); duals off by more than 1e-6 are not an optimal solve's
+    y, z = sol.duals_eq, np.minimum(sol.duals_ub, 0.0)
+    excess = (lp.A_eq.T @ y + lp.A_ub.T @ z - lp.c).reshape(n, nb * m).max(axis=1)
+    if excess.max() > 1e-6 * max(1.0, float(lp.c.max())):
+        raise CertificateError(f"VIX portfolio from the bin-LP duals breaks an inequality by {excess.max():.3g}")
+    plan = sol.x.reshape(n, nb, m)
     i, b, j = np.nonzero(plan > 1e-14)
     mids = 0.5 * (edges[:-1] + edges[1:])
     coupling, _ = disintegrate(np.column_stack([mu.atoms[i], mids[b], nu.atoms[j], plan[i, b, j]]))
     d_hi = sol.value + (edges[-1] - edges[0]) / bins * mu.mass
-    return {"d_lo": sol.value, "d_hi": d_hi, "edges": edges, "coupling": coupling}
+    phi, psi, delta_s = np.split(y, [n, n + m])
+    phi = phi - np.maximum(excess, 0.0)  # every column of atom x has coefficient 1 on phi(x)
+    return {"d_lo": sol.value, "d_hi": d_hi, "edges": edges, "coupling": coupling,
+            "p_value": float(mu.weights @ phi + nu.weights @ psi), "phi": phi, "psi": psi,
+            "delta_s": delta_s.reshape(n, nb), "delta_l": (z[1::2] - z[0::2]).reshape(n, nb)}
 
 
 def vix_primal_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, u_grid: np.ndarray):
@@ -282,7 +302,9 @@ def vix_primal_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, u_grid: 
     stock deltas Delta_S and nonnegative log-contract positions alpha,
     beta (net log delta Delta_L = alpha - beta) subject to the
     subreplication constraint at every (x, bin, y).  This is the exact LP
-    dual of the lower-edge bin LP, so the value equals d_lo.
+    dual of the lower-edge bin LP, so the value equals d_lo.  ``emot vix``
+    reads this portfolio from ``vix_dual_lp``'s duals instead; the LP stays
+    as the tests' oracle of it, and because ``benchmarks/tracing.py`` traces it.
     """
     edges = np.asarray(u_grid, dtype=float)
     n, m, nb = len(mu), len(nu), edges.size - 1
@@ -293,15 +315,9 @@ def vix_primal_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, u_grid: 
     c = np.concatenate([dual.b_eq, np.zeros(2 * n * nb)])
     bounds = [(None, None)] * (n + m + n * nb) + [(0, None)] * (2 * n * nb)
     sol = solve_lp(LinearProgram(c=c, A_ub=A_ub, b_ub=dual.c, bounds=bounds, sense="max"))
-    alpha = sol.x[n + m + n * nb : n + m + 2 * n * nb]
-    beta = sol.x[n + m + 2 * n * nb :]
-    return {
-        "p_value": sol.value,
-        "phi": sol.x[:n],
-        "psi": sol.x[n : n + m],
-        "delta_s": sol.x[n + m : n + m + n * nb].reshape(n, nb),
-        "delta_l": (alpha - beta).reshape(n, nb),
-    }
+    phi, psi, delta_s, alpha, beta = np.split(sol.x, np.cumsum([n, m, n * nb, n * nb]))
+    return {"p_value": sol.value, "phi": phi, "psi": psi, "delta_s": delta_s.reshape(n, nb),
+            "delta_l": (alpha - beta).reshape(n, nb)}
 
 
 # -- shadow couplings -----------------------------------------------------

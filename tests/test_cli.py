@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from emot import lp_core
+from emot import lp_core, solvers
 from emot.cli import main
-from emot.lp_core import LPError
+from emot.lp_core import CertificateError, LPError
 from emot.measures import DiscreteMeasure
-from emot.solvers import COSTS, CostSpec, price_american, solve_mot
+from emot.solvers import COSTS, CostSpec, price_american, solve_mot, vix_dual_lp
 
 MU = {-1.0: 2 / 3, 2.0: 1 / 3}
 NU = {-3.0: 0.25, 0.0: 0.5, 3.0: 0.25}
@@ -155,3 +155,31 @@ def test_infeasible_lp_is_an_lp_error_and_exit_3(tmp_path, capsys, monkeypatch):
     assert err.value.status == "infeasible"
     assert main(["mot", "--input", _input(tmp_path, SPREAD)]) == 3
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_vix_solves_one_lp(tmp_path, monkeypatch):
+    sizes = []
+
+    def spy(lp):
+        sizes.append(lp.n_vars)
+        return lp_core.solve_lp(lp)
+
+    monkeypatch.setattr(solvers, "solve_lp", spy)
+    assert main(["vix", "--input", _input(tmp_path, POSITIVE), "--bins", "4"]) == 0
+    assert sizes == [3 * 4 * 5]  # the lower-edge bin LP over (x, bin, y)
+
+
+def test_broken_vix_portfolio_is_a_certificate_error_and_exit_3(tmp_path, capsys, monkeypatch):
+    n, m = (len(POSITIVE[k]["atoms"]) for k in ("mu", "nu"))
+
+    def raised_psi(lp):
+        sol = lp_core.solve_lp(lp)
+        sol.duals_eq[n : n + m] += 1e-3
+        return sol
+
+    monkeypatch.setattr(solvers, "solve_lp", raised_psi)
+    mu, nu = (DiscreteMeasure(POSITIVE[k]["atoms"], POSITIVE[k]["weights"]) for k in ("mu", "nu"))
+    with pytest.raises(CertificateError):
+        vix_dual_lp(mu, nu, 1.0, 4)
+    assert main(["vix", "--input", _input(tmp_path, POSITIVE), "--bins", "4"]) == 3
+    assert "breaks an inequality" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from emot.couplings import (
     martingale_polytope_lp,
     wasserstein_coupling,
 )
-from emot.lp_core import solve_lp
+from emot.lp_core import DimensionGuardError, enumerate_vertices, solve_lp
 from emot.measures import DiscreteMeasure, LiftedMeasure, wasserstein_line
 from reference import product_coupling
 
@@ -171,6 +171,16 @@ class TestHausdorff:
         h = hausdorff_mot(mb, nu1, mb, nu2)
         assert h["mode"] == "exact"
         assert h["lower"] == pytest.approx(wasserstein_line(nu1, nu2, 1.0), abs=1e-8)
+
+    def test_past_the_guard_is_sampled(self):
+        mb = LiftedMeasure.from_measure(DiscreteMeasure([-1, 0, 1], [0.25, 0.5, 0.25]))
+        nu = DiscreteMeasure([-2, -1, 0, 1, 2], [0.125, 0.25, 0.25, 0.25, 0.125])
+        with pytest.raises(DimensionGuardError):
+            enumerate_vertices(martingale_polytope_lp(mb, nu))
+        h = hausdorff_mot(mb, nu, mb, nu)
+        assert h["mode"] == "sampled"
+        assert h["lower"] == pytest.approx(0.0, abs=1e-8)
+        assert h["upper"] == pytest.approx(0.0, abs=1e-8)
 
     def test_f1_scaled(self):
         mu = DiscreteMeasure([-1, 1], [0.5, 0.5])

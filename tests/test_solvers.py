@@ -24,8 +24,8 @@ from emot.solvers import (
 ABS_COST = CostSpec(fn=lambda x, u, ys: np.abs(np.asarray(ys) - x))
 
 
-def random_in_order_pair(rng, n_max=4):
-    n = rng.integers(1, n_max + 1)
+def random_in_order_pair(rng, n_max=4, n_min=1):
+    n = rng.integers(n_min, n_max + 1)
     mu = DiscreteMeasure(np.sort(rng.uniform(-2, 2, n)), np.full(n, 1 / n))
     spread = rng.uniform(0.2, 1.5)
     atoms = np.concatenate([mu.atoms - spread, mu.atoms + spread])
@@ -200,6 +200,21 @@ class TestAmerican:
             assert lower - 1e-8 <= r["value"] <= upper + 1e-8
 
 
+def _worst_excess(r, mu, nu, tau, sol):
+    """Largest amount by which the portfolio of ``vix_dual_lp``'s result ``r``
+    breaks a subreplication inequality at some (x, bin, y), with the log
+    positions alpha, beta >= 0 of its bin-LP solution ``sol``."""
+    alpha = -np.minimum(sol.duals_ub[0::2], 0.0).reshape(r["delta_l"].shape)
+    beta = -np.minimum(sol.duals_ub[1::2], 0.0).reshape(r["delta_l"].shape)
+    assert np.array_equal(r["delta_l"], alpha - beta)
+    lo, hi = r["edges"][:-1, None], r["edges"][1:, None]
+    x, y = mu.atoms[:, None, None], nu.atoms[None, None, :]
+    L = (2.0 / tau) * np.log(x / y)
+    lhs = (r["phi"][:, None, None] + r["psi"][None, None, :] + r["delta_s"][:, :, None] * (y - x)
+           + alpha[:, :, None] * (L - lo**2) + beta[:, :, None] * (hi**2 - L))
+    return float(np.max(lhs - lo))
+
+
 class TestVix:
     def test_trivial(self):
         m = DiscreteMeasure([1.0], [1.0])
@@ -238,6 +253,48 @@ class TestVix:
             upper.c = np.tile(np.repeat(r["edges"][1:], len(nu)), len(mu))
             solved = solve_lp(upper).value
             assert abs(r["d_hi"] - solved) <= 1e-12 * abs(solved)
+
+    def test_portfolio_from_duals_agrees_with_portfolio_lp(self, monkeypatch):
+        """The portfolio read from the bin LP's duals subreplicates at every
+        (x, bin, y), and its value is the portfolio LP's optimum."""
+        solved, cols = [], []
+
+        def spy(lp):
+            solved.append(solve_lp(lp))
+            return solved[-1]
+
+        monkeypatch.setattr(solvers, "solve_lp", spy)
+        rng = np.random.default_rng(29)
+        for k in range(12):
+            # the last pair gets >= 3 000 columns, so its bin LP goes to the interior point
+            pair = random_in_order_pair(rng) if k < 11 else random_in_order_pair(rng, 10, n_min=8)
+            mu, nu = (DiscreteMeasure(m.atoms + 4.0, m.weights) for m in pair)
+            tau = rng.uniform(0.25, 2.0)
+            bins = int(rng.integers(2, 40)) if k < 11 else -(-3000 // (len(mu) * len(nu)))
+            r = vix_dual_lp(mu, nu, tau, bins)
+            sol = solved[-1]
+            cols.append(sol.x.size)
+            assert _worst_excess(r, mu, nu, tau, sol) <= 1e-9 * max(1.0, r["edges"][-2])
+            p = vix_primal_lp(mu, nu, tau, r["edges"])["p_value"]
+            assert abs(r["p_value"] - p) <= 1e-12 * max(1.0, abs(p))
+        assert cols[-1] >= 3000 > max(cols[:-1])
+
+    def test_portfolio_within_solver_tolerance_is_repaired(self, monkeypatch):
+        """Duals off by no more than HiGHS leaves them (5e-8 here) give a portfolio
+        that meets every inequality, at a value within 1e-7 of d_lo."""
+        mu = DiscreteMeasure([0.9, 1.0, 1.1], [0.25, 0.5, 0.25])
+        nu = DiscreteMeasure([0.8, 0.9, 1.0, 1.1, 1.2], [0.125, 0.25, 0.25, 0.25, 0.125])
+        solved = []
+
+        def raised_psi(lp):
+            solved.append(solve_lp(lp))
+            solved[-1].duals_eq[len(mu) + 2] += 5e-8
+            return solved[-1]
+
+        monkeypatch.setattr(solvers, "solve_lp", raised_psi)
+        r = vix_dual_lp(mu, nu, 1.0, 4)
+        assert _worst_excess(r, mu, nu, 1.0, solved[-1]) <= 1e-15
+        assert r["d_lo"] - 1e-7 <= r["p_value"] <= r["d_lo"] + 1e-15
 
     def test_primal_duality(self):
         mu = DiscreteMeasure([1.0], [1.0])

@@ -139,6 +139,16 @@ class TestRunAndEmit:
             assert row["hausdorff_lower"] is not None
             assert row["hausdorff_upper"] >= row["hausdorff_lower"] - 1e-9
 
+    def test_hausdorff_past_the_guard_on_the_perturbed_side(self):
+        # quantile_discretize spreads nu's 3 atoms to 5: 15 plan entries on
+        # the perturbed side, past the vertex-enumeration guard of 12
+        mu, nu = base_pair()
+        cfg = ExperimentConfig(mu=mu, nu=nu, perturbation="quantile_discretize", scales=(0.2,))
+        (row,) = run_stability(cfg).rows
+        assert row["status"] == "ok"
+        assert row["hausdorff_lower"] is not None
+        assert row["hausdorff_upper"] >= row["hausdorff_lower"] - 1e-9
+
     @settings(max_examples=20)
     @example(ExperimentConfig(mu=base_pair()[0], nu=base_pair()[1], scales=(0.2, 0.1, 0.05), seed=3))
     @given(spread_configs())
