@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .lp_core import DimensionGuardError, LinearProgram, enumerate_vertices, plan_rows, solve_lp, transport_plan
-from .measures import DiscreteMeasure, LiftedMeasure, lifted_groups, wasserstein_line, wasserstein_rows
+from .measures import DiscreteMeasure, LiftedMeasure, merge_atoms, wasserstein_line, wasserstein_rows
 
 
 @dataclass(frozen=True)
@@ -93,20 +93,19 @@ class DiscreteCoupling:
 def disintegrate(table):
     """Build a coupling from a sparse (x, u, y, weight) table.
 
-    Rows whose (x, u) keys merge under ``LiftedMeasure``'s rule share one
-    kernel.  Atoms with zero mass are dropped; their count is returned
+    Rows whose (x, u) keys ``merge_atoms`` merges share one kernel, at the
+    merged atom.  Atoms with zero mass are dropped; their count is returned
     alongside.
     """
     table = np.asarray(table, dtype=float).reshape(-1, 4)
     if np.any(table[:, 3] < -1e-12):
         raise ValueError("negative weight in table")
     ys, col = np.unique(table[:, 2], return_inverse=True)
-    order, group = lifted_groups(table[:, :2])
-    rows = np.zeros((group.max(initial=-1) + 1, ys.size))
+    atoms, _, order, group = merge_atoms(table[:, :2], table[:, 3])
+    rows = np.zeros((len(atoms), ys.size))
     np.add.at(rows, (group, col[order]), table[order, 3])
     tot = rows.sum(axis=1)
     keep = tot > 0
-    atoms = table[order, :2][np.diff(group, prepend=-1) > 0]
     c = DiscreteCoupling(LiftedMeasure(atoms[keep], tot[keep]), ys, rows[keep] / tot[keep, None])
     return c, int((~keep).sum())
 

@@ -195,44 +195,33 @@ def transport_plan(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
 
 
 def enumerate_vertices(p: LinearProgram) -> list:
-    """All vertices of a small polytope by basic-solution enumeration.
+    """All vertices of a small polytope {x >= 0 : A_eq x = b_eq} by
+    basic-solution enumeration.
 
-    Inequality rows are converted to equalities with slack variables; the
-    total variable count (including slacks) is guarded.  Duplicate vertices
-    within 1e-9 are removed, and the list stops at ``MAX_VERTICES``.
+    Only equality-form LPs are taken, and the variable count is guarded.
+    Duplicate vertices within 1e-9 are removed, and the list stops at
+    ``MAX_VERTICES``.
     """
+    if p.A_eq is None or p.A_ub is not None or p.bounds is not None:
+        raise ValueError("enumerate_vertices takes equality-form LPs with x >= 0 only")
     n = p.n_vars
-    n_slack = 0 if p.A_ub is None else p.A_ub.shape[0]
-    if p.bounds is not None:
-        for lo, hi in p.bounds:
-            if lo != 0 or hi is not None:
-                raise ValueError("enumerate_vertices supports x >= 0 bounds only")
-    total = n + n_slack
-    if total > 16 or n > 12:
-        raise DimensionGuardError(f"{n} variables (+{n_slack} slacks) exceed the enumeration guard")
-    rows = []
-    if p.A_eq is not None:
-        rows.append(np.hstack([p.A_eq.toarray(), np.zeros((p.A_eq.shape[0], n_slack))]))
-    if p.A_ub is not None:
-        rows.append(np.hstack([p.A_ub.toarray(), np.eye(n_slack)]))
-    A = np.vstack(rows) if rows else np.zeros((0, total))
-    b = np.concatenate(
-        [v for v in (p.b_eq, p.b_ub) if v is not None]
-    ) if A.shape[0] else np.zeros(0)
-    r = np.linalg.matrix_rank(A) if A.size else 0
+    if n > 12:
+        raise DimensionGuardError(f"{n} variables exceed the enumeration guard")
+    A, b = p.A_eq.toarray(), p.b_eq
+    r = np.linalg.matrix_rank(A)
     vertices: list[np.ndarray] = []
-    for cols in itertools.combinations(range(total), r):
+    for cols in itertools.combinations(range(n), r):
         B = A[:, cols]
         if np.linalg.matrix_rank(B) < r:
             continue
         x_b, *_ = np.linalg.lstsq(B, b, rcond=None)
-        x = np.zeros(total)
+        x = np.zeros(n)
         x[list(cols)] = x_b
         if np.any(x < -FEAS_TOL):
             continue
         if np.max(np.abs(A @ x - b), initial=0.0) > FEAS_TOL * max(1.0, np.abs(b).max(initial=1.0)):
             continue
-        x = np.maximum(x, 0.0)[:n]
+        x = np.maximum(x, 0.0)
         if any(np.max(np.abs(x - v)) <= 1e-9 for v in vertices):
             continue
         vertices.append(x)

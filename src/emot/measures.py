@@ -1,10 +1,11 @@
 """Finitely supported measures on the line and on the line with an information label.
 
-Measures are immutable after construction: atoms are sorted, duplicates
-(within ``MERGE_TOL``) are merged by summing weights, and all operations
-are pure.  Masses other than 1 are allowed so that the same types can
-carry subprobability pieces; metric operations for unequal-mass inputs
-raise.
+Measures are immutable after construction, and all operations are pure.
+One rule, ``merge_atoms``, decides which input atoms are one atom, for
+both measure types, ``disintegrate`` and ``total_variation``; the order in
+which atoms are given changes no bit of any result.  Masses other than 1
+are allowed so that the same types can carry subprobability pieces;
+metric operations for unequal-mass inputs raise.
 """
 
 from __future__ import annotations
@@ -36,22 +37,50 @@ def _check_finite(atoms: np.ndarray, weights: np.ndarray):
         raise NonFiniteError("atoms and weights must be finite")
 
 
-def _merge_sorted(atoms: np.ndarray, weights: np.ndarray, tol: float = MERGE_TOL):
-    """Merge neighbouring atoms closer than tol; weights are summed."""
-    if atoms.size == 0:
-        return atoms, weights
-    out_a = [atoms[0]]
-    out_w = [weights[0]]
-    for a, w in zip(atoms[1:], weights[1:]):
-        if a - out_a[-1] <= tol:
-            # mass-weighted position keeps means exact under repeated merges
-            tot = out_w[-1] + w
-            out_a[-1] = (out_a[-1] * out_w[-1] + a * w) / tot
-            out_w[-1] = tot
-        else:
-            out_a.append(a)
-            out_w.append(w)
-    return np.array(out_a), np.array(out_w)
+def merge_atoms(keys: np.ndarray, weights: np.ndarray):
+    """Which rows of ``keys`` (points, or (x, u) rows) are one atom.
+
+    Points are sorted, ties broken by weight, so the order of the (point,
+    weight) pairs cannot change the result.  A point joins the atom of the
+    point before it when it is within ``MERGE_TOL`` of it.  An atom sits at
+    its first point plus the mass-weighted mean offset of its points: a
+    lone point or an exact repeat keeps its bits, and a near-tie keeps the
+    first moment.  (x, u) rows are merged by x first, each row taking the x
+    of its atom, then the rows at one x by u.  So any two atoms differ by
+    more than ``MERGE_TOL`` in some coordinate, and merging the atoms again
+    changes nothing.
+
+    Returns the sorted atoms, their summed weights, the sorted order of the
+    rows, and the atom of each sorted row.
+    """
+    if keys.ndim == 1:
+        order = np.lexsort((weights, keys))
+        keys = keys[order]
+        apart = keys[1:] - keys[:-1] > MERGE_TOL
+    else:
+        xs, _, order, group = merge_atoms(keys[:, 0], weights)
+        if len(xs) == len(keys):  # no two rows share an x atom
+            return keys[order], weights[order], order, group
+        x = np.empty(len(keys))
+        x[order] = xs[group]
+        order = np.lexsort((weights, keys[:, 1], x))
+        keys = np.column_stack([x, keys[:, 1]])[order]
+        apart = (keys[1:, 0] > keys[:-1, 0]) | (keys[1:, 1] - keys[:-1, 1] > MERGE_TOL)
+    weights = weights[order]
+    if apart.all():
+        return keys, weights, order, np.arange(len(keys))
+    new = np.concatenate([[True], apart])
+    group = new.cumsum() - 1
+    start = new.nonzero()[0]
+    mass = np.add.reduceat(weights, start)
+    atoms = keys[start]
+    offset = keys - atoms[group]
+    if offset.any():
+        col = (-1,) + (1,) * (keys.ndim - 1)  # spreads a weight over its key's coordinates
+        shift = np.add.reduceat(offset * weights.reshape(col), start)
+        # an atom of zero mass (disintegrate counts them) stays at its first row
+        atoms = atoms + shift / (mass + (mass == 0)).reshape(col)
+    return atoms, mass, order, group
 
 
 @dataclass(frozen=True)
@@ -68,12 +97,10 @@ class DiscreteMeasure:
         if atoms.shape != weights.shape:
             raise ValueError("atoms and weights must have the same length")
         _check_finite(atoms, weights)
-        if np.any(weights < -MERGE_TOL):
+        if (weights < -MERGE_TOL).any():
             raise ValueError("negative weight")
         keep = weights > 0
-        atoms, weights = atoms[keep], weights[keep]
-        order = np.argsort(atoms, kind="stable")
-        atoms, weights = _merge_sorted(atoms[order], weights[order])
+        atoms, weights, _, _ = merge_atoms(atoms[keep], weights[keep])
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "mass", float(weights.sum()))
@@ -145,21 +172,6 @@ class DiscreteMeasure:
         return f"DiscreteMeasure({{{pairs}}})"
 
 
-def lifted_groups(atoms: np.ndarray):
-    """Lexicographic order of the (x, u) rows and, per sorted row, the index
-    of the merged atom it joins: a row joins the current atom when both of
-    its coordinates are within MERGE_TOL of that atom's first row."""
-    order = np.lexsort((atoms[:, 1], atoms[:, 0]))
-    xs, us = atoms[order].T.tolist()
-    new = np.zeros(len(xs), dtype=bool)
-    first = 0
-    for k in range(1, len(xs)):
-        if abs(xs[k] - xs[first]) > MERGE_TOL or abs(us[k] - us[first]) > MERGE_TOL:
-            new[k] = True
-            first = k
-    return order, np.cumsum(new)
-
-
 @dataclass(frozen=True)
 class LiftedMeasure:
     """Measure on R x U where the information space U is a finite set of real labels."""
@@ -173,13 +185,10 @@ class LiftedMeasure:
         if atoms.shape[0] != weights.shape[0]:
             raise ValueError("atoms and weights must have the same length")
         _check_finite(atoms, weights)
-        if np.any(weights < -MERGE_TOL):
+        if (weights < -MERGE_TOL).any():
             raise ValueError("negative weight")
         keep = weights > 0
-        atoms, weights = atoms[keep], weights[keep]
-        order, group = lifted_groups(atoms)
-        weights = np.bincount(group, weights[order])
-        atoms = atoms[order][np.diff(group, prepend=-1) > 0]
+        atoms, weights, _, _ = merge_atoms(atoms[keep], weights[keep])
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
@@ -369,10 +378,7 @@ def total_variation(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
     The halving matches the usual probability convention, so that two
     mutually singular probabilities are at distance 1.
     """
-    atoms = np.concatenate([m1.atoms, m2.atoms])
-    order = np.argsort(atoms, kind="stable")
-    # atoms of either measure within MERGE_TOL of their left neighbour are one
-    # support point; within one measure no two atoms are that close
-    first = np.flatnonzero(np.diff(atoms[order], prepend=-np.inf) > MERGE_TOL)
-    diff = np.add.reduceat(np.concatenate([m1.weights, -m2.weights])[order], first)
-    return 0.5 * float(np.abs(diff).sum())
+    signed = np.concatenate([m1.weights, -m2.weights])
+    # atoms of the two measures that merge_atoms would merge are one support point
+    _, _, order, group = merge_atoms(np.concatenate([m1.atoms, m2.atoms]), np.abs(signed))
+    return 0.5 * float(np.abs(np.bincount(group, signed[order])).sum())

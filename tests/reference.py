@@ -6,10 +6,11 @@ kernel measures at a time, the convex-order minimum that intersects every
 pair of affine pieces of the two potentials, the convex-order projection
 that walks the running maxima point by point and joins them where they
 cross, in exact rational arithmetic so that it carries no rounding atoms,
-and the quantile cell restriction one atom at a time.  Tests
-compare the array code against them.  The convex-order minimum's oracle
-reads potentials through ``PiecewiseLinearConvex``, a potential held as
-breakpoint values with slopes taken from their differences.
+the quantile cell restriction one atom at a time, and the atom-merge rule
+one row at a time.  Tests compare the array code against them.  The
+convex-order minimum's oracle reads potentials through
+``PiecewiseLinearConvex``, a potential held as breakpoint values with
+slopes taken from their differences.
 ``product_coupling``, the independent coupling, gives tests a coupling to
 start from, and ``block_rows_coo`` is the constraint-matrix builder that
 went through scipy's COO-to-CSR conversion.
@@ -25,7 +26,7 @@ from scipy import sparse
 from emot.convex_order import _lower_convex_hull
 from emot.couplings import DiscreteCoupling
 from emot.lp_core import transport_plan
-from emot.measures import DiscreteMeasure, LiftedMeasure, QuantileView, potential_values
+from emot.measures import MERGE_TOL, DiscreteMeasure, LiftedMeasure, QuantileView, potential_values
 
 
 @dataclass(frozen=True)
@@ -231,3 +232,39 @@ def cell_restriction(m: DiscreteMeasure, q_lo: float, q_hi: float) -> DiscreteMe
             atoms.append(a)
             weights.append(w)
     return DiscreteMeasure(atoms, weights)
+
+
+def _chains(values, weights, rows) -> list:
+    """The rows, sorted by (value, weight), cut where a value is more than
+    MERGE_TOL above the one before it."""
+    chains, prev = [], None
+    for i in sorted(rows, key=lambda i: (values[i], weights[i])):
+        if prev is None or values[i] - prev > MERGE_TOL:
+            chains.append([])
+        chains[-1].append(i)
+        prev = values[i]
+    return chains
+
+
+def _position(values, weights, chain) -> float:
+    first = values[chain[0]]
+    return first + sum(weights[i] * (values[i] - first) for i in chain) / sum(weights[i] for i in chain)
+
+
+def merge_atoms(keys, weights):
+    """Atoms and weights of the merge rule, one row at a time: points merge
+    along chains, (x, u) rows by x first and then by u at each x."""
+    keys, weights = np.asarray(keys, dtype=float), list(weights)
+    xs = (keys if keys.ndim == 1 else keys[:, 0]).tolist()
+    us = None if keys.ndim == 1 else keys[:, 1].tolist()
+    atoms, masses = [], []
+    for x_chain in _chains(xs, weights, range(len(xs))):
+        x = _position(xs, weights, x_chain)
+        if us is None:
+            atoms.append(x)
+            masses.append(sum(weights[i] for i in x_chain))
+            continue
+        for u_chain in _chains(us, weights, x_chain):
+            atoms.append((x, _position(us, weights, u_chain)))
+            masses.append(sum(weights[i] for i in u_chain))
+    return np.array(atoms), np.array(masses)

@@ -185,7 +185,20 @@ class TestApproximateCoupling:
         pi = f1_base()
         out, rep = approximate_coupling(pi, pi.first_marginal, pi.second_marginal(), 0.05)
         assert rep["aw1"] == 0.0
-        assert out is pi
+        assert np.array_equal(out.kernels, pi.kernels)
+
+    def test_tiny_perturbation_gets_its_own_marginals(self):
+        # a perturbation within np.allclose's default tolerances is still a
+        # different pair of marginals, and the output must carry them
+        pi, delta = f1_base(), 1e-5
+        mu_p = LiftedMeasure.from_measure(DiscreteMeasure([-1 - delta, 1 + delta], [0.5, 0.5]))
+        nu_p = DiscreteMeasure([-2 - delta, 2 + delta], [0.5, 0.5])
+        out, rep = approximate_coupling(pi, mu_p, nu_p, delta)
+        assert np.allclose(out.first_marginal.atoms, mu_p.atoms, rtol=0, atol=1e-9)
+        assert np.allclose(out.first_marginal.weights, mu_p.weights, rtol=0, atol=1e-9)
+        assert np.allclose(out.second_marginal().atoms, nu_p.atoms, rtol=0, atol=1e-9)
+        assert np.allclose(out.second_marginal().weights, nu_p.weights, rtol=0, atol=1e-9)
+        assert rep["aw1"] > 0.0
 
     def test_dirac_first_marginal(self):
         mb = LiftedMeasure.from_measure(DiscreteMeasure([0], [1.0]))

@@ -73,6 +73,14 @@ POSITIVE = {
     "mu": {"atoms": [0.9, 1.0, 1.1], "weights": [0.25, 0.5, 0.25]},
     "nu": {"atoms": [0.8, 0.9, 1.0, 1.1, 1.2], "weights": [0.125, 0.25, 0.25, 0.25, 0.125]},
 }
+# repeated mu and nu atoms, whose weights are summed when the measure is built
+REPEATED = {
+    "mu": {"atoms": [1.3, 0.3, 0.3, -0.7, -0.7, -0.7], "weights": [0.05, 0.25, 0.18, 0.2, 0.13, 0.19]},
+    "nu": {
+        "atoms": [0.3, 2.3, -0.7, 1.3, -0.7, 1.3, -1.7, 0.3, -1.7, 0.3, -1.7, 0.3],
+        "weights": [0.025, 0.025, 0.125, 0.125, 0.09, 0.09, 0.1, 0.1, 0.065, 0.065, 0.095, 0.095],
+    },
+}
 LIFTED = {
     "mu_bar": {"atoms": [[-1.0, 0.2], [0.0, 0.5], [0.0, 0.8], [1.0, 0.5]], "weights": [0.25, 0.25, 0.25, 0.25]},
     "nu": SPREAD["nu"],
@@ -101,6 +109,7 @@ def _input(tmp_path, data, name="input.json"):
         ("shadow", SPREAD, ["--copula", "independence", "--m", "2"]),
         ("vix", POSITIVE, ["--bins", "4"]),
         ("decompose", SPREAD, []),
+        ("mot", REPEATED, []),
     ],
 )
 @pytest.mark.parametrize("order", ["reversed", "rolled"])

@@ -90,9 +90,16 @@ class TestEnumerateVertices:
         assert all(abs(v.sum() - 1) < 1e-9 for v in verts)
 
     def test_square(self):
-        p = LinearProgram(c=np.zeros(2), A_ub=[[1, 0], [0, 1]], b_ub=[1.0, 1.0])
+        # 0 <= x1, x2 <= 1 in equality form: x1 + s1 = 1, x2 + s2 = 1
+        p = LinearProgram(c=np.zeros(4), A_eq=[[1, 0, 1, 0], [0, 1, 0, 1]], b_eq=[1.0, 1.0])
         verts = enumerate_vertices(p)
         assert len(verts) == 4
+        assert sorted(tuple(v[:2]) for v in verts) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_inequality_form_is_refused(self):
+        p = LinearProgram(c=np.zeros(2), A_ub=[[1, 0], [0, 1]], b_ub=[1.0, 1.0])
+        with pytest.raises(ValueError, match="equality-form"):
+            enumerate_vertices(p)
 
     def test_guard(self):
         p = LinearProgram(c=np.zeros(20), A_eq=[np.ones(20)], b_eq=[1.0])

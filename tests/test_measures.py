@@ -2,8 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
+from emot.couplings import disintegrate
 from emot.measures import (
+    MERGE_TOL,
     DiscreteMeasure,
     EmptyMeasureError,
     LiftedMeasure,
@@ -181,3 +185,103 @@ def test_total_variation_matches_near_duplicate_atoms_once():
     b = DiscreteMeasure([5e-13, 1], [0.3, 0.7])
     assert total_variation(a, b) == pytest.approx(0.2)
     assert total_variation(b, a) == pytest.approx(0.2)
+
+
+# -- the merge rule: the order of the input pairs does not matter -------------
+
+# atoms on a coarse grid, so that they repeat, plus near-ties k * 4e-13 that
+# chain into one atom or stay apart (three steps are more than MERGE_TOL);
+# weights from a short list, so that (atom, weight) pairs repeat too
+coordinate = st.builds(lambda k, j: k / 2 + j * 4e-13, st.integers(-1, 1), st.integers(0, 3))
+weight = st.one_of(st.floats(0.01, 1.0), st.sampled_from([0.25, 0.5, 1.0]))
+
+
+@st.composite
+def permuted_rows(draw, row):
+    """Drawn rows and the same rows in a drawn order."""
+    rows = draw(st.lists(row, min_size=1, max_size=12))
+    return rows, [rows[i] for i in draw(st.permutations(range(len(rows))))]
+
+
+point_rows = permuted_rows(st.tuples(coordinate, weight))
+lifted_rows = permuted_rows(st.tuples(coordinate, coordinate, weight))
+# (x, u, y, weight) rows that share a kernel cell often
+table_rows = permuted_rows(st.tuples(st.sampled_from([0.0, 4e-13, 0.5]), st.sampled_from([0.0, 1.0]),
+                                     st.sampled_from([-1.0, 2.0]), weight))
+
+
+def discrete(rows):
+    atoms, weights = zip(*rows)
+    return DiscreteMeasure(atoms, weights)
+
+
+def lifted(rows):
+    return LiftedMeasure([r[:2] for r in rows], [r[2] for r in rows])
+
+
+def same_bits(*pairs):
+    return all(a.tobytes() == b.tobytes() and a.shape == b.shape for a, b in pairs)
+
+
+@settings(max_examples=200)
+@given(point_rows)
+def test_discrete_measure_ignores_input_order(points):
+    a, b = (discrete(rows) for rows in points)
+    assert same_bits((a.atoms, b.atoms), (a.weights, b.weights))
+
+
+@settings(max_examples=200)
+@given(lifted_rows)
+def test_lifted_measure_ignores_input_order(keyed):
+    a, b = (lifted(rows) for rows in keyed)
+    assert same_bits((a.atoms, b.atoms), (a.weights, b.weights))
+
+
+@settings(max_examples=200)
+@given(table_rows)
+def test_disintegrate_ignores_row_order(tables):
+    (c1, n1), (c2, n2) = (disintegrate(rows) for rows in tables)
+    fm1, fm2 = c1.first_marginal, c2.first_marginal
+    assert n1 == n2
+    assert same_bits((fm1.atoms, fm2.atoms), (fm1.weights, fm2.weights), (c1.y_support, c2.y_support),
+                     (c1.kernels, c2.kernels))
+
+
+@settings(max_examples=200)
+@given(point_rows, point_rows)
+def test_total_variation_ignores_input_order(points, others):
+    (rows, shuffled), (rows2, shuffled2) = points, others
+    tv = total_variation(discrete(rows), discrete(rows2))
+    assert tv.hex() == total_variation(discrete(shuffled), discrete(shuffled2)).hex()
+
+
+@settings(max_examples=200)
+@given(point_rows, lifted_rows)
+def test_merged_atoms_lie_apart_keep_the_first_moment_and_rebuild_to_themselves(points, keyed):
+    rows, keys = np.array(points[0]), np.array(keyed[0])
+    m, lm = discrete(points[0]), lifted(keyed[0])
+    assert np.all(np.diff(m.atoms) > MERGE_TOL)
+    # any two lifted atoms differ by more than MERGE_TOL in some coordinate
+    gap = np.abs(lm.atoms[:, None, :] - lm.atoms[None, :, :]).max(axis=2)
+    assert np.all(gap[~np.eye(len(lm), dtype=bool)] > MERGE_TOL)
+    # the first moment, to rounding: 1e-14 of the sum of |atom| * weight
+    tol = 1e-14 * max(1.0, np.abs(rows[:, 0]) @ rows[:, 1])
+    assert abs(m.first_moment() - rows[:, 0] @ rows[:, 1]) <= tol
+    tol = 1e-14 * max(1.0, *(np.abs(keys[:, :2]).T @ keys[:, 2]))
+    assert np.abs(lm.weights @ lm.atoms - keys[:, 2] @ keys[:, :2]).max() <= tol
+    again, lifted_again = DiscreteMeasure(m.atoms, m.weights), LiftedMeasure(lm.atoms, lm.weights)
+    assert same_bits((again.atoms, m.atoms), (again.weights, m.weights))
+    assert same_bits((lifted_again.atoms, lm.atoms), (lifted_again.weights, lm.weights))
+
+
+@settings(max_examples=200)
+@given(point_rows, lifted_rows)
+def test_merge_matches_the_rule_row_by_row(points, keyed):
+    rows, keys = np.array(points[0]), np.array(keyed[0])
+    cases = [(discrete(points[0]), reference.merge_atoms(rows[:, 0], rows[:, 1])),
+             (lifted(keyed[0]), reference.merge_atoms(keys[:, :2], keys[:, 2]))]
+    # sums may run in another order: a few ulps apart at most
+    close = dict(rtol=4 * np.finfo(float).eps, atol=1e-27)
+    for measure, (atoms, weights) in cases:
+        assert atoms.shape == measure.atoms.shape
+        assert np.allclose(measure.atoms, atoms, **close) and np.allclose(measure.weights, weights, **close)

@@ -1,10 +1,11 @@
 """Every name a module in ``src/emot`` imports is read somewhere in it, and
 every private module-level function or class, and every module-level
-ALL_CAPS constant, is read by some module.
+ALL_CAPS constant, is read by some module.  A public module-level function
+that no module calls is named in ``UNCALLED_PUBLIC`` with its reason.
 
 No linter is part of the toolchain, so this check stands in for one.
 ``__init__.py`` is skipped by the import check: its imports are the
-package's public API.
+package's public API.  Its re-exports do not count as calls.
 """
 
 import ast
@@ -14,6 +15,17 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "emot"
 MODULES = sorted(SRC.glob("*.py"))
+
+# public functions that no module in src/emot calls, each with the reason it stays
+UNCALLED_PUBLIC = {
+    "vix_primal_lp": "the portfolio LP, the oracle for the portfolio vix_dual_lp reads from its duals (criterion 07)",
+    "check_martingale": "a coupling's martingale residual, for callers and the tests of every solver",
+    "report_from_csv": "reads a stability CSV emission back, exactly",
+    "w1_binary": "closed-form W1 between binary kernels (criterion 12)",
+    "wasserstein_coupling": "flat W_p, the lower bound on adapted W_p (criterion 12)",
+    "barrier_monotonicity_violation": "the nesting of shadow barriers (criterion 11)",
+    "left_monotone_violation": "the left-monotone support of a shadow coupling (criterion 11)",
+}
 
 
 def names_read(tree: ast.Module) -> set:
@@ -54,18 +66,37 @@ def module_definitions(tree: ast.Module):
             yield from ((t.id, node.lineno) for t in node.targets if isinstance(t, ast.Name) and t.id.isupper())
 
 
-def unread_private_definitions(trees: dict) -> list:
-    """Module-level definitions of ``module_definitions`` that no module
-    reads, by name or as a module attribute."""
+def names_read_anywhere(trees: dict) -> set:
+    """Names some module reads, by name or as a module attribute."""
     read = set()
     for tree in trees.values():
         read |= names_read(tree)
         read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return read
+
+
+def unread_private_definitions(trees: dict) -> list:
+    """Module-level definitions of ``module_definitions`` that no module
+    reads."""
+    read = names_read_anywhere(trees)
     return sorted(
         f"{name}: {defined} (line {line})"
         for name, tree in trees.items()
         for defined, line in module_definitions(tree)
         if defined not in read
+    )
+
+
+def unread_public_functions(trees: dict) -> list:
+    """Public module-level functions that no module other than
+    ``__init__.py`` reads."""
+    trees = {name: tree for name, tree in trees.items() if name != "__init__.py"}
+    read = names_read_anywhere(trees)
+    return sorted(
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in read
     )
 
 
@@ -83,3 +114,15 @@ def test_unread_constant_is_flagged():
     text = (SRC / "lp_core.py").read_text() + "\nUNREAD_TOL = 1e-8\n"
     trees["lp_core.py"] = ast.parse(text)
     assert unread_private_definitions(trees) == [f"lp_core.py: UNREAD_TOL (line {len(text.splitlines())})"]
+
+
+def test_uncalled_public_functions_are_listed():
+    assert unread_public_functions({p.name: ast.parse(p.read_text()) for p in MODULES}) == sorted(UNCALLED_PUBLIC)
+
+
+def test_uncalled_public_function_is_flagged():
+    trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
+    trees["measures.py"] = ast.parse((SRC / "measures.py").read_text() + "\ndef unused_helper():\n    pass\n")
+    # a re-export from __init__ is not a call
+    trees["__init__.py"] = ast.parse((SRC / "__init__.py").read_text() + "\nfrom .measures import unused_helper\n")
+    assert unread_public_functions(trees) == sorted([*UNCALLED_PUBLIC, "unused_helper"])
