@@ -1,9 +1,9 @@
-"""LP solvers for martingale transport problems on the line.
+"""Solvers for martingale transport problems on the line.
 
-Covers plain and information-lifted martingale optimal transport,
-convex kernel costs by Frank-Wolfe, two-period American option pricing,
-a two-sided VIX subreplication sandwich with its dual certificate, and
-shadow couplings with barrier-map extraction.
+By LP: plain and information-lifted martingale optimal transport, convex
+kernel costs by Frank-Wolfe, two-period American option pricing, and a
+two-sided VIX subreplication sandwich with its dual certificate.  With no
+LP: shadow couplings (the shadow LP is the tests' oracle), and barrier maps.
 """
 
 from __future__ import annotations
@@ -74,15 +74,10 @@ def _require_order(mu: DiscreteMeasure, nu: DiscreteMeasure):
         raise ConvexOrderError("marginals are not in convex order", witness)
 
 
-def _cost_matrix(mu_bar: LiftedMeasure, ys: np.ndarray, cost: CostSpec) -> np.ndarray:
-    rows = [np.asarray(cost.fn(x, u, ys), dtype=float) for x, u in mu_bar.atoms]
-    return np.array(rows).reshape(len(mu_bar), ys.size)
-
-
 def solve_extended_mot(mu_bar: LiftedMeasure, nu: DiscreteMeasure, cost: CostSpec, sense: str = "min"):
     """Linear martingale transport over the lifted polytope Pi_M(mu_bar, nu)."""
     _require_order(mu_bar.x_marginal(), nu)
-    C = _cost_matrix(mu_bar, nu.atoms, cost)
+    C = np.array([cost.fn(x, u, nu.atoms) for x, u in mu_bar.atoms], dtype=float).reshape(len(mu_bar), len(nu))
     lp = martingale_polytope_lp(mu_bar, nu, cost=C)
     lp.sense = sense
     sol = solve_lp(lp)
@@ -323,15 +318,32 @@ def vix_primal_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, u_grid: 
 # -- shadow couplings -----------------------------------------------------
 
 
-def shadow_cost() -> CostSpec:
-    return CostSpec(fn=COSTS["shadow"])
-
-
 def shadow_coupling(mu_bar: LiftedMeasure, nu: DiscreteMeasure):
-    """Lifted martingale coupling minimizing (1 - u) sqrt(1 + y^2)."""
+    """Lifted martingale coupling minimizing (1 - u) sqrt(1 + y^2), by successive shadows
+    (Beiglboeck & Juillet, Ann. Probab. 2016): the atoms of mu_bar, in (u, x) order, each
+    take their shadow in what is left of nu, the quantile slice [a, a + w] of mean x.  Its
+    moment I(a + w) - I(a) is piecewise linear in a, I the integral of the quantile function.
+    One u level costs the same in any order (Abel summation); the x order makes it unique.
+    """
     if np.any(mu_bar.us < -1e-12) or np.any(mu_bar.us > 1 + 1e-12):
         raise ValueError("shadow coupling needs u-labels in [0, 1]")
-    return solve_extended_mot(mu_bar, nu, shadow_cost(), sense="min")
+    _require_order(mu_bar.x_marginal(), nu)
+    ys, left, plan = nu.atoms, nu.weights.copy(), np.zeros((len(mu_bar), len(nu)))
+    order = np.lexsort((mu_bar.xs, mu_bar.us))
+    for i, x, w in zip(order, mu_bar.xs[order], mu_bar.weights[order]):
+        P, Q = np.cumsum(np.concatenate([[[0.0], [0.0]], [left, left * ys]], axis=1), axis=1)
+        knots = np.sort(np.clip(np.concatenate([P, P - w]), 0.0, P[-1] - w))  # where a or a + w is in P
+        moment = np.maximum.accumulate(np.interp(knots + w, P, Q) - np.interp(knots, P, Q))
+        k = min(max(np.searchsorted(moment, w * x), 1), len(knots) - 1)  # moment[k - 1] < w x <= moment[k]
+        # the slice runs from atom j0 to j1, and its end masses solve its mass and mean exactly;
+        # j0 is set last, so that a slice inside one atom (j0 == j1) puts all of w there
+        j0, j1 = np.clip(np.searchsorted(P, 0.5 * (knots[k - 1] + knots[k]) + [0.0, w], "right"), 1, len(ys)) - 1
+        mid = slice(j0 + 1, j1)
+        end = (w * (x - ys[j0]) - left[mid] @ (ys[mid] - ys[j0])) / (ys[j1] - ys[j0]) if j1 > j0 else 0.0
+        plan[i, mid], plan[i, j1], plan[i, j0] = left[mid], max(end, 0.0), max(w - left[mid].sum() - end, 0.0)
+        left = np.maximum(left - plan[i], 0.0)
+    value = float((1.0 - mu_bar.us) @ plan @ np.sqrt(1.0 + ys**2))
+    return {"value": value, "coupling": coupling_from_plan(mu_bar, nu, plan)}
 
 
 def _support_ends(c: DiscreteCoupling, tol: float):
@@ -344,7 +356,7 @@ def _support_ends(c: DiscreteCoupling, tol: float):
 
 
 def extract_barriers(c: DiscreteCoupling, tol: float = 1e-10):
-    """Barrier maps of a vertex coupling with at-most-binary kernels.
+    """Barrier maps of a coupling with at-most-binary kernels.
 
     Kernels supported on one point give T1 = T2 = x; on two points the
     support endpoints.  Kernels with larger support are excluded and
@@ -389,32 +401,20 @@ def left_monotone_violation(c: DiscreteCoupling, tol: float = 1e-10) -> float:
     return float((flat.first_marginal.weights[:, None] * flat.kernels)[on & hit].sum())
 
 
-def copula_lift(mu: DiscreteMeasure, copula: str = "independence", m: int = 1, table=None) -> LiftedMeasure:
+def copula_lift(mu: DiscreteMeasure, copula: str = "independence", m: int = 1) -> LiftedMeasure:
     """Attach information labels to mu through a copula on [0,1]^2.
 
     The label axis is discretized into m cells with mid-point labels
     (i - 1/2)/m.  The first copula coordinate is pushed through the
     quantile function of mu, so the x-marginal of the lift is mu exactly.
     ``hoeffding_frechet`` is the comonotone copula (diagonal cells),
-    ``independence`` the product; ``tabulated`` takes an m-by-m cell-mass
-    matrix whose rows must each sum to 1/m.
+    ``independence`` the product.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if copula == "independence":
-        cells = np.full((m, m), 1.0 / (m * m))
-    elif copula == "hoeffding_frechet":
-        cells = np.eye(m) / m
-    elif copula == "tabulated":
-        cells = np.asarray(table, dtype=float)
-        if cells.shape != (m, m):
-            raise ValueError("tabulated copula must be an m-by-m matrix")
-        if np.any(np.abs(cells.sum(axis=1) - 1.0 / m) > 1e-9):
-            raise ValueError("tabulated copula rows must sum to 1/m")
-        if np.any(cells < 0):
-            raise ValueError("tabulated copula masses must be nonnegative")
-    else:
+    if copula not in ("independence", "hoeffding_frechet"):
         raise ValueError(f"unknown copula {copula!r}")
+    cells = np.full((m, m), 1.0 / (m * m)) if copula == "independence" else np.eye(m) / m
     # quantile cell i of mu, scaled by m * cells[i, k], carries label (k + 1/2) / m
     W = QuantileView(mu).cell_masses(np.arange(m + 1) * mu.mass / m)
     weights = (m * cells)[:, :, None] * W[:, None, :]

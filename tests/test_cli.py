@@ -166,6 +166,18 @@ def test_infeasible_lp_is_an_lp_error_and_exit_3(tmp_path, capsys, monkeypatch):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_shadow_calls_no_lp(tmp_path, monkeypatch):
+    args = ["shadow", "--input", _input(tmp_path, SPREAD), "--copula", "independence", "--m", "2"]
+    assert main(args + ["--out", str(tmp_path / "solved.out")]) == 0
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("emot shadow called HiGHS")
+
+    monkeypatch.setattr(lp_core, "linprog", no_lp)
+    assert main(args + ["--out", str(tmp_path / "built.out")]) == 0
+    assert (tmp_path / "built.out").read_bytes() == (tmp_path / "solved.out").read_bytes()
+
+
 def test_vix_solves_one_lp(tmp_path, monkeypatch):
     sizes = []
 

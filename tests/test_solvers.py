@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
-from emot.convex_order import ConvexOrderError
+from emot.convex_order import ConvexOrderError, binary_kernel, convex_order_projection
 from emot import solvers
-from emot.couplings import check_martingale
+from emot.couplings import check_martingale, martingale_polytope_lp
 from emot.lp_core import solve_lp
-from emot.measures import DiscreteMeasure, LiftedMeasure, check_convex_order, mean
+from emot.measures import DiscreteMeasure, LiftedMeasure, check_convex_order, mean, total_variation
 from emot.solvers import (
+    COSTS,
     CostSpec,
     barrier_monotonicity_violation,
     copula_lift,
@@ -311,6 +314,56 @@ class TestVix:
             )
 
 
+# the pair whose shadow LP returned a plan with a negative kernel weight
+FOUND_MU = DiscreteMeasure(
+    [-2.6075753612919934, -9.672213503624666e-95, 2.1972607196310436],
+    [0.7296559623416496, 0.0786379161620579, 0.19170612149629243],
+)
+FOUND_NU = DiscreteMeasure(
+    [-2.6075753612919934, -0.23531328165712573, -1e-10, 0.1777052414203149, 3.4323207583653326],
+    [0.7296559623416496, 0.0645562145124385, 0.07863791611780602, 4.425188333742433e-11, 0.12714990698385395],
+)
+
+
+@st.composite
+def convex_pairs(draw):
+    """mu with 1-5 atoms; nu spreads each of its atoms into a binary kernel,
+    or is a drawn measure moved to mu's mean and repaired into convex order."""
+    n = draw(st.integers(1, 5))
+    w = np.array(draw(st.lists(st.floats(0.1, 1), min_size=n, max_size=n)))
+    mu = DiscreteMeasure(draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n)), w / w.sum())
+    if draw(st.booleans()):
+        nu = DiscreteMeasure([], [])
+        for x, wx in zip(mu.atoms, mu.weights):
+            nu = nu + binary_kernel(x, x - draw(st.floats(0, 3)), x + draw(st.floats(0, 3))).scaled(wx)
+        return mu, nu
+    raw = np.array(draw(st.lists(st.floats(-5, 5), min_size=1, max_size=8)))
+    return mu, convex_order_projection(mu, DiscreteMeasure(raw + mean(mu) - raw.mean(), np.full(raw.size, 1 / raw.size)))
+
+
+def certified_shadow(mb, nu):
+    """shadow_coupling's result, after checking both marginals and every
+    kernel barycentre to 1e-12 max(1, span of nu)."""
+    r = shadow_coupling(mb, nu)
+    c = r["coupling"]
+    tol = 1e-12 * max(1.0, nu.atoms[-1] - nu.atoms[0])
+    first = dict(zip(map(tuple, c.first_marginal.atoms), c.first_marginal.weights))
+    assert max(abs(first.pop(tuple(a), 0.0) - w) for a, w in zip(mb.atoms, mb.weights)) <= tol and not first
+    assert total_variation(c.second_marginal(), nu) <= tol
+    assert check_martingale(c, tol)[0]
+    return r
+
+
+def lp_minimum(mb, nu, cost):
+    """Minimum of the lifted martingale LP with cost matrix ``cost``, or None where
+    HiGHS fails.  Its feasibility tolerances are 1e-10: at the default 1e-7 the
+    shadow LP's value was seen 4e-8 off on pairs with weights near 1e-8."""
+    lp = martingale_polytope_lp(mb, nu, cost=cost)
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(lp.c, A_eq=lp.A_eq, b_eq=lp.b_eq, method="highs-ds", options=tight)
+    return res.fun if res.status == 0 else None
+
+
 class TestShadow:
     def test_forced_dirac(self):
         mb = LiftedMeasure([(0.0, 0.3)], [1.0])
@@ -328,6 +381,39 @@ class TestShadow:
     def test_labels_out_of_range(self):
         with pytest.raises(ValueError):
             shadow_coupling(LiftedMeasure([(0.0, 1.5)], [1.0]), DiscreteMeasure([0], [1.0]))
+
+    def test_pair_with_a_rounding_level_atom(self):
+        # the shadow LP returned a plan with a negative kernel weight here
+        certified_shadow(copula_lift(FOUND_MU, "hoeffding_frechet", 8), FOUND_NU)
+
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_tiny_weight_spread(self, m):
+        # the shadow LP reported "infeasible" here
+        nu = binary_kernel(0.0, -1.0, 1.1920929e-07)
+        certified_shadow(copula_lift(DiscreteMeasure([0.0], [1.0]), "independence", m), nu)
+
+    @settings(max_examples=60)
+    @given(convex_pairs(), st.sampled_from(["independence", "hoeffding_frechet"]), st.integers(1, 8))
+    def test_value_is_the_lp_minimum(self, pair, copula, m):
+        mu, nu = pair
+        mb = copula_lift(mu, copula, m)
+        value = certified_shadow(mb, nu)["value"]
+        oracle = lp_minimum(mb, nu, COSTS["shadow"](mb.xs[:, None], mb.us[:, None], nu.atoms[None, :]))
+        assert oracle is None or abs(value - oracle) <= 1e-10
+
+    @settings(max_examples=60)
+    @given(convex_pairs())
+    def test_plain_lift_is_the_left_curtain(self, pair):
+        # the left curtain is the one left-monotone martingale coupling, and it minimises
+        # E (Y - X)^3 over martingale couplings (Beiglboeck & Juillet 2016)
+        mu, nu = pair
+        mb = LiftedMeasure.from_measure(mu)
+        c = certified_shadow(mb, nu)["coupling"]
+        assert left_monotone_violation(c) == 0.0
+        fm = c.first_marginal
+        cost = float(fm.weights @ (c.kernels * (c.y_support[None, :] - fm.xs[:, None]) ** 3).sum(axis=1))
+        oracle = lp_minimum(mb, nu, (nu.atoms[None, :] - mb.xs[:, None]) ** 3)
+        assert oracle is None or abs(cost - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
 
 class TestBarriers:
@@ -401,15 +487,6 @@ class TestCopulaLift:
             xm = lm.x_marginal()
             assert np.allclose(xm.atoms, mu.atoms)
             assert np.allclose(xm.weights, mu.weights)
-
-    def test_tabulated_row_check(self):
-        mu = DiscreteMeasure([0], [1.0])
-        with pytest.raises(ValueError, match="rows"):
-            copula_lift(mu, "tabulated", 2, table=[[0.5, 0.5], [0.0, 0.5]])
-        with pytest.raises(ValueError, match="nonnegative"):
-            copula_lift(mu, "tabulated", 2, table=[[0.75, -0.25], [0.25, 0.25]])
-        lm = copula_lift(mu, "tabulated", 2, table=np.full((2, 2), 0.25))
-        assert np.allclose(lm.weights, 0.5)
 
 
 def test_solutions_are_martingale():

@@ -18,6 +18,7 @@ from emot.stability import (
     report_from_csv,
     run_stability,
 )
+from test_solvers import FOUND_MU, FOUND_NU
 
 
 def base_pair():
@@ -156,8 +157,10 @@ class TestRunAndEmit:
         try:
             first = run_stability(cfg)
         except (RuntimeError, ValueError) as exc:
-            # a base problem the solver fails on (some shadow problems on
-            # spreads with atoms below 1e-6) fails the same way again
+            # a base problem whose LP fails fails the same way again; shadow
+            # couplings are built with no LP, and their base solve must not fail
+            if cfg.problem == "shadow":
+                raise
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 run_stability(cfg)
             return
@@ -206,6 +209,12 @@ class TestRunAndEmit:
             assert row["status"] == "ok"
             assert row["barrier_exceedance"] is not None
             assert row["kernel_tv"] is not None
+
+    def test_shadow_base_pair_with_a_rounding_level_atom(self):
+        # the shadow LP's base solve raised "negative kernel weight" on this pair
+        cfg = ExperimentConfig(mu=FOUND_MU, nu=FOUND_NU, problem="shadow", scales=(0.2, 0.05), seed=5)
+        rep = run_stability(cfg)
+        assert [row["status"] for row in rep.rows] == ["ok", "ok"]
 
     def test_error_rows_are_tagged(self):
         # a jitter wide enough to push a VIX marginal below zero fails at
