@@ -14,6 +14,14 @@ slower.  Structure: a matrix of 0/+-1 entries is a transport (network) LP,
 where dual simplex won at every size measured (the interior point took
 about 2x as long at 60x60, 100x100 and 150x150).
 
+HiGHS is called through scipy's bundled binding
+(``scipy.optimize._highspy._core``) with the model and options that
+``scipy.optimize.linprog`` passes it, so every x, value, dual and iteration
+count is bitwise what ``linprog`` returns; ``linprog`` itself, whose input
+validation and result assembly cost more than HiGHS on LPs of a few hundred
+columns, is used only by the tests, as the oracle.  The binding is private
+to scipy, hence the scipy>=1.17 floor.
+
 Solves are deterministic for fixed input.  ``solve_lp`` returns an optimal
 vertex with its dual multipliers (crossover ends the interior point on a
 basic solution) or raises ``LPError``, so callers check no status.
@@ -30,7 +38,17 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy._core import (
+    HighsLp,
+    HighsModelStatus,
+    HighsOptions,
+    HighsStatus,
+    MatrixFormat,
+    _Highs,
+    kHighsInf,
+    simplex_constants,
+)
 
 FEAS_TOL = 1e-9
 IPM_MIN_COLS = 3000
@@ -128,8 +146,16 @@ class LinearProgram:
                 setattr(self, name, sparse.csr_array(v, dtype=float) if name[0] == "A" else v)
         if self.sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
-        if not np.all(np.isfinite(self.c)):
-            raise ValueError("non-finite objective coefficients")
+        if self.c.ndim != 1 or self.c.size == 0 or not np.all(np.isfinite(self.c)):
+            raise ValueError("the objective must be a non-empty vector of finite coefficients")
+        for a, b in (("A_eq", "b_eq"), ("A_ub", "b_ub")):
+            A, rhs = getattr(self, a), getattr(self, b)
+            if A is None and rhs is None:
+                continue
+            if A is None or rhs is None or rhs.ndim != 1 or A.shape != (rhs.size, self.c.size):
+                raise ValueError(f"{a} and {b} do not fit each other and the objective")
+            if not (np.isfinite(A.data).all() and np.isfinite(rhs).all()):
+                raise ValueError(f"non-finite entries in {a} or {b}")
 
     @property
     def n_vars(self) -> int:
@@ -139,12 +165,16 @@ class LinearProgram:
 @dataclass
 class LPSolution:
     """An optimal vertex of an LP, with the multipliers of its equality and
-    inequality rows (None where the LP has no such rows)."""
+    inequality rows (None where the LP has no such rows) and HiGHS's
+    ``stats``: "method", "simplex_iterations", "ipm_iterations",
+    "crossover_iterations", "max_primal_infeasibility",
+    "max_dual_infeasibility", and the matrix's "rows", "cols" and "nnz"."""
 
     x: np.ndarray
     duals_eq: Optional[np.ndarray]
     duals_ub: Optional[np.ndarray]
     value: float
+    stats: dict
 
 
 def solve_lp(p: LinearProgram) -> LPSolution:
@@ -174,7 +204,93 @@ def solve_lp(p: LinearProgram) -> LPSolution:
     duals_eq = sign * np.asarray(res.eqlin.marginals) if p.A_eq is not None else None
     duals_ub = sign * np.asarray(res.ineqlin.marginals) if p.A_ub is not None else None
     value = sign * float(res.fun)
-    return LPSolution(np.asarray(res.x), duals_eq, duals_ub, value)
+    return LPSolution(np.asarray(res.x), duals_eq, duals_ub, value, res.stats)
+
+
+def _highs_options(solver: str) -> HighsOptions:
+    options = HighsOptions()
+    options.presolve = "on"
+    options.solver = solver
+    options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = options.log_to_console = False
+    return options
+
+
+_OPTIONS = {"highs-ds": _highs_options("simplex"), "highs-ipm": _highs_options("ipm")}
+# scipy's status codes for HiGHS's model statuses; every other status is 4
+_STATUS = {HighsModelStatus.kOptimal: 0, HighsModelStatus.kInfeasible: 2, HighsModelStatus.kModelError: 2,
+           HighsModelStatus.kUnbounded: 3}
+_POINT_TOL = 10 * np.sqrt(1e-9)  # linprog's check of an optimal point against its rows and bounds
+
+
+def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), method="highs-ds"):
+    """HiGHS on min c @ x s.t. A_ub x <= b_ub, A_eq x = b_eq and ``bounds``
+    (default x >= 0), given the model and options ``scipy.optimize.linprog``
+    gives it: A_ub stacked over A_eq as CSC, presolve on, the dual simplex
+    strategy, output off, and ``method`` "highs-ds" (dual simplex) or
+    "highs-ipm" (IPX with crossover).  Like ``linprog`` it reports an
+    "optimal" point off a row or bound by more than 10*sqrt(1e-9) as status 4.
+
+    The result has ``linprog``'s ``success``, ``status`` (0 optimal,
+    2 infeasible, 3 unbounded, 4 other), ``message``, ``x``, ``fun``, ``nit``
+    and ``eqlin``/``ineqlin.marginals``, and once HiGHS has run ``stats``
+    (see ``LPSolution``).  Name and keywords are ``linprog``'s because
+    ``benchmarks/tracing.py`` wraps ``emot.lp_core.linprog`` and reads
+    ``c``, ``A_eq``, ``A_ub`` and ``nit``; the function becomes
+    ``_run_highs`` when the tracer moves to that name (ROADMAP item 13).
+    """
+    c = np.asarray(c, dtype=float)
+    n, m_ub = c.size, 0 if A_ub is None else A_ub.shape[0]
+    given = [A for A in (A_ub, A_eq) if A is not None] or [sparse.csr_array((0, n))]
+    A = (sparse.vstack(given) if len(given) > 1 else given[0]).tocsc()
+    b_ub, b_eq = (np.empty(0) if b is None else np.asarray(b, dtype=float) for b in (b_ub, b_eq))
+    lhs, rhs = np.concatenate([np.full(m_ub, -kHighsInf), b_eq]), np.concatenate([b_ub, b_eq])
+    lb, ub = np.broadcast_to(np.array(bounds, dtype=float), (n, 2)).T
+    lb, ub = np.where(np.isnan(lb), -kHighsInf, lb), np.where(np.isnan(ub), kHighsInf, ub)
+
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+    lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_ = c, lb, ub, lhs, rhs
+    highs = _Highs()
+    highs.passOptions(_OPTIONS[method])
+    if highs.passModel(lp) == HighsStatus.kError:  # a model HiGHS refuses, such as a lower bound of +inf
+        return OptimizeResult(success=False, status=2, message="HiGHS model status Model error", nit=0)
+    highs.run()
+    model_status, info = highs.getModelStatus(), highs.getInfo()
+    status, message = _STATUS.get(model_status, 4), f"HiGHS model status {highs.modelStatusToString(model_status)}"
+    x = fun = row_dual = None
+    if status == 0:
+        solution = highs.getSolution()
+        x, row, row_dual = (np.array(v) for v in (solution.col_value, solution.row_value, solution.row_dual))
+        fun = info.objective_function_value
+        off = np.concatenate([lb - x, x - ub, lhs - row, row - rhs])
+        if np.isnan(fun) or not (off <= _POINT_TOL).all():
+            status, message = 4, f"{message}, but its point is off a row or bound by more than {_POINT_TOL:.2e}"
+    stats = {
+        "method": method,
+        "simplex_iterations": info.simplex_iteration_count,
+        "ipm_iterations": info.ipm_iteration_count,
+        "crossover_iterations": info.crossover_iteration_count,
+        "max_primal_infeasibility": info.max_primal_infeasibility,
+        "max_dual_infeasibility": info.max_dual_infeasibility,
+        "rows": A.shape[0],
+        "cols": n,
+        "nnz": A.nnz,
+    }
+    return OptimizeResult(
+        success=status == 0,
+        status=status,
+        message=message,
+        x=x,
+        fun=fun,
+        nit=stats["simplex_iterations"] or stats["ipm_iterations"],
+        ineqlin=OptimizeResult(marginals=None if row_dual is None else row_dual[:m_ub]),
+        eqlin=OptimizeResult(marginals=None if row_dual is None else row_dual[m_ub:]),
+        stats=stats,
+    )
 
 
 def transport_plan(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):

@@ -1,3 +1,11 @@
+try:  # the binding emot.lp_core calls HiGHS through; private to scipy, hence the scipy>=1.17 floor
+    from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, HighsOptions, _Highs, kHighsInf  # noqa: F401
+except ImportError as exc:
+    raise ImportError(
+        "emot.lp_core needs HiGHS's binding as scipy>=1.17 bundles it: _Highs, HighsLp, HighsOptions, "
+        "HighsModelStatus and kHighsInf in scipy.optimize._highspy._core; this scipy does not provide them"
+    ) from exc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -331,3 +339,123 @@ def test_transport_and_mid_sized_mot_stay_on_dual_simplex(monkeypatch):
     transport_plan(rng.uniform(size=(100, 100)), w, w)
     solve_lp(mot)
     assert methods == ["highs-ds", "highs-ds"]
+
+
+def test_stats_method_follows_the_column_rule():
+    """One row of coefficient 2, so only the column count decides the method."""
+    for n, method in ((lp_core.IPM_MIN_COLS - 1, "highs-ds"), (lp_core.IPM_MIN_COLS, "highs-ipm")):
+        c = np.random.default_rng(n).uniform(1, 2, n)
+        stats = solve_lp(LinearProgram(c=c, A_eq=np.full((1, n), 2.0), b_eq=[1.0])).stats
+        assert stats["method"] == method
+        assert (stats["rows"], stats["cols"], stats["nnz"]) == (1, n, n)
+
+
+# -- HiGHS through the binding, against scipy's linprog -----------------------
+
+
+def _oracle(p, method):
+    """scipy's ``linprog`` on the LP ``solve_lp`` hands HiGHS."""
+    sign = 1.0 if p.sense == "min" else -1.0
+    bounds = p.bounds if p.bounds is not None else (0, None)
+    return sign, linprog(sign * p.c, A_ub=p.A_ub, b_ub=p.b_ub, A_eq=p.A_eq, b_eq=p.b_eq, bounds=bounds, method=method)
+
+
+def _assert_bitwise(p):
+    sol = solve_lp(p)
+    sign, res = _oracle(p, sol.stats["method"])
+    assert np.array_equal(sol.x, res.x)
+    assert sol.value == sign * res.fun
+    stats = sol.stats
+    assert (stats["simplex_iterations"] or stats["ipm_iterations"], stats["crossover_iterations"]) == (
+        res.nit, res.crossover_nit
+    )
+    for ours, theirs, A in ((sol.duals_eq, res.eqlin.marginals, p.A_eq), (sol.duals_ub, res.ineqlin.marginals, p.A_ub)):
+        assert ours is None if A is None else np.array_equal(ours, sign * np.asarray(theirs))
+    return sol
+
+
+def _drawn_transport(rng, monkeypatch):
+    n, m = rng.integers(2, 13, size=2)
+    w_row, w_col = rng.uniform(0.1, 1, n), rng.uniform(0.1, 1, m)
+    w_col *= w_row.sum() / w_col.sum()
+    b_eq = np.concatenate([w_row, w_col])
+    return LinearProgram(c=rng.uniform(size=n * m), A_eq=lp_core.plan_rows(n, m), b_eq=b_eq)
+
+
+def _drawn_polytope(rng, monkeypatch):
+    k = int(rng.integers(2, 9))
+    lifted = LiftedMeasure(np.column_stack([rng.uniform(-1, 1, k), rng.uniform(0, 1, k)]), np.full(k, 1 / k))
+    return _mot_lp(rng, lifted, int(rng.integers(k, 3 * k)))[1]
+
+
+def _drawn_refit(rng, monkeypatch):
+    """The refit LP (kernel and CDF-gap columns, A_eq and A_ub) with a drawn
+    nonnegative objective."""
+    lp = _captured(monkeypatch, approximation, lambda: approximation._refit_piece(
+        DiscreteMeasure([-1.5, 0.5, 1.0], [0.25, 0.5, 0.25]),
+        LiftedMeasure([(-0.5, 0.2), (0.5, 0.8)], [0.5, 0.5]),
+        DiscreteMeasure([-2.0, 0.0, 2.0], [0.3, 0.4, 0.3]),
+    ))
+    assert lp.A_eq is not None and lp.A_ub is not None
+    return LinearProgram(c=rng.uniform(size=lp.n_vars), A_eq=lp.A_eq, b_eq=lp.b_eq, A_ub=lp.A_ub, b_ub=lp.b_ub)
+
+
+def _drawn_vix_primal(rng, monkeypatch):
+    """``vix_primal_lp``: free columns, ``bounds`` given, maximised."""
+    k = int(rng.integers(2, 5))
+    mu = DiscreteMeasure(rng.uniform(0.85, 1.15, k), np.full(k, 1 / k))
+    raw = rng.uniform(0.6, 1.4, 2 * k)
+    raw += mu.atoms.mean() - raw.mean()
+    nu = convex_order_projection(mu, DiscreteMeasure(raw, np.full(2 * k, 1 / (2 * k))))
+    edges = solvers.vix_bin_edges(mu, nu, 1.0, int(rng.integers(2, 7)))
+    lp = _captured(monkeypatch, solvers, lambda: solvers.vix_primal_lp(mu, nu, 1.0, edges))
+    assert lp.sense == "max" and (None, None) in lp.bounds
+    return lp
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [_drawn_transport, _drawn_polytope, _drawn_refit, _drawn_vix_primal],
+    ids=lambda f: f.__name__.removeprefix("_drawn_"),
+)
+def test_solve_lp_is_bitwise_linprog(draw, monkeypatch):
+    """x, the value and both dual vectors are bitwise scipy's ``linprog``'s."""
+    rng = np.random.default_rng(24)
+    for _ in range(12):
+        assert _assert_bitwise(draw(rng, monkeypatch)).stats["method"] == "highs-ds"
+
+
+def test_solve_lp_is_bitwise_linprog_on_interior_point():
+    rng = np.random.default_rng(0)
+    mu = DiscreteMeasure(rng.uniform(-1, 1, 100), np.full(100, 0.01))
+    _, lp = _mot_lp(rng, LiftedMeasure.from_measure(mu), 145)
+    assert lp.n_vars >= lp_core.IPM_MIN_COLS
+    stats = _assert_bitwise(lp).stats
+    assert stats["method"] == "highs-ipm" and stats["ipm_iterations"] > 0
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [
+        LinearProgram(c=[1.0], A_eq=[[1.0]], b_eq=[-1.0]),  # infeasible
+        LinearProgram(c=[-1.0], A_ub=[[0.0]], b_ub=[1.0]),  # unbounded
+        LinearProgram(c=[1.0], A_eq=[[1.0]], b_eq=[1.0], bounds=[(np.inf, np.inf)]),  # HiGHS model error
+        LinearProgram(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], bounds=[(2.0, 1.0), (0, None)]),
+    ],
+    ids=["infeasible", "unbounded", "model-error", "crossed-bounds"],
+)
+def test_lp_error_status_is_linprogs(lp):
+    _, res = _oracle(lp, "highs-ds")
+    assert not res.success
+    with pytest.raises(LPError) as err:
+        solve_lp(lp)
+    assert err.value.status == {2: "infeasible", 3: "unbounded"}.get(res.status, "failed")
+
+
+def test_optimal_point_off_its_rows_is_a_failed_lp(monkeypatch):
+    """linprog's check of HiGHS's point, kept: a point off a row or bound by
+    more than the tolerance (here any point at all) is status "failed"."""
+    monkeypatch.setattr(lp_core, "_POINT_TOL", -1.0)
+    with pytest.raises(LPError) as err:
+        solve_lp(LinearProgram(c=[1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0]))
+    assert err.value.status == "failed"
