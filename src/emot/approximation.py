@@ -20,7 +20,6 @@ from .couplings import DiscreteCoupling, _point_cost, adapted_wasserstein, coupl
 from .lp_core import Block, LinearProgram, block_rows, solve_lp, transport_plan
 from .measures import DiscreteMeasure, LiftedMeasure, cdf, check_convex_order, mean, wasserstein_line
 
-STEP2_MAX_RETRIES = 5
 WINDOW_MAX_LEVEL = 50
 
 
@@ -129,47 +128,39 @@ def approximate_pairs(mu_js: list, nu_js: list, mu_p_js: list, interval, nu_p: D
     perturbed second marginal nu', produce nu'_j with mu'_j <= nu'_j in
     convex order and sum nu'_j = nu' exactly.  Three stages: a windowed
     trim of the base cell marginals, a convex-order projection mix for
-    the perturbed cells (retrying with halved eps if the order check
-    against nu' fails), and an LP-minimal martingale redistribution onto
-    nu'.
+    the perturbed cells at the first window, widest first, whose sum
+    theta is dominated by nu', and an LP-minimal martingale redistribution
+    onto nu'.  One pass at the given eps suffices: theta's potential is
+    affine in eps and equals that of the piece's mu' <= nu' at eps = 1, so
+    a window that fails at eps fails at every smaller eps.
     """
     if any(len(mu_j) != 1 for mu_j in mu_js):
         raise ValueError("approximate_pairs takes one-atom base cells")
 
     margin_trace = []
-    found = None
-    for attempt in range(STEP2_MAX_RETRIES + 1):
-        for am, bm in _window_ladder(interval):
-            trimmed = [_trim_cell(mu_j, nu_j, am, bm) for mu_j, nu_j in zip(mu_js, nu_js)]
-            tilde = [_project_cell(mu_p_j, tn, am, bm, eps) for mu_p_j, tn in zip(mu_p_js, trimmed)]
-            theta = tilde[0]
-            for t in tilde[1:]:
-                theta = theta + t
-            ok, witness = check_convex_order(theta, nu_p, tol=1e-9)
-            if ok:
-                trim_err = max(
-                    wasserstein_line(nu_j, t, 1.0) for nu_j, t in zip(nu_js, trimmed)
-                )
-                found = (am, bm, tilde, theta, trim_err)
-                break
-            margin_trace.append((eps, (am, bm), witness))
-        if found is not None:
+    for am, bm in _window_ladder(interval):
+        trimmed = [_trim_cell(mu_j, nu_j, am, bm) for mu_j, nu_j in zip(mu_js, nu_js)]
+        tilde = [_project_cell(mu_p_j, tn, am, bm, eps) for mu_p_j, tn in zip(mu_p_js, trimmed)]
+        atoms, weights = np.concatenate([t.atoms for t in tilde]), np.concatenate([t.weights for t in tilde])
+        theta = DiscreteMeasure(atoms, weights)
+        ok, witness = check_convex_order(theta, nu_p, tol=1e-9)
+        if ok:
             break
-        eps *= 0.5
-    if found is None:
+        margin_trace.append(((am, bm), witness))
+    else:
         raise ConvexOrderError(
             f"projected cell marginals never dominated the target; trace {margin_trace[-3:]}"
         )
-    am, bm, tilde, theta, trim_err = found
+    trim_err = max(wasserstein_line(nu_j, t, 1.0) for nu_j, t in zip(nu_js, trimmed))
 
     _, step3 = min_cost_martingale_rearrangement(theta, nu_p)
     # redistribute each cell through the plan's rows: a cell atom belongs to
     # the theta atom it merged into, the nearest one, as theta's atoms lie
     # more than MERGE_TOL apart
-    row = np.searchsorted(0.5 * (theta.atoms[1:] + theta.atoms[:-1]), np.concatenate([t.atoms for t in tilde]))
+    row = np.searchsorted(0.5 * (theta.atoms[1:] + theta.atoms[:-1]), atoms)
     cell = np.repeat(np.arange(len(tilde)), [len(t) for t in tilde])
     masses = np.zeros((len(tilde), len(theta)))
-    np.add.at(masses, (cell, row), np.concatenate([t.weights for t in tilde]))
+    np.add.at(masses, (cell, row), weights)
     nu_out = [DiscreteMeasure(nu_p.atoms, w) for w in masses / theta.weights @ step3["plan"]]
     diag = {
         "eps_used": eps,
@@ -188,17 +179,17 @@ def _project_cell(mu_p_j, tilde_nu_j, am, bm, eps):
     onto the trimmed base marginal, cap with the window kernel, and blend
     with an eps share of the raw perturbed marginal."""
     win_p = mu_p_j.restrict(am, bm)
-    out_p = mu_p_j.restrict_outside(am, bm)
     if win_p.mass <= 0:
-        return out_p.scaled(1.0 - eps) + mu_p_j.scaled(eps)
+        return mu_p_j
+    win = win_p.normalized()
+    x_cell = mean(win)
     t_win = tilde_nu_j.restrict(am, bm)
     if t_win.mass <= 0:
-        hat = DiscreteMeasure([mean(win_p.normalized())], [1.0])
+        hat = DiscreteMeasure([x_cell], [1.0])
     else:
-        x_cell = mean(win_p.normalized())
-        proj = convex_order_projection(win_p.normalized(), t_win.normalized())
+        proj = convex_order_projection(win, t_win.normalized())
         hat = convex_min(proj, window_kernel(x_cell, am, bm))
-    core = out_p + hat.scaled(win_p.mass)
+    core = mu_p_j.restrict_outside(am, bm) + hat.scaled(win_p.mass)
     return core.scaled(1.0 - eps) + mu_p_j.scaled(eps)
 
 

@@ -31,17 +31,21 @@ from .solvers import (
 )
 from .stability import ConfigError, ExperimentConfig, emit, run_stability
 
-def _positive(kind):
-    """argparse type for a positive number of the given kind."""
+def _checked(kind, ok, what: str):
+    """argparse type for a number of the given kind that ``ok`` accepts (NaN fails every comparison)."""
 
     def parse(text: str):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
 
     parse.__name__ = kind.__name__
     return parse
+
+
+def _positive(kind):
+    return _checked(kind, lambda v: v > 0, "positive")
 
 
 def _load(path: str) -> dict:
@@ -117,6 +121,8 @@ def cmd_amer(args) -> dict:
     shape = (len(data["mu"]["atoms"]), len(data["nu"]["atoms"]))
     if phi1.shape != shape[:1] or phi2.shape != shape:
         raise ConfigError("phi1 needs one payoff per mu atom and phi2 one row per mu atom, one column per nu atom")
+    if not (np.isfinite(phi1).all() and np.isfinite(phi2).all()):
+        raise ConfigError("payoffs phi1 and phi2 must be finite")
     r = price_american(mu, nu, phi1[ix], phi2[np.ix_(ix, iy)])
     return {
         "value": r["value"],
@@ -205,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("wmot", help="convex kernel cost via Frank-Wolfe")
     common(sp)
     sp.add_argument("--cost", choices=sorted(KERNEL_COSTS), default="meanabs_sq")
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=_positive(float), default=1e-8)
     sp.set_defaults(fn=cmd_wmot)
 
     sp = sub.add_parser("amer", help="two-date American option price")
@@ -230,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("approx", help="coupling approximation pipeline")
     common(sp)
-    sp.add_argument("--eps", type=float, default=0.05)
+    sp.add_argument("--eps", type=_checked(float, lambda v: 0 <= v <= 1, "in [0, 1]"), default=0.05)
     sp.set_defaults(fn=cmd_approx)
 
     sp = sub.add_parser("stability", help="stability experiment harness")

@@ -1,5 +1,5 @@
 """Extended couplings on R x U x R: disintegration, martingale checks,
-flat and adapted Wasserstein distances, simple-coupling reduction, and
+flat and adapted Wasserstein distances, martingale polytope LPs, and
 Hausdorff distances between martingale polytopes (``hausdorff_mot``: exact
 by vertex enumeration within the dimension guard, sampled bounds past it).
 

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from emot import approximation
 from emot.approximation import (
+    _project_cell,
+    _trim_cell,
+    _window_ladder,
     approximate_coupling,
     approximate_pairs,
     min_cost_martingale_rearrangement,
@@ -18,9 +22,10 @@ from emot.measures import (
     LiftedMeasure,
     check_convex_order,
     mean,
+    potential_values,
     wasserstein_line,
 )
-from emot.solvers import CostSpec, solve_mot
+from emot.solvers import CostSpec, solve_extended_mot, solve_mot
 
 
 def f1_base():
@@ -129,6 +134,22 @@ class TestApproximatePairs:
             ok, _ = check_convex_order(mu_p, o, tol=1e-8)
             assert ok
         assert diag["step3_cost"] <= diag["step3_bound"] + 1e-9
+
+    def test_failing_windows_are_each_checked_once(self, monkeypatch):
+        # a window that fails at eps fails at every smaller eps, so stage two
+        # makes one pass over the ladder and then gives up
+        calls = []
+
+        def never(theta, nu, tol=1e-9):
+            calls.append(tol)
+            return False, 0.0
+
+        monkeypatch.setattr(approximation, "check_convex_order", never)
+        mu = DiscreteMeasure([0], [1.0])
+        nu = DiscreteMeasure([-1, 1], [0.5, 0.5])
+        with pytest.raises(ConvexOrderError, match="never dominated"):
+            approximate_pairs([mu], [nu], [mu], (-1.0, 1.0), nu, eps=0.05)
+        assert len(calls) == len(_window_ladder((-1.0, 1.0)))
 
     def test_rejects_multi_atom_cell(self):
         mu = DiscreteMeasure([-1, 1], [0.5, 0.5])
@@ -245,3 +266,54 @@ class TestApproximateCoupling:
                 adapted_wasserstein(out, pi, 1.0), abs=1e-10
             )
         assert vals[2] < vals[0]
+
+
+def _criterion_08_bases():
+    """The three base couplings of acceptance criterion 08 (min |y - x| MOT)."""
+    cost = CostSpec(fn=lambda x, u, ys: np.abs(np.asarray(ys) - x))
+    bases = [
+        (LiftedMeasure.from_measure(DiscreteMeasure([-1, 1], [0.5, 0.5])), DiscreteMeasure([-2, 2], [0.5, 0.5])),
+        (LiftedMeasure([(-1, 0.2), (-1, 0.8), (1, 0.5)], [0.25, 0.25, 0.5]), DiscreteMeasure([-2, 2], [0.5, 0.5])),
+        (LiftedMeasure.from_measure(DiscreteMeasure([-2, 2], [0.5, 0.5])),
+         DiscreteMeasure([-3, -1, 1, 3], [0.25] * 4)),
+    ]
+    return [(mb, nu, solve_extended_mot(mb, nu, cost)["coupling"]) for mb, nu in bases]
+
+
+def _stage_two_inputs(rng, monkeypatch):
+    """Arguments of every ``approximate_pairs`` call that ``approximate_coupling``
+    makes on seeded perturbations of the criterion-08 bases."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return approximate_pairs(*args)
+
+    monkeypatch.setattr(approximation, "approximate_pairs", record)
+    for mb, nu, pi in _criterion_08_bases():
+        for d in (0.5, 0.125, 2.0**-6):
+            xs = mb.xs + d * rng.uniform(-1, 1, len(mb))
+            us = np.clip(mb.us + d * rng.uniform(-0.3, 0.3, len(mb)), 0, 1)
+            mu_p = LiftedMeasure(np.column_stack([xs, us]), mb.weights)
+            nu_p = repaired(mu_p.x_marginal(), DiscreteMeasure(nu.atoms + d * rng.uniform(-1, 1, len(nu)), nu.weights))
+            approximate_coupling(pi, mu_p, nu_p, d)
+    return calls
+
+
+def test_halving_eps_never_shrinks_a_windows_order_gap(monkeypatch):
+    # theta's potential is affine in eps and equals mu'_piece's <= nu''s at
+    # eps = 1, so its largest gap above nu' cannot fall as eps halves
+    failed = 0
+    for mu_js, nu_js, mu_p_js, interval, nu_p, eps in _stage_two_inputs(np.random.default_rng(25), monkeypatch):
+        for am, bm in _window_ladder(interval):
+            trimmed = [_trim_cell(mu_j, nu_j, am, bm) for mu_j, nu_j in zip(mu_js, nu_js)]
+            thetas = []
+            for e in (eps, eps / 2):
+                tilde = [_project_cell(mu_p_j, t, am, bm, e) for mu_p_j, t in zip(mu_p_js, trimmed)]
+                thetas.append(DiscreteMeasure(np.concatenate([t.atoms for t in tilde]),
+                                              np.concatenate([t.weights for t in tilde])))
+            pts = np.unique(np.concatenate([nu_p.atoms] + [t.atoms for t in thetas]))
+            gap, gap_half = (np.max(potential_values(t, pts) - potential_values(nu_p, pts)) for t in thetas)
+            assert gap_half >= gap - 1e-12, (interval, (am, bm), eps, gap, gap_half)
+            failed += gap > 1e-9
+    assert failed  # some windows fail the order check, so the property is exercised

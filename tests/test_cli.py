@@ -53,6 +53,16 @@ def test_amer_merged_atoms_are_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payoff", ["phi1", "phi2"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_amer_non_finite_payoff_is_a_config_error(tmp_path, capsys, payoff, bad):
+    with open(_amer_input(tmp_path, [-1.0, 2.0], [-3.0, 0.0, 3.0])) as fh:
+        data = json.load(fh)
+    (data["phi1"] if payoff == "phi1" else data["phi2"][1])[0] = bad
+    assert main(["amer", "--input", _input(tmp_path, data)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_input_is_a_config_error(tmp_path, capsys, bad):
     path = tmp_path / "mot.json"
@@ -127,13 +137,37 @@ def test_output_ignores_atom_order(tmp_path, command, data, args, order):
     assert outputs[0] == outputs[1]
 
 
+# the smallest `emot approx` input: a coupling that spreads -1 and 1 to -2, 0 and 2, with its own marginals
+APPROX = {
+    "coupling": {
+        "first_marginal": {"atoms": [[-1.0, 0.0], [1.0, 0.0]], "weights": [0.5, 0.5]},
+        "y_support": [-2.0, 0.0, 2.0],
+        "kernels": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],
+    },
+    "mu_bar": {"atoms": [[-1.0, 0.0], [1.0, 0.0]], "weights": [0.5, 0.5]},
+    "nu": {"atoms": [-2.0, 0.0, 2.0], "weights": [0.25, 0.5, 0.25]},
+}
+FLAG_INPUTS = {"vix": POSITIVE, "shadow": SPREAD, "wmot": LIFTED, "approx": APPROX}
+
+
 @pytest.mark.parametrize(
     "command, flags",
-    [("vix", ["--tau", "0"]), ("vix", ["--tau", "-1"]), ("vix", ["--bins", "0"]), ("shadow", ["--m", "0"])],
+    [
+        ("vix", ["--tau", "0"]), ("vix", ["--tau", "-1"]), ("vix", ["--bins", "0"]), ("shadow", ["--m", "0"]),
+        ("wmot", ["--tol", "0"]), ("wmot", ["--tol", "-1"]), ("wmot", ["--tol", "nan"]),
+        ("approx", ["--eps", "-0.5"]), ("approx", ["--eps", "2"]), ("approx", ["--eps", "nan"]),
+    ],
 )
-def test_non_positive_flag_is_a_usage_error(tmp_path, command, flags):
-    data = POSITIVE if command == "vix" else SPREAD
-    assert _exit_code([command, "--input", _input(tmp_path, data)] + flags) == 2
+def test_non_positive_flag_is_a_usage_error(tmp_path, capsys, command, flags):
+    assert _exit_code([command, "--input", _input(tmp_path, FLAG_INPUTS[command])] + flags) == 2
+    assert f"error: argument {flags[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flags", [("wmot", ["--tol", "1e-6"]), ("approx", ["--eps", "0"]), ("approx", ["--eps", "1"])]
+)
+def test_flag_at_its_bound_runs(tmp_path, command, flags):
+    assert _exit_code([command, "--input", _input(tmp_path, FLAG_INPUTS[command])] + flags) == 0
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """Every name a module in ``src/emot`` imports is read somewhere in it, and
 every private module-level function or class, and every module-level
-ALL_CAPS constant, is read by some module.  A public module-level function
-that no module calls is named in ``UNCALLED_PUBLIC`` with its reason.
+ALL_CAPS constant, is read by some module.  A public module-level function,
+or a public method of a module-level class, that no module calls is named
+in ``UNCALLED_PUBLIC`` with its reason.
 
 No linter is part of the toolchain, so this check stands in for one.
 ``__init__.py`` is skipped by the import check: its imports are the
@@ -16,8 +17,10 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "emot"
 MODULES = sorted(SRC.glob("*.py"))
 
-# public functions that no module in src/emot calls, each with the reason it stays
+# public functions and methods that no module in src/emot calls, each with the reason it stays
 UNCALLED_PUBLIC = {
+    "DiscreteMeasure.integrate": "the integral of a payoff against a measure, the tests' closed-form price (criterion 06)",
+    "LiftedMeasure.u_marginal": "the label marginal of a lifted measure, for callers and the copula-lift tests",
     "vix_primal_lp": "the portfolio LP, the oracle for the portfolio vix_dual_lp reads from its duals (criterion 07)",
     "check_martingale": "a coupling's martingale residual, for callers and the tests of every solver",
     "report_from_csv": "reads a stability CSV emission back, exactly",
@@ -87,16 +90,28 @@ def unread_private_definitions(trees: dict) -> list:
     )
 
 
+def public_definitions(tree: ast.Module):
+    """(reported name, called name) of each public module-level function
+    and each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
+                    yield f"{node.name}.{f.name}", f.name
+
+
 def unread_public_functions(trees: dict) -> list:
-    """Public module-level functions that no module other than
-    ``__init__.py`` reads."""
+    """Public functions and methods of ``public_definitions`` that no module
+    other than ``__init__.py`` reads."""
     trees = {name: tree for name, tree in trees.items() if name != "__init__.py"}
     read = names_read_anywhere(trees)
     return sorted(
-        node.name
+        reported
         for tree in trees.values()
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in read
+        for reported, called in public_definitions(tree)
+        if called not in read
     )
 
 
@@ -126,3 +141,12 @@ def test_uncalled_public_function_is_flagged():
     # a re-export from __init__ is not a call
     trees["__init__.py"] = ast.parse((SRC / "__init__.py").read_text() + "\nfrom .measures import unused_helper\n")
     assert unread_public_functions(trees) == sorted([*UNCALLED_PUBLIC, "unused_helper"])
+
+
+def test_uncalled_public_method_is_flagged():
+    trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
+    text = (SRC / "measures.py").read_text().replace(
+        "    def first_moment(self)", "    def unread_moment(self):\n        return 0.0\n\n    def first_moment(self)"
+    )
+    trees["measures.py"] = ast.parse(text)
+    assert unread_public_functions(trees) == sorted([*UNCALLED_PUBLIC, "DiscreteMeasure.unread_moment"])
