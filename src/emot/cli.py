@@ -74,6 +74,10 @@ def _write(report: dict, out: str | None):
         sys.stdout.write(text)
 
 
+# the file extension of each report format that `emot stability --formats` takes
+_EXTENSIONS = {"csv": "csv", "json": "json", "plotdata": "plot.json"}
+
+
 def _coupling_json(c: DiscreteCoupling) -> dict:
     return json.loads(c.to_json())
 
@@ -132,16 +136,12 @@ def cmd_amer(args) -> dict:
 
 
 def cmd_vix(args) -> dict:
+    if args.bins is not None:
+        sys.stderr.write("emot vix: --bins is ignored, the VIX LP is exact\n")
     data = _load(args.input)
-    mu, nu = _measure(data["mu"]), _measure(data["nu"])
-    r = vix_dual_lp(mu, nu, args.tau, args.bins)
-    return {
-        "d_lo": r["d_lo"],
-        "d_hi": r["d_hi"],
-        "p_value": r["p_value"],
-        "bins": args.bins,
-        "tau": args.tau,
-    }
+    r = vix_dual_lp(_measure(data["mu"]), _measure(data["nu"]), args.tau)
+    # the value is exact, so a reader of the bracket keys d_lo, d_hi gets it twice
+    return {"value": r["value"], "d_lo": r["value"], "d_hi": r["value"], "p_value": r["p_value"], "tau": args.tau}
 
 
 def cmd_shadow(args) -> dict:
@@ -178,10 +178,9 @@ def cmd_stability(args) -> dict:
         config = ExperimentConfig.from_json(fh.read())
     report = run_stability(config)
     written = []
-    for fmt in args.formats.split(","):
+    for fmt in args.formats:
         text = emit(report, fmt)
-        ext = "csv" if fmt == "csv" else "json" if fmt == "json" else "plot.json"
-        path = f"{args.out_prefix}.{ext}"
+        path = f"{args.out_prefix}.{_EXTENSIONS[fmt]}"
         with open(path, "w") as fh:
             fh.write(text)
         written.append(path)
@@ -218,10 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=cmd_amer)
 
-    sp = sub.add_parser("vix", help="VIX subreplication sandwich")
+    sp = sub.add_parser("vix", help="VIX subreplication value and portfolio")
     common(sp)
     sp.add_argument("--tau", type=_positive(float), default=1.0)
-    sp.add_argument("--bins", type=_positive(int), default=200)
+    sp.add_argument("--bins", type=_positive(int), help="ignored: the VIX LP is exact")
     sp.set_defaults(fn=cmd_vix)
 
     sp = sub.add_parser("shadow", help="shadow coupling from a copula lift")
@@ -242,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stability", help="stability experiment harness")
     sp.add_argument("--config", required=True, help="JSON config file")
     sp.add_argument("--out-prefix", default="stability_report")
-    sp.add_argument("--formats", default="csv,json")
+    formats = _checked(lambda text: text.split(","), lambda fmts: set(fmts) <= set(_EXTENSIONS),
+                       "a comma-separated list of csv, json and plotdata")
+    sp.add_argument("--formats", type=formats, default="csv,json")
     sp.add_argument("--out", help="summary JSON path (default: stdout)")
     sp.set_defaults(fn=cmd_stability)
     return p

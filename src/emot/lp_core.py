@@ -6,8 +6,9 @@ basis enumeration for tiny polytopes.
 at least ``IPM_MIN_COLS`` columns whose constraint matrix holds an entry
 other than 0/+-1, and dual simplex on every other LP.  Both parts of the
 rule are measured.  Size: on the degenerate martingale-type LPs (mot,
-American, shadow, VIX bins) the interior point takes 20-30 iterations where
-dual simplex pivots thousands of times, and from about 3 000 columns it is
+American, shadow, and the VIX bin LP that is now the tests' bracket
+oracle) the interior point takes 20-30 iterations where dual simplex
+pivots thousands of times, and from about 3 000 columns it is
 faster (time ratios 0.37 American at 10 440 columns, 0.54 mot at 14 500,
 0.73 shadow at 3 480); on such LPs of 400-2 320 columns it was 1.1-1.8x
 slower.  Structure: a matrix of 0/+-1 entries is a transport (network) LP,

@@ -1,9 +1,10 @@
 """Solvers for martingale transport problems on the line.
 
 By LP: plain and information-lifted martingale optimal transport, convex
-kernel costs by Frank-Wolfe, two-period American option pricing, and a
-two-sided VIX subreplication sandwich with its dual certificate.  With no
-LP: shadow couplings (the shadow LP is the tests' oracle), and barrier maps.
+kernel costs by Frank-Wolfe, two-period American option pricing, and the
+exact VIX subreplication value, one LP over two-point kernels, with its
+subreplicating portfolio.  With no LP: shadow couplings (the shadow LP is
+the tests' oracle), and barrier maps.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy import sparse
 
 from .convex_order import ConvexOrderError
 from .couplings import DiscreteCoupling, coupling_from_plan, disintegrate, martingale_polytope_lp
-from .lp_core import Block, CertificateError, LinearProgram, block_rows, plan_rows, solve_lp
+from .lp_core import CertificateError, LinearProgram, plan_rows, solve_lp
 from .measures import DiscreteMeasure, LiftedMeasure, QuantileView, check_convex_order
 
 MAX_FW_ITER = 500
@@ -223,96 +224,76 @@ def _log_contract(xs: np.ndarray, ys: np.ndarray, tau: float) -> np.ndarray:
     return (2.0 / tau) * (np.log(xs)[:, None] - np.log(ys)[None, :])
 
 
-def vix_bin_edges(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, bins: int) -> np.ndarray:
-    L = _log_contract(mu.atoms, nu.atoms, tau)
-    u_max = float(np.sqrt(max(L.max(), 0.0)))
-    return np.linspace(0.0, u_max, bins + 1)
+def _vix_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float):
+    """The VIX LP over the extreme martingale kernels at each x, and its columns (i, j, k, p).
+
+    Column (i, j, k) is the kernel at x_i with mass p on y_j and 1 - p on y_k, where
+    y_j < x_i < y_k and the mean fixes p = (y_k - x_i) / (y_k - y_j); when x_i is an atom
+    of nu, (i, j, j) with y_j = x_i is delta_x, with p = 1.  It costs the root of its
+    log-contract moment, clamped at 0 against rounding.  The rows are one mass row per
+    x_i and one per y_j, with no barycentre rows: every column is a martingale kernel.
+    """
+    n, xs, ys = len(mu), mu.atoms, nu.atoms
+    side = np.sign(xs[:, None] - ys[None, :])  # 1 where y_j < x_i, 0 where y_j = x_i
+    i, j, k = np.nonzero((side[:, :, None] == -side[:, None, :]) & (side[:, :, None] >= 0))
+    span = ys[k] - ys[j]
+    p = np.divide(ys[k] - xs[i], span, out=np.ones_like(span), where=span > 0)
+    L = _log_contract(xs, ys, tau)
+    rows = np.concatenate([i, n + j, n + k])  # delta_x's two y entries, 1 and 0, are summed
+    A_eq = sparse.csr_array((np.concatenate([np.ones(i.size), p, 1.0 - p]), (rows, np.tile(np.arange(i.size), 3))),
+                            shape=(n + len(nu), i.size))
+    c = np.sqrt(np.maximum(p * L[i, j] + (1.0 - p) * L[i, k], 0.0))
+    return LinearProgram(c=c, A_eq=A_eq, b_eq=np.concatenate([mu.weights, nu.weights])), (i, j, k, p)
 
 
-def _vix_bin_lp(mu, nu, tau, edges):
-    """Martingale polytope over (i, bin, j) with two bin-range rows per (i, bin),
-    pricing the label at the lower bin edge."""
-    n, m, nb = len(mu), len(nu), len(edges) - 1
-    L = _log_contract(mu.atoms, nu.atoms, tau)
-    # float_power squares the edges with pow()'s rounding, which the bin rows use
-    lo2, hi2 = np.float_power(edges[:-1], 2)[None, :, None], np.float_power(edges[1:], 2)[None, :, None]
-    low_high = np.stack([lo2 - L[:, None, :], L[:, None, :] - hi2], axis=2).reshape(n * nb, 2, m)
-    return LinearProgram(
-        c=np.tile(np.repeat(edges[:-1], m), n),
-        A_eq=plan_rows(n, m, nb, mart=nu.atoms[None, :] - mu.atoms[:, None]),
-        b_eq=np.concatenate([mu.weights, nu.weights, np.zeros(n * nb)]),
-        A_ub=block_rows([Block(low_high)], (2 * n * nb, n * nb * m)),
-        b_ub=np.zeros(2 * n * nb),
-    )
+def vix_dual_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float):
+    """The VIX subreplication value D_sub, exactly, with its subreplicating portfolio.
 
+    The label u is the future VIX level, with E[L | x, u] = u^2 for the log contract L, so
+    a kernel K at x carries its own label u = sqrt(E_K[L]).  sqrt is concave, so splitting
+    K into the extreme martingale kernels at x never raises its cost, and D_sub is the
+    value of ``_vix_lp`` (Winkler, Math. Oper. Res. 1988).  The coupling labels each
+    kernel with its u.
 
-def vix_dual_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, bins: int):
-    """Two-sided bracket of the VIX subreplication dual value, and its portfolio.
-
-    The information label is the future VIX level u with the constraint
-    that the conditional log-contract moment equals u^2.  Binning u into
-    intervals relaxes the equality to the bin's square range; pricing the
-    label at the lower (resp. upper) bin edge gives d_lo <= D_sub <= d_hi
-    with gap at most one bin width.  Only the lower-edge LP is solved: the
-    edges are equally spaced, so the upper-edge cost is the lower-edge cost
-    plus the bin width on every variable, and every feasible plan has mass
-    mu(R); the same plan is optimal for both, and d_hi = d_lo + width mu(R).
-
-    The result also carries the subreplicating portfolio, with the keys of
-    ``vix_primal_lp`` (the bin LP's exact dual), read from this solve's duals:
-    phi, psi, delta_s from the mass and barycentre rows, alpha, beta >= 0
-    (delta_l = alpha - beta) from the bin-range rows; ``emot vix`` prints its
-    ``p_value``.  phi(x) is lowered by the worst excess of its inequalities,
-    so that every one holds and ``p_value`` = mu(phi) + nu(psi) <= D_sub by
-    weak duality; an excess above 1e-6 max(1, max cost) is a ``CertificateError``.
+    The portfolio phi, psi, with the keys of ``vix_primal_lp`` (the LP's exact dual), is
+    read from the duals.  Its inequality phi(x) + E_K[psi] <= sqrt(E_K[L]) holds at the
+    extreme kernels, so by concavity at every martingale kernel, and ``p_value`` =
+    mu(phi) + nu(psi) <= D_sub.  phi(x) is lowered by the worst excess of its
+    inequalities; an excess above 1e-6 max(1, max cost) is a ``CertificateError``.
     """
     _require_order(mu, nu)
-    edges = vix_bin_edges(mu, nu, tau, bins)
-    n, m, nb = len(mu), len(nu), len(edges) - 1
-    lp = _vix_bin_lp(mu, nu, tau, edges)
+    lp, (i, j, k, p) = _vix_lp(mu, nu, tau)
     sol = solve_lp(lp)
-    # HiGHS's duals are dual feasible to 1e-7 on its scaled LP, so a sign or an inequality may be
-    # off (by up to 7.9e-8 seen); duals off by more than 1e-6 are not an optimal solve's
-    y, z = sol.duals_eq, np.minimum(sol.duals_ub, 0.0)
-    excess = (lp.A_eq.T @ y + lp.A_ub.T @ z - lp.c).reshape(n, nb * m).max(axis=1)
+    # HiGHS's duals are dual feasible to 1e-7 on its scaled LP, so an inequality may be
+    # off (by up to 5.1e-8 seen); duals off by more than 1e-6 are not an optimal solve's
+    excess = np.full(len(mu), -np.inf)
+    np.maximum.at(excess, i, lp.A_eq.T @ sol.duals_eq - lp.c)
     if excess.max() > 1e-6 * max(1.0, float(lp.c.max())):
-        raise CertificateError(f"VIX portfolio from the bin-LP duals breaks an inequality by {excess.max():.3g}")
-    plan = sol.x.reshape(n, nb, m)
-    i, b, j = np.nonzero(plan > 1e-14)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    coupling, _ = disintegrate(np.column_stack([mu.atoms[i], mids[b], nu.atoms[j], plan[i, b, j]]))
-    d_hi = sol.value + (edges[-1] - edges[0]) / bins * mu.mass
-    phi, psi, delta_s = np.split(y, [n, n + m])
+        raise CertificateError(f"VIX portfolio from the LP duals breaks an inequality by {excess.max():.3g}")
+    phi, psi = np.split(sol.duals_eq, [len(mu)])
     phi = phi - np.maximum(excess, 0.0)  # every column of atom x has coefficient 1 on phi(x)
-    return {"d_lo": sol.value, "d_hi": d_hi, "edges": edges, "coupling": coupling,
-            "p_value": float(mu.weights @ phi + nu.weights @ psi), "phi": phi, "psi": psi,
-            "delta_s": delta_s.reshape(n, nb), "delta_l": (z[1::2] - z[0::2]).reshape(n, nb)}
+    q = np.flatnonzero(sol.x > 1e-14)
+    x, u, w = (np.tile(v[q], 2) for v in (mu.atoms[i], lp.c, sol.x))
+    coupling, _ = disintegrate(np.column_stack([x, u, nu.atoms[np.concatenate([j[q], k[q]])],
+                                                w * np.concatenate([p[q], 1.0 - p[q]])]))
+    return {"value": sol.value, "p_value": float(mu.weights @ phi + nu.weights @ psi), "phi": phi, "psi": psi,
+            "coupling": coupling}
 
 
-def vix_primal_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, u_grid: np.ndarray):
-    """Subreplicating-portfolio LP certificate for the VIX lower bound.
+def vix_primal_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float):
+    """Subreplicating-portfolio LP for the VIX value, the exact dual of ``_vix_lp``.
 
-    ``u_grid`` holds the bin edges of the matching ``vix_dual_lp`` call.
-    Maximizes mu(phi) + nu(psi) over static positions phi, psi, per-bin
-    stock deltas Delta_S and nonnegative log-contract positions alpha,
-    beta (net log delta Delta_L = alpha - beta) subject to the
-    subreplication constraint at every (x, bin, y).  This is the exact LP
-    dual of the lower-edge bin LP, so the value equals d_lo.  ``emot vix``
-    reads this portfolio from ``vix_dual_lp``'s duals instead; the LP stays
-    as the tests' oracle of it, and because ``benchmarks/tracing.py`` traces it.
+    Maximizes mu(phi) + nu(psi) over free static positions phi, psi subject to
+    phi(x_i) + p psi(y_j) + (1 - p) psi(y_k) <= sqrt(p l_x(y_j) + (1 - p) l_x(y_k)) at
+    every column of ``_vix_lp``, so its value is D_sub.  ``vix_dual_lp`` reads this
+    portfolio from its duals instead; the LP stays as the tests' oracle of it, and
+    because ``benchmarks/tracing.py`` traces it.
     """
-    edges = np.asarray(u_grid, dtype=float)
-    n, m, nb = len(mu), len(nu), edges.size - 1
-    # variables: phi (n, free), psi (m, free), delta (n*nb, free),
-    #            alpha (n*nb, >=0), beta (n*nb, >=0); one row per bin-LP variable
-    dual = _vix_bin_lp(mu, nu, tau, edges)
-    A_ub = sparse.hstack([dual.A_eq.T, -dual.A_ub[0::2].T, -dual.A_ub[1::2].T], format="csr")
-    c = np.concatenate([dual.b_eq, np.zeros(2 * n * nb)])
-    bounds = [(None, None)] * (n + m + n * nb) + [(0, None)] * (2 * n * nb)
-    sol = solve_lp(LinearProgram(c=c, A_ub=A_ub, b_ub=dual.c, bounds=bounds, sense="max"))
-    phi, psi, delta_s, alpha, beta = np.split(sol.x, np.cumsum([n, m, n * nb, n * nb]))
-    return {"p_value": sol.value, "phi": phi, "psi": psi, "delta_s": delta_s.reshape(n, nb),
-            "delta_l": (alpha - beta).reshape(n, nb)}
+    lp, _ = _vix_lp(mu, nu, tau)
+    sol = solve_lp(LinearProgram(c=lp.b_eq, A_ub=lp.A_eq.T, b_ub=lp.c, bounds=[(None, None)] * lp.b_eq.size,
+                                 sense="max"))
+    phi, psi = np.split(sol.x, [len(mu)])
+    return {"p_value": sol.value, "phi": phi, "psi": psi}
 
 
 # -- shadow couplings -----------------------------------------------------

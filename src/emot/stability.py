@@ -65,7 +65,6 @@ class ExperimentConfig:
     scales: tuple = (0.1, 0.05, 0.025)
     seed: int = 0
     tau: float = 1.0
-    bins: int = 100
     copula_m: int = 8
     barrier_threshold: float = 0.25
     include_timings: bool = False
@@ -77,17 +76,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown perturbation {self.perturbation!r}")
         if not _is(self.seed, numbers.Integral):
             raise ConfigError("seed must be an integer")
-        if not (_is(self.tau, numbers.Real) and self.tau > 0):
-            raise ConfigError("tau must be positive")
-        if not (_is(self.bins, numbers.Integral) and self.bins >= 1):
-            raise ConfigError("bins must be a positive integer")
+        if not (_is(self.tau, numbers.Real) and 0 < self.tau < np.inf):
+            raise ConfigError("tau must be positive and finite")
+        if not (_is(self.barrier_threshold, numbers.Real) and 0 <= self.barrier_threshold < np.inf):
+            raise ConfigError("barrier_threshold must be nonnegative and finite")
         if not (_is(self.copula_m, numbers.Integral) and self.copula_m >= 1):
             raise ConfigError("copula_m must be a positive integer")
         if not all(_is(s, numbers.Real) for s in self.scales):
             raise ConfigError("scales must be numbers")
         scales = tuple(float(s) for s in self.scales)
-        if len(scales) == 0 or any(s <= 0 for s in scales):
-            raise ConfigError("scales must be positive")
+        if len(scales) == 0 or not all(0 < s < np.inf for s in scales):
+            raise ConfigError("scales must be positive and finite")
         if any(s2 >= s1 for s1, s2 in zip(scales, scales[1:])):
             raise ConfigError("scales must be strictly decreasing")
         self.scales = scales
@@ -196,8 +195,8 @@ def _solve(problem: str, mu, nu, cfg: ExperimentConfig):
         r = price_american(mu, nu, lambda x: max(x, 0.0), lambda x, y: max(y, 0.0))
         return r["value"], None
     if problem == "vix":
-        r = vix_dual_lp(mu, nu, cfg.tau, cfg.bins)
-        return 0.5 * (r["d_lo"] + r["d_hi"]), r["coupling"]
+        r = vix_dual_lp(mu, nu, cfg.tau)
+        return r["value"], r["coupling"]
     if problem == "shadow":
         mb = copula_lift(mu, "hoeffding_frechet", cfg.copula_m)
         r = shadow_coupling(mb, nu)

@@ -13,7 +13,10 @@ convex-order minimum's oracle reads potentials through
 slopes taken from their differences.
 ``product_coupling``, the independent coupling, gives tests a coupling to
 start from, and ``block_rows_coo`` is the constraint-matrix builder that
-went through scipy's COO-to-CSR conversion.
+went through scipy's COO-to-CSR conversion.  The VIX bin LP, which
+``emot vix`` solved before its exact LP over two-point kernels, is the
+bracket oracle: ``vix_bracket`` gives d_lo <= D_sub <= d_hi with gap one bin
+width times mu(R), and ``vix_bin_primal_lp`` its portfolio LP.
 """
 
 import bisect
@@ -24,9 +27,10 @@ import numpy as np
 from scipy import sparse
 
 from emot.convex_order import _lower_convex_hull
-from emot.couplings import DiscreteCoupling
-from emot.lp_core import transport_plan
+from emot.couplings import DiscreteCoupling, disintegrate
+from emot.lp_core import Block, CertificateError, LinearProgram, block_rows, plan_rows, solve_lp, transport_plan
 from emot.measures import MERGE_TOL, DiscreteMeasure, LiftedMeasure, QuantileView, potential_values
+from emot.solvers import _log_contract, _require_order
 
 
 @dataclass(frozen=True)
@@ -268,3 +272,96 @@ def merge_atoms(keys, weights):
             atoms.append((x, _position(us, weights, u_chain)))
             masses.append(sum(weights[i] for i in u_chain))
     return np.array(atoms), np.array(masses)
+
+
+# -- the VIX bin LP: a bracket [d_lo, d_hi] around the exact VIX value ------
+
+
+def vix_bin_edges(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, bins: int) -> np.ndarray:
+    L = _log_contract(mu.atoms, nu.atoms, tau)
+    u_max = float(np.sqrt(max(L.max(), 0.0)))
+    return np.linspace(0.0, u_max, bins + 1)
+
+
+def vix_bin_lp(mu, nu, tau, edges):
+    """Martingale polytope over (i, bin, j) with two bin-range rows per (i, bin),
+    pricing the label at the lower bin edge."""
+    n, m, nb = len(mu), len(nu), len(edges) - 1
+    L = _log_contract(mu.atoms, nu.atoms, tau)
+    # float_power squares the edges with pow()'s rounding, which the bin rows use
+    lo2, hi2 = np.float_power(edges[:-1], 2)[None, :, None], np.float_power(edges[1:], 2)[None, :, None]
+    low_high = np.stack([lo2 - L[:, None, :], L[:, None, :] - hi2], axis=2).reshape(n * nb, 2, m)
+    return LinearProgram(
+        c=np.tile(np.repeat(edges[:-1], m), n),
+        A_eq=plan_rows(n, m, nb, mart=nu.atoms[None, :] - mu.atoms[:, None]),
+        b_eq=np.concatenate([mu.weights, nu.weights, np.zeros(n * nb)]),
+        A_ub=block_rows([Block(low_high)], (2 * n * nb, n * nb * m)),
+        b_ub=np.zeros(2 * n * nb),
+    )
+
+
+def vix_bracket(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, bins: int):
+    """Two-sided bracket of the VIX subreplication dual value, and its portfolio.
+
+    The information label is the future VIX level u with the constraint
+    that the conditional log-contract moment equals u^2.  Binning u into
+    intervals relaxes the equality to the bin's square range; pricing the
+    label at the lower (resp. upper) bin edge gives d_lo <= D_sub <= d_hi
+    with gap at most one bin width.  Only the lower-edge LP is solved: the
+    edges are equally spaced, so the upper-edge cost is the lower-edge cost
+    plus the bin width on every variable, and every feasible plan has mass
+    mu(R); the same plan is optimal for both, and d_hi = d_lo + width mu(R).
+
+    The result also carries the subreplicating portfolio, with the keys of
+    ``vix_bin_primal_lp`` (the bin LP's exact dual), read from this solve's duals:
+    phi, psi, delta_s from the mass and barycentre rows, alpha, beta >= 0
+    (delta_l = alpha - beta) from the bin-range rows, and its ``p_value``.  phi(x) is lowered by the worst excess of its inequalities,
+    so that every one holds and ``p_value`` = mu(phi) + nu(psi) <= D_sub by
+    weak duality; an excess above 1e-6 max(1, max cost) is a ``CertificateError``.
+    """
+    _require_order(mu, nu)
+    edges = vix_bin_edges(mu, nu, tau, bins)
+    n, m, nb = len(mu), len(nu), len(edges) - 1
+    lp = vix_bin_lp(mu, nu, tau, edges)
+    sol = solve_lp(lp)
+    # HiGHS's duals are dual feasible to 1e-7 on its scaled LP, so a sign or an inequality may be
+    # off (by up to 7.9e-8 seen); duals off by more than 1e-6 are not an optimal solve's
+    y, z = sol.duals_eq, np.minimum(sol.duals_ub, 0.0)
+    excess = (lp.A_eq.T @ y + lp.A_ub.T @ z - lp.c).reshape(n, nb * m).max(axis=1)
+    if excess.max() > 1e-6 * max(1.0, float(lp.c.max())):
+        raise CertificateError(f"VIX portfolio from the bin-LP duals breaks an inequality by {excess.max():.3g}")
+    plan = sol.x.reshape(n, nb, m)
+    i, b, j = np.nonzero(plan > 1e-14)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    coupling, _ = disintegrate(np.column_stack([mu.atoms[i], mids[b], nu.atoms[j], plan[i, b, j]]))
+    d_hi = sol.value + (edges[-1] - edges[0]) / bins * mu.mass
+    phi, psi, delta_s = np.split(y, [n, n + m])
+    phi = phi - np.maximum(excess, 0.0)  # every column of atom x has coefficient 1 on phi(x)
+    return {"d_lo": sol.value, "d_hi": d_hi, "edges": edges, "coupling": coupling,
+            "p_value": float(mu.weights @ phi + nu.weights @ psi), "phi": phi, "psi": psi,
+            "delta_s": delta_s.reshape(n, nb), "delta_l": (z[1::2] - z[0::2]).reshape(n, nb)}
+
+
+def vix_bin_primal_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, u_grid: np.ndarray):
+    """Subreplicating-portfolio LP certificate for the VIX lower bound.
+
+    ``u_grid`` holds the bin edges of the matching ``vix_bracket`` call.
+    Maximizes mu(phi) + nu(psi) over static positions phi, psi, per-bin
+    stock deltas Delta_S and nonnegative log-contract positions alpha,
+    beta (net log delta Delta_L = alpha - beta) subject to the
+    subreplication constraint at every (x, bin, y).  This is the exact LP
+    dual of the lower-edge bin LP, so the value equals d_lo.  ``vix_bracket``
+    reads this portfolio from its duals instead.
+    """
+    edges = np.asarray(u_grid, dtype=float)
+    n, m, nb = len(mu), len(nu), edges.size - 1
+    # variables: phi (n, free), psi (m, free), delta (n*nb, free),
+    #            alpha (n*nb, >=0), beta (n*nb, >=0); one row per bin-LP variable
+    dual = vix_bin_lp(mu, nu, tau, edges)
+    A_ub = sparse.hstack([dual.A_eq.T, -dual.A_ub[0::2].T, -dual.A_ub[1::2].T], format="csr")
+    c = np.concatenate([dual.b_eq, np.zeros(2 * n * nb)])
+    bounds = [(None, None)] * (n + m + n * nb) + [(0, None)] * (2 * n * nb)
+    sol = solve_lp(LinearProgram(c=c, A_ub=A_ub, b_ub=dual.c, bounds=bounds, sense="max"))
+    phi, psi, delta_s, alpha, beta = np.split(sol.x, np.cumsum([n, m, n * nb, n * nb]))
+    return {"p_value": sol.value, "phi": phi, "psi": psi, "delta_s": delta_s.reshape(n, nb),
+            "delta_l": (alpha - beta).reshape(n, nb)}

@@ -42,9 +42,9 @@ from emot.solvers import (
     solve_mot,
     solve_wmot_fw,
     vix_dual_lp,
-    vix_primal_lp,
 )
 from emot.stability import _barrier_exceedance
+from reference import vix_bin_primal_lp, vix_bracket
 
 ABS_COST = CostSpec(fn=lambda x, u, ys: np.abs(np.asarray(ys) - x))
 
@@ -189,18 +189,21 @@ def test_criterion_07_vix_sandwich():
     mu = DiscreteMeasure([1.0], [1.0])
     nu = DiscreteMeasure([0.5, 1.5], [0.5, 0.5])
     target = np.sqrt(np.log(4.0 / 3.0))
-    r200 = vix_dual_lp(mu, nu, 1.0, 200)
-    r400 = vix_dual_lp(mu, nu, 1.0, 400)
+    r200 = vix_bracket(mu, nu, 1.0, 200)
+    r400 = vix_bracket(mu, nu, 1.0, 400)
     gap200 = r200["d_hi"] - r200["d_lo"]
     gap400 = r400["d_hi"] - r400["d_lo"]
-    p = vix_primal_lp(mu, nu, 1.0, r200["edges"])
+    p = vix_bin_primal_lp(mu, nu, 1.0, r200["edges"])
+    value = vix_dual_lp(mu, nu, 1.0)["value"]
     ok = (
         r200["d_lo"] <= target <= r200["d_hi"]
         and gap200 <= 0.02
         and gap400 <= 0.6 * gap200
         and abs(p["p_value"] - r200["d_lo"]) <= 1e-6
+        and abs(value - target) <= 1e-12
+        and all(r["d_lo"] <= value <= r["d_hi"] for r in (r200, r400))
     )
-    report(7, "VIX sandwich and duality", ok, f"gap200={gap200:.5f}, gap400={gap400:.5f}")
+    report(7, "VIX sandwich and duality", ok, f"gap200={gap200:.5f}, gap400={gap400:.5f}, value={value:.15f}")
 
 
 def _approximation_fixtures():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from emot import lp_core, solvers
+from emot import cli, lp_core, solvers
 from emot.cli import main
 from emot.lp_core import CertificateError, LPError
 from emot.measures import DiscreteMeasure
@@ -178,6 +178,14 @@ def test_flag_at_its_bound_runs(tmp_path, command, flags):
         {"problem": "shadow", "copula_m": 0},
         {"problem": "vix", "tau": 0},
         {"problem": "vix", "bins": 0},
+        {"problem": "vix", "bins": 100},
+        {"scales": [float("nan"), 0.1]},
+        {"scales": [float("inf"), 0.1]},
+        {"problem": "vix", "tau": float("inf")},
+        {"problem": "vix", "tau": float("nan")},
+        {"problem": "shadow", "barrier_threshold": -3},
+        {"problem": "shadow", "barrier_threshold": float("inf")},
+        {"problem": "shadow", "barrier_threshold": float("nan")},
     ],
 )
 def test_bad_stability_config_is_a_config_error(tmp_path, capsys, override):
@@ -185,6 +193,18 @@ def test_bad_stability_config_is_a_config_error(tmp_path, capsys, override):
     path = _input(tmp_path, config, "config.json")
     assert _exit_code(["stability", "--config", path, "--out-prefix", str(tmp_path / "report")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_bad_stability_format_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("the stability run started")
+
+    monkeypatch.setattr(cli, "run_stability", no_run)
+    config = _input(tmp_path, {**POSITIVE, "scales": [0.1]}, "config.json")
+    prefix = str(tmp_path / "r")
+    assert _exit_code(["stability", "--config", config, "--out-prefix", prefix, "--formats", "csv,bogus"]) == 2
+    assert "error: argument --formats" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_infeasible_lp_is_an_lp_error_and_exit_3(tmp_path, capsys, monkeypatch):
@@ -221,7 +241,20 @@ def test_vix_solves_one_lp(tmp_path, monkeypatch):
 
     monkeypatch.setattr(solvers, "solve_lp", spy)
     assert main(["vix", "--input", _input(tmp_path, POSITIVE), "--bins", "4"]) == 0
-    assert sizes == [3 * 4 * 5]  # the lower-edge bin LP over (x, bin, y)
+    # at x = 0.9, 1.0, 1.1: the two-point kernels y_j < x < y_k (1 x 3, 2 x 2, 3 x 1) and delta_x
+    assert sizes == [(3 + 1) + (4 + 1) + (3 + 1)]
+
+
+def test_vix_ignores_bins_and_says_so(tmp_path, capsys):
+    outputs = []
+    for name, flags in (("plain", []), ("bins", ["--bins", "4"])):
+        out = tmp_path / f"{name}.out"
+        assert main(["vix", "--input", _input(tmp_path, POSITIVE), "--out", str(out)] + flags) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().err))
+    assert outputs[0][0] == outputs[1][0]
+    assert outputs[0][1] == "" and "--bins is ignored" in outputs[1][1]
+    data = json.loads(outputs[0][0])
+    assert data["d_lo"] == data["d_hi"] == data["value"] and data["value"] - 1e-7 <= data["p_value"] <= data["value"]
 
 
 def test_broken_vix_portfolio_is_a_certificate_error_and_exit_3(tmp_path, capsys, monkeypatch):
@@ -235,6 +268,6 @@ def test_broken_vix_portfolio_is_a_certificate_error_and_exit_3(tmp_path, capsys
     monkeypatch.setattr(solvers, "solve_lp", raised_psi)
     mu, nu = (DiscreteMeasure(POSITIVE[k]["atoms"], POSITIVE[k]["weights"]) for k in ("mu", "nu"))
     with pytest.raises(CertificateError):
-        vix_dual_lp(mu, nu, 1.0, 4)
+        vix_dual_lp(mu, nu, 1.0)
     assert main(["vix", "--input", _input(tmp_path, POSITIVE), "--bins", "4"]) == 3
     assert "breaks an inequality" in capsys.readouterr().err

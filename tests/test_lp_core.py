@@ -11,6 +11,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+import reference
 from emot import approximation, couplings, lp_core, solvers
 from emot.convex_order import convex_order_projection
 from emot.measures import DiscreteMeasure, LiftedMeasure
@@ -177,12 +178,12 @@ def _layout_american(rng, monkeypatch):
 def _vix_case():
     mu = DiscreteMeasure([0.9, 1.1], [0.5, 0.5])
     nu = DiscreteMeasure([0.7, 1.0, 1.3], [0.25, 0.5, 0.25])
-    return mu, nu, 1.0, solvers.vix_bin_edges(mu, nu, 1.0, 4)
+    return mu, nu, 1.0, reference.vix_bin_edges(mu, nu, 1.0, 4)
 
 
 def _layout_vix_bins(rng, monkeypatch):
     mu, nu, tau, edges = _vix_case()
-    lp = solvers._vix_bin_lp(mu, nu, tau, edges)
+    lp = reference.vix_bin_lp(mu, nu, tau, edges)
     P = rng.uniform(size=(2, 4, 3))  # (x atom, bin, y atom)
     L = (2.0 / tau) * (np.log(mu.atoms)[:, None] - np.log(nu.atoms)[None, :])
     moment = (P * L[:, None, :]).sum(-1)
@@ -194,8 +195,8 @@ def _layout_vix_bins(rng, monkeypatch):
 
 def _layout_vix_primal(rng, monkeypatch):
     mu, nu, tau, edges = _vix_case()
-    lp = _captured(monkeypatch, solvers, lambda: solvers.vix_primal_lp(mu, nu, tau, edges))
-    dual = solvers._vix_bin_lp(mu, nu, tau, edges)
+    lp = _captured(monkeypatch, reference, lambda: reference.vix_bin_primal_lp(mu, nu, tau, edges))
+    dual = reference.vix_bin_lp(mu, nu, tau, edges)
     transposed = sparse.hstack([dual.A_eq.T, -dual.A_ub[0::2].T, -dual.A_ub[1::2].T])
     assert np.array_equal(lp.A_ub.toarray(), transposed.toarray())
     assert np.array_equal(lp.c, np.concatenate([dual.b_eq, np.zeros(16)]))
@@ -206,6 +207,30 @@ def _layout_vix_primal(rng, monkeypatch):
     rows = (phi[:, None, None] + psi + delta[..., None] * (nu.atoms - mu.atoms[:, None, None])
             + alpha[..., None] * (L[:, None, :] - lo2) + beta[..., None] * (hi2 - L[:, None, :]))
     return [(lp.A_ub, np.concatenate([phi, psi, delta.ravel(), alpha.ravel(), beta.ravel()]), rows.ravel())]
+
+
+def _layout_vix_two_point(rng, monkeypatch):
+    """The exact VIX LP on a pair with a nu atom on each mu atom, and its portfolio LP."""
+    mu = DiscreteMeasure([0.9, 1.0], [0.5, 0.5])
+    nu = DiscreteMeasure([0.7, 0.9, 1.0, 1.3], [7 / 24, 0.25, 0.25, 5 / 24])
+    lp, cols = solvers._vix_lp(mu, nu, 1.0)
+    # (i, j, k) with y_j < x_i < y_k, and (i, j, j) with y_j = x_i, in that order
+    expected = [(0, 0, 2), (0, 0, 3), (0, 1, 1), (1, 0, 3), (1, 1, 3), (1, 2, 2)]
+    assert list(zip(*(c.tolist() for c in cols[:3]))) == expected
+    portfolio = _captured(monkeypatch, solvers, lambda: solvers.vix_primal_lp(mu, nu, 1.0))
+    assert np.array_equal(portfolio.A_ub.toarray(), lp.A_eq.T.toarray()) and np.array_equal(portfolio.b_ub, lp.c)
+    Q = rng.uniform(size=len(expected))
+    i, j, k = np.array(expected).T
+    p = (nu.atoms[k] - mu.atoms[i]) / np.where(j == k, 1.0, nu.atoms[k] - nu.atoms[j])
+    p[j == k] = 1.0
+    assert np.array_equal(cols[3], p)
+    y_mass = np.zeros(4)
+    np.add.at(y_mass, j, Q * p)
+    np.add.at(y_mass, k, Q * (1 - p))
+    eq = np.concatenate([np.bincount(i, Q, minlength=2), y_mass])
+    L = 2.0 * np.log(mu.atoms[i] / nu.atoms[j]), 2.0 * np.log(mu.atoms[i] / nu.atoms[k])
+    assert lp.c == pytest.approx(np.sqrt(np.maximum(p * L[0] + (1 - p) * L[1], 0.0)), abs=1e-15)
+    return [(lp.A_eq, Q, eq)]
 
 
 def _layout_distance(rng, monkeypatch):
@@ -236,7 +261,7 @@ def _layout_refit(rng, monkeypatch):
 @pytest.mark.parametrize(
     "layout",
     [_layout_transport, _layout_polytope, _layout_american, _layout_vix_bins, _layout_vix_primal,
-     _layout_distance, _layout_refit],
+     _layout_vix_two_point, _layout_distance, _layout_refit],
     ids=lambda f: f.__name__.removeprefix("_layout_"),
 )
 def test_block_builder_layout(layout, monkeypatch):
@@ -407,15 +432,27 @@ def _drawn_vix_primal(rng, monkeypatch):
     raw = rng.uniform(0.6, 1.4, 2 * k)
     raw += mu.atoms.mean() - raw.mean()
     nu = convex_order_projection(mu, DiscreteMeasure(raw, np.full(2 * k, 1 / (2 * k))))
-    edges = solvers.vix_bin_edges(mu, nu, 1.0, int(rng.integers(2, 7)))
-    lp = _captured(monkeypatch, solvers, lambda: solvers.vix_primal_lp(mu, nu, 1.0, edges))
+    edges = reference.vix_bin_edges(mu, nu, 1.0, int(rng.integers(2, 7)))
+    lp = _captured(monkeypatch, reference, lambda: reference.vix_bin_primal_lp(mu, nu, 1.0, edges))
     assert lp.sense == "max" and (None, None) in lp.bounds
+    return lp
+
+
+def _drawn_vix_exact_portfolio(rng, monkeypatch):
+    """``vix_primal_lp``, the exact LP's portfolio: free columns only, maximised."""
+    k = int(rng.integers(2, 6))
+    mu = DiscreteMeasure(rng.uniform(0.85, 1.15, k), np.full(k, 1 / k))
+    raw = rng.uniform(0.6, 1.4, 2 * k)
+    raw += mu.atoms.mean() - raw.mean()
+    nu = convex_order_projection(mu, DiscreteMeasure(raw, np.full(2 * k, 1 / (2 * k))))
+    lp = _captured(monkeypatch, solvers, lambda: solvers.vix_primal_lp(mu, nu, 1.0))
+    assert lp.sense == "max" and set(lp.bounds) == {(None, None)}
     return lp
 
 
 @pytest.mark.parametrize(
     "draw",
-    [_drawn_transport, _drawn_polytope, _drawn_refit, _drawn_vix_primal],
+    [_drawn_transport, _drawn_polytope, _drawn_refit, _drawn_vix_primal, _drawn_vix_exact_portfolio],
     ids=lambda f: f.__name__.removeprefix("_drawn_"),
 )
 def test_solve_lp_is_bitwise_linprog(draw, monkeypatch):

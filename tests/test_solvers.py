@@ -23,6 +23,8 @@ from emot.solvers import (
     vix_dual_lp,
     vix_primal_lp,
 )
+import reference
+from reference import vix_bin_primal_lp, vix_bracket
 
 ABS_COST = CostSpec(fn=lambda x, u, ys: np.abs(np.asarray(ys) - x))
 
@@ -203,8 +205,37 @@ class TestAmerican:
             assert lower - 1e-8 <= r["value"] <= upper + 1e-8
 
 
+def positive_pair(rng, stay: bool):
+    """mu with 1-3 atoms in (0.85, 1.15); nu spreads each into a binary kernel and,
+    given ``stay``, keeps part of its mass at the atom itself."""
+    n = int(rng.integers(1, 4))
+    mu = DiscreteMeasure(rng.uniform(0.85, 1.15, n), rng.uniform(0.2, 1.0, n)).normalized()
+    nu = DiscreteMeasure([], [])
+    for x, w in zip(mu.atoms, mu.weights):
+        kept = rng.uniform(0.1, 0.5) if stay else 0.0
+        nu = nu + binary_kernel(x, x - rng.uniform(0.05, 0.3), x + rng.uniform(0.05, 0.3)).scaled(w * (1 - kept))
+        if stay:
+            nu = nu + DiscreteMeasure([x], [w * kept])
+    return mu, nu
+
+
+def _two_point_excess(r, mu, nu, tau):
+    """Largest amount by which the portfolio of ``vix_dual_lp``'s result ``r`` breaks
+    phi(x) + p psi(y_j) + (1 - p) psi(y_k) <= sqrt(p L(x, y_j) + (1 - p) L(x, y_k)) at
+    some y_j < x < y_k with mean x, or phi(x) + psi(x) <= 0 at an atom x of mu and nu."""
+    x, yj, yk = mu.atoms[:, None, None], nu.atoms[None, :, None], nu.atoms[None, None, :]
+    L = (2.0 / tau) * np.log(mu.atoms[:, None] / nu.atoms)
+    with np.errstate(divide="ignore", invalid="ignore"):  # p is nan or inf where y_j = y_k
+        p = (yk - x) / (yk - yj)
+        cost = np.sqrt(np.maximum(p * L[:, :, None] + (1 - p) * L[:, None, :], 0.0))
+        lhs = r["phi"][:, None, None] + p * r["psi"][:, None] + (1 - p) * r["psi"]
+    two_point = np.where((yj < x) & (x < yk), lhs - cost, -np.inf).max()
+    delta = np.where(mu.atoms[:, None] == nu.atoms, r["phi"][:, None] + r["psi"], -np.inf).max()
+    return float(max(two_point, delta))
+
+
 def _worst_excess(r, mu, nu, tau, sol):
-    """Largest amount by which the portfolio of ``vix_dual_lp``'s result ``r``
+    """Largest amount by which the portfolio of ``vix_bracket``'s result ``r``
     breaks a subreplication inequality at some (x, bin, y), with the log
     positions alpha, beta >= 0 of its bin-LP solution ``sol``."""
     alpha = -np.minimum(sol.duals_ub[0::2], 0.0).reshape(r["delta_l"].shape)
@@ -221,15 +252,16 @@ def _worst_excess(r, mu, nu, tau, sol):
 class TestVix:
     def test_trivial(self):
         m = DiscreteMeasure([1.0], [1.0])
-        r = vix_dual_lp(m, m, 1.0, 10)
+        r = vix_bracket(m, m, 1.0, 10)
         assert r["d_lo"] == pytest.approx(0.0, abs=1e-10)
         assert r["d_hi"] == pytest.approx(0.0, abs=1e-10)
+        assert vix_dual_lp(m, m, 1.0)["value"] == pytest.approx(0.0, abs=1e-10)
 
     def test_forced_kernel_bracket(self):
         mu = DiscreteMeasure([1.0], [1.0])
         nu = DiscreteMeasure([0.5, 1.5], [0.5, 0.5])
         target = np.sqrt(np.log(4.0 / 3.0))
-        r = vix_dual_lp(mu, nu, 1.0, 200)
+        r = vix_bracket(mu, nu, 1.0, 200)
         assert r["d_lo"] <= target <= r["d_hi"]
         assert r["d_hi"] - r["d_lo"] <= 0.02
 
@@ -240,7 +272,7 @@ class TestVix:
         nu = DiscreteMeasure(nu.atoms + shift, nu.weights)
         gaps = []
         for bins in (25, 50, 100):
-            r = vix_dual_lp(mu, nu, 0.5, bins)
+            r = vix_bracket(mu, nu, 0.5, bins)
             gaps.append(r["d_hi"] - r["d_lo"])
             assert r["d_lo"] <= r["d_hi"] + 1e-12
         assert gaps[2] <= gaps[1] + 1e-9 <= gaps[0] + 2e-9
@@ -251,8 +283,8 @@ class TestVix:
         for _ in range(12):
             mu, nu = (DiscreteMeasure(m.atoms + 4.0, m.weights) for m in random_in_order_pair(rng))
             tau, bins = rng.uniform(0.25, 2.0), int(rng.integers(2, 40))
-            r = vix_dual_lp(mu, nu, tau, bins)
-            upper = solvers._vix_bin_lp(mu, nu, tau, r["edges"])
+            r = vix_bracket(mu, nu, tau, bins)
+            upper = reference.vix_bin_lp(mu, nu, tau, r["edges"])
             upper.c = np.tile(np.repeat(r["edges"][1:], len(nu)), len(mu))
             solved = solve_lp(upper).value
             assert abs(r["d_hi"] - solved) <= 1e-12 * abs(solved)
@@ -266,7 +298,7 @@ class TestVix:
             solved.append(solve_lp(lp))
             return solved[-1]
 
-        monkeypatch.setattr(solvers, "solve_lp", spy)
+        monkeypatch.setattr(reference, "solve_lp", spy)
         rng = np.random.default_rng(29)
         for k in range(12):
             # the last pair gets >= 3 000 columns, so its bin LP goes to the interior point
@@ -274,11 +306,11 @@ class TestVix:
             mu, nu = (DiscreteMeasure(m.atoms + 4.0, m.weights) for m in pair)
             tau = rng.uniform(0.25, 2.0)
             bins = int(rng.integers(2, 40)) if k < 11 else -(-3000 // (len(mu) * len(nu)))
-            r = vix_dual_lp(mu, nu, tau, bins)
+            r = vix_bracket(mu, nu, tau, bins)
             sol = solved[-1]
             cols.append(sol.x.size)
             assert _worst_excess(r, mu, nu, tau, sol) <= 1e-9 * max(1.0, r["edges"][-2])
-            p = vix_primal_lp(mu, nu, tau, r["edges"])["p_value"]
+            p = vix_bin_primal_lp(mu, nu, tau, r["edges"])["p_value"]
             assert abs(r["p_value"] - p) <= 1e-12 * max(1.0, abs(p))
         assert cols[-1] >= 3000 > max(cols[:-1])
 
@@ -294,24 +326,74 @@ class TestVix:
             solved[-1].duals_eq[len(mu) + 2] += 5e-8
             return solved[-1]
 
-        monkeypatch.setattr(solvers, "solve_lp", raised_psi)
-        r = vix_dual_lp(mu, nu, 1.0, 4)
+        monkeypatch.setattr(reference, "solve_lp", raised_psi)
+        r = vix_bracket(mu, nu, 1.0, 4)
         assert _worst_excess(r, mu, nu, 1.0, solved[-1]) <= 1e-15
         assert r["d_lo"] - 1e-7 <= r["p_value"] <= r["d_lo"] + 1e-15
 
     def test_primal_duality(self):
         mu = DiscreteMeasure([1.0], [1.0])
         nu = DiscreteMeasure([0.5, 1.5], [0.5, 0.5])
-        r = vix_dual_lp(mu, nu, 1.0, 50)
-        p = vix_primal_lp(mu, nu, 1.0, r["edges"])
+        r = vix_bracket(mu, nu, 1.0, 50)
+        p = vix_bin_primal_lp(mu, nu, 1.0, r["edges"])
         assert p["p_value"] == pytest.approx(r["d_lo"], abs=1e-6)
         assert p["p_value"] <= r["d_hi"] + 1e-9
 
     def test_rejects_nonpositive_support(self):
         with pytest.raises(ValueError):
-            vix_dual_lp(
-                DiscreteMeasure([0.5], [1.0]), DiscreteMeasure([-1, 2], [0.5, 0.5]), 1.0, 10
-            )
+            vix_dual_lp(DiscreteMeasure([0.5], [1.0]), DiscreteMeasure([-1, 2], [0.5, 0.5]), 1.0)
+
+    def test_exact_value_lies_in_every_bracket(self):
+        """On drawn positive pairs, a third of them with nu atoms on mu atoms, the
+        exact value lies in the bin LP's bracket at 50 and 200 bins, the repaired
+        portfolio meets every two-point inequality, and its value is the
+        portfolio LP's and within 1e-7 of the exact value."""
+        rng = np.random.default_rng(27)
+        on_atoms = 0
+        for k in range(12):
+            mu, nu = positive_pair(rng, stay=k % 3 == 0)
+            on_atoms += bool(np.isin(mu.atoms, nu.atoms).any())
+            tau = rng.uniform(0.25, 2.0)
+            r = vix_dual_lp(mu, nu, tau)
+            for bins in (50, 200):
+                bracket = vix_bracket(mu, nu, tau, bins)
+                assert bracket["d_lo"] - 1e-9 <= r["value"] <= bracket["d_hi"] + 1e-9
+            assert _two_point_excess(r, mu, nu, tau) <= 1e-12
+            assert -1e-12 <= r["value"] - r["p_value"] <= 1e-7
+            assert abs(r["p_value"] - vix_primal_lp(mu, nu, tau)["p_value"]) <= 1e-9
+        assert on_atoms >= 4
+
+    def test_exact_portfolio_within_solver_tolerance_is_repaired(self, monkeypatch):
+        """Duals of the exact LP off by 5e-8 give a portfolio that meets every
+        two-point inequality, at a value within 1e-7 of the exact value."""
+        mu = DiscreteMeasure([0.9, 1.0, 1.1], [0.25, 0.5, 0.25])
+        nu = DiscreteMeasure([0.8, 0.9, 1.0, 1.1, 1.2], [0.125, 0.25, 0.25, 0.25, 0.125])
+
+        def raised_psi(lp):
+            sol = solve_lp(lp)
+            sol.duals_eq[len(mu) + 2] += 5e-8
+            return sol
+
+        monkeypatch.setattr(solvers, "solve_lp", raised_psi)
+        r = vix_dual_lp(mu, nu, 1.0)
+        assert _two_point_excess(r, mu, nu, 1.0) <= 1e-12
+        assert r["value"] - 1e-7 <= r["p_value"] <= r["value"] + 1e-15
+
+    def test_coupling_labels_each_kernel_with_its_vix_level(self):
+        """The coupling is a martingale coupling of (mu, nu) whose kernels each
+        meet E_K[L] = u^2, at the exact value sum w u."""
+        rng = np.random.default_rng(5)
+        for k in range(6):
+            mu, nu = positive_pair(rng, stay=k % 2 == 0)
+            r = vix_dual_lp(mu, nu, 1.0)
+            c = r["coupling"]
+            xs, us, w = c.first_marginal.xs, c.first_marginal.us, c.first_marginal.weights
+            assert check_martingale(c, 1e-12)[0]
+            assert total_variation(c.first_marginal.x_marginal(), mu) <= 1e-12
+            assert total_variation(DiscreteMeasure(c.y_support, w @ c.kernels), nu) <= 1e-12
+            moment = (c.kernels * 2.0 * np.log(xs[:, None] / c.y_support)).sum(axis=1)
+            assert np.abs(np.sqrt(np.maximum(moment, 0.0)) - us).max() <= 1e-9
+            assert w @ us == pytest.approx(r["value"], abs=1e-12)
 
 
 # the pair whose shadow LP returned a plan with a negative kernel weight

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from emot.cli import main
 from emot.convex_order import binary_kernel
 from emot.measures import DiscreteMeasure, check_convex_order, mean
+from emot.solvers import vix_dual_lp
 from emot.stability import (
     PERTURBATIONS,
     ROW_FIELDS,
@@ -226,6 +227,14 @@ class TestRunAndEmit:
         statuses = [row["status"] for row in rep.rows]
         assert statuses == ["ok", "error"]
         assert "ValueError" in rep.rows[1]["reason"]
+
+    def test_vix_rows_report_the_exact_value(self):
+        mu = DiscreteMeasure([0.9, 1.1], [0.5, 0.5])
+        nu = DiscreteMeasure([0.7, 1.0, 1.3], [0.25, 0.5, 0.25])
+        rep = run_stability(ExperimentConfig(mu=mu, nu=nu, problem="vix", scales=(0.1, 0.05), seed=3))
+        exact = vix_dual_lp(mu, nu, 1.0)["value"]
+        assert [row["status"] for row in rep.rows] == ["ok", "ok"]
+        assert all(abs(row["value_base"] - exact) <= 1e-9 for row in rep.rows)
 
 
 class TestCli:

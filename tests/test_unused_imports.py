@@ -21,7 +21,7 @@ MODULES = sorted(SRC.glob("*.py"))
 UNCALLED_PUBLIC = {
     "DiscreteMeasure.integrate": "the integral of a payoff against a measure, the tests' closed-form price (criterion 06)",
     "LiftedMeasure.u_marginal": "the label marginal of a lifted measure, for callers and the copula-lift tests",
-    "vix_primal_lp": "the portfolio LP, the oracle for the portfolio vix_dual_lp reads from its duals (criterion 07)",
+    "vix_primal_lp": "exact portfolio LP, oracle for the repaired duals",
     "check_martingale": "a coupling's martingale residual, for callers and the tests of every solver",
     "report_from_csv": "reads a stability CSV emission back, exactly",
     "w1_binary": "closed-form W1 between binary kernels (criterion 12)",
