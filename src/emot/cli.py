@@ -53,12 +53,24 @@ def _load(path: str) -> dict:
         return json.load(fh)
 
 
+def _marginal(kind, data: dict):
+    """``kind`` on the input's atoms and weights; one it refuses, or one with no
+    mass, is an input error, as in ``ExperimentConfig.from_json``."""
+    try:
+        m = kind(data["atoms"], data["weights"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad marginal: {exc}") from exc
+    if len(m) == 0:
+        raise ConfigError("bad marginal: empty measure")
+    return m
+
+
 def _measure(data: dict) -> DiscreteMeasure:
-    return DiscreteMeasure(data["atoms"], data["weights"])
+    return _marginal(DiscreteMeasure, data)
 
 
 def _lifted(data: dict) -> LiftedMeasure:
-    return LiftedMeasure(data["atoms"], data["weights"])
+    return _marginal(LiftedMeasure, data)
 
 
 def _measure_json(m: DiscreteMeasure) -> dict:
@@ -139,7 +151,10 @@ def cmd_vix(args) -> dict:
     if args.bins is not None:
         sys.stderr.write("emot vix: --bins is ignored, the VIX LP is exact\n")
     data = _load(args.input)
-    r = vix_dual_lp(_measure(data["mu"]), _measure(data["nu"]), args.tau)
+    mu, nu = _measure(data["mu"]), _measure(data["nu"])
+    if min(mu.atoms.min(), nu.atoms.min()) <= 0:
+        raise ConfigError("VIX marginals must be supported on (0, inf)")
+    r = vix_dual_lp(mu, nu, args.tau)
     # the value is exact, so a reader of the bracket keys d_lo, d_hi gets it twice
     return {"value": r["value"], "d_lo": r["value"], "d_hi": r["value"], "p_value": r["p_value"], "tau": args.tau}
 

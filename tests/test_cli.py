@@ -112,6 +112,23 @@ def _input(tmp_path, data, name="input.json"):
 
 
 @pytest.mark.parametrize(
+    "command, data",
+    [
+        ("mot", {**SPREAD, "mu": {"atoms": [0.0], "weights": [-1.0]}}),
+        ("mot", {**SPREAD, "mu": {"atoms": [-1.0, 0.0, 1.0], "weights": [0.5, 0.5]}}),
+        ("mot", {**SPREAD, "mu": {"atoms": [], "weights": []}}),
+        ("mot", {**SPREAD, "nu": {"atoms": [], "weights": []}}),
+        ("emot", {**LIFTED, "mu_bar": {"atoms": [[0.0, 0.5]], "weights": [-1.0]}}),
+        ("vix", {**POSITIVE, "nu": {"atoms": [0.0, 2.0], "weights": [0.5, 0.5]}}),
+    ],
+    ids=["negative-weight", "lengths-differ", "empty-mu", "empty-nu", "negative-lifted-weight", "vix-nu-atom-at-0"],
+)
+def test_bad_marginal_is_a_config_error(tmp_path, capsys, command, data):
+    assert main([command, "--input", _input(tmp_path, data)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, data, args",
     [
         ("mot", SPREAD, []),

@@ -354,6 +354,64 @@ def test_large_mot_lp_takes_interior_point_with_crossover(monkeypatch):
         assert np.array_equal(getattr(first, name), getattr(second, name)), name
 
 
+# the American LP of op 33 of the benchmark's seed-6 lp_large inputs: mu has 60 atoms of
+# weight 1/60, nu 87 atoms
+AMER_MU_ATOMS = [
+    -0.9997379231202119, -0.9613609381392649, -0.9453348221690785, -0.8191951780300739, -0.7841717375771289,
+    -0.7808985459734339, -0.7745036065268358, -0.7377943859114713, -0.7237181081461019, -0.7227402957909466,
+    -0.7091925722960684, -0.6607456260614823, -0.6098341180264668, -0.6029680195666254, -0.5684438393567679,
+    -0.5381633897316795, -0.4978004372654834, -0.4880650205299273, -0.45548870511604633, -0.44232864737347843,
+    -0.41739008798720123, -0.33869378260446936, -0.31114280394990845, -0.28283794469863666, -0.26620977417728175,
+    -0.23392411635119426, -0.22926198793290942, -0.21708352569156908, -0.19384115061938445, -0.11015714656558306,
+    -0.10338894885781236, -0.07318785070959999, -0.06356332516746477, -0.007698661923253525, 0.0018843755532056417,
+    0.03416866944714991, 0.03574560475252464, 0.1451028281801796, 0.2112247547219004, 0.2675796865179727,
+    0.3069313933407867, 0.3443658991708831, 0.35862028650988265, 0.40847137998039984, 0.42722315386579135,
+    0.43703485118248864, 0.43723154800556263, 0.45162800148603877, 0.4733254963105342, 0.5739480485043937,
+    0.5886334747437425, 0.7281322934811227, 0.7771199935026032, 0.77770512123489, 0.7840581480059712,
+    0.7909740110152281, 0.9249807134100776, 0.9291285822740494, 0.9720749482662088, 0.9755232653385033,
+]
+AMER_NU_ATOMS = [
+    -2.4476278615762923, -2.4083072222110413, -2.3749476305905635, -2.2193217542310872, -2.0403027221813925,
+    -1.937423505447255, -1.9321694302869616, -1.8797430683635383, -1.8704168981538496, -1.844460414640225,
+    -1.8107219508624315, -1.7953907523652797, -1.743877064505134, -1.7403632074783406, -1.663536554727306,
+    -1.6341595248990357, -1.5740794210303393, -1.542977605227453, -1.5009622520572181, -1.3230515423733595,
+    -1.2451585476477685, -1.0348524693545507, -0.9397075948133041, -0.9366846638995888, -0.9192037188756977,
+    -0.9095264919970428, -0.8728084428224988, -0.8152883007423172, -0.8136243571926115, -0.7355468756547442,
+    -0.6201431162766445, -0.5173289730898493, -0.46795726237619756, -0.44312106769646026, -0.43691234688113684,
+    -0.3876721232345252, -0.382270568156761, -0.29664642803469937, -0.24264046764460648, -0.23481122826746517,
+    -0.23297021025001344, -0.1794415119854175, -0.1351442845817751, -0.1048725208934608, -0.024197075433042205,
+    0.054818993631737666, 0.14941397443160728, 0.17828048014363138, 0.18780638691001603, 0.21903071049627595,
+    0.245931557354884, 0.24805647867521627, 0.2562435497185927, 0.3372263310648534, 0.3378312402207591,
+    0.3482094099637892, 0.3700114347299513, 0.3830625354289399, 0.5634511136948114, 0.5949890374446246,
+    0.6033639314799014, 0.6098188503889145, 0.6634113452067635, 0.7096249157351145, 0.8253065544621742,
+    0.8573032898915977, 0.9691558767049225, 1.2319661944442863, 1.2724032519528707, 1.279338596003539,
+    1.3498330831057346, 1.3619266433206416, 1.5292977085561112, 1.5425970875001207, 1.542895255706214,
+    1.6389069186310712, 1.8828936618747898, 1.9664019677739404, 1.9919359660396525, 2.0429735409314684,
+    2.120770252881714, 2.1255544357001384, 2.172687457520542, 2.206293187274823, 2.325500681236818,
+    2.35619910865379, 2.4729748161659497,
+]
+AMER_NU_WEIGHTS = np.repeat(
+    [0.011494252873563218, 0.011494252873563232, 0.011494252873563204, 0.01149425287356326,
+     0.011494252873563204, 0.011494252873564204],
+    [10, 1, 32, 1, 42, 1],
+)
+
+
+def test_large_american_lp_is_optimal_at_the_default_dual_tolerance(monkeypatch):
+    """With the dual feasibility tolerance at 1e-10 as well as the primal one,
+    crossover left this LP 3.6e-8 dual infeasible and HiGHS reported status
+    Unknown, so ``emot amer`` exited with code 3."""
+    mu = DiscreteMeasure(AMER_MU_ATOMS, np.full(60, 1 / 60))
+    nu = DiscreteMeasure(AMER_NU_ATOMS, AMER_NU_WEIGHTS)
+    payoffs = np.maximum(mu.atoms, 0.0), np.tile(0.9 * np.maximum(nu.atoms, 0.0), (len(mu), 1))
+    lp = _captured(monkeypatch, solvers, lambda: solvers.price_american(mu, nu, *payoffs))
+    sol = solve_lp(lp)
+    assert sol.stats["method"] == "highs-ipm" and lp.n_vars >= lp_core.LARGE_COLS
+    sign = 1.0 if lp.sense == "min" else -1.0
+    presolved = linprog(sign * lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq, method="highs-ipm")
+    assert abs(sol.value - sign * presolved.fun) <= 1e-12 * abs(presolved.fun)
+
+
 def test_transport_and_mid_sized_mot_stay_on_dual_simplex(monkeypatch):
     rng = np.random.default_rng(1)
     w = np.full(100, 0.01)
@@ -379,10 +437,13 @@ def test_stats_method_follows_the_column_rule():
 
 
 def _oracle(p, method):
-    """scipy's ``linprog`` on the LP ``solve_lp`` hands HiGHS."""
+    """scipy's ``linprog`` on the LP ``solve_lp`` hands HiGHS, from ``LARGE_COLS``
+    columns on without presolve and at a primal feasibility tolerance of 1e-10."""
     sign = 1.0 if p.sense == "min" else -1.0
     bounds = p.bounds if p.bounds is not None else (0, None)
-    return sign, linprog(sign * p.c, A_ub=p.A_ub, b_ub=p.b_ub, A_eq=p.A_eq, b_eq=p.b_eq, bounds=bounds, method=method)
+    options = {"presolve": False, "primal_feasibility_tolerance": 1e-10} if p.n_vars >= lp_core.LARGE_COLS else {}
+    return sign, linprog(sign * p.c, A_ub=p.A_ub, b_ub=p.b_ub, A_eq=p.A_eq, b_eq=p.b_eq, bounds=bounds, method=method,
+                         options=options)
 
 
 def _assert_bitwise(p):
@@ -399,18 +460,51 @@ def _assert_bitwise(p):
     return sol
 
 
-def _drawn_transport(rng, monkeypatch):
-    n, m = rng.integers(2, 13, size=2)
+def _transport(rng, n, m):
     w_row, w_col = rng.uniform(0.1, 1, n), rng.uniform(0.1, 1, m)
     w_col *= w_row.sum() / w_col.sum()
     b_eq = np.concatenate([w_row, w_col])
     return LinearProgram(c=rng.uniform(size=n * m), A_eq=lp_core.plan_rows(n, m), b_eq=b_eq)
 
 
+def _drawn_transport(rng, monkeypatch):
+    return _transport(rng, *rng.integers(2, 13, size=2))
+
+
+def _drawn_transport_below_large(rng, monkeypatch):
+    """27 x 37: 999 columns, one below ``LARGE_COLS``."""
+    lp = _transport(rng, 27, 37)
+    assert lp.n_vars == lp_core.LARGE_COLS - 1
+    return lp
+
+
+def _drawn_transport_at_large(rng, monkeypatch):
+    """25 x 40: ``LARGE_COLS`` columns."""
+    lp = _transport(rng, 25, 40)
+    assert lp.n_vars == lp_core.LARGE_COLS
+    return lp
+
+
+def _drawn_transport_large(rng, monkeypatch):
+    """40 x 40, the AW1 outer LP of ``stability_approx``."""
+    return _transport(rng, 40, 40)
+
+
+def _polytope(rng, k, m_raw):
+    lifted = LiftedMeasure(np.column_stack([rng.uniform(-1, 1, k), rng.uniform(0, 1, k)]), np.full(k, 1 / k))
+    return _mot_lp(rng, lifted, m_raw)[1]
+
+
 def _drawn_polytope(rng, monkeypatch):
     k = int(rng.integers(2, 9))
-    lifted = LiftedMeasure(np.column_stack([rng.uniform(-1, 1, k), rng.uniform(0, 1, k)]), np.full(k, 1 / k))
-    return _mot_lp(rng, lifted, int(rng.integers(k, 3 * k)))[1]
+    return _polytope(rng, k, int(rng.integers(k, 3 * k)))
+
+
+def _drawn_polytope_large(rng, monkeypatch):
+    """40 x 58, the mot LP of ``stability_approx``: above ``LARGE_COLS``, below ``IPM_MIN_COLS``."""
+    lp = _polytope(rng, 40, 58)
+    assert lp_core.LARGE_COLS <= lp.n_vars < lp_core.IPM_MIN_COLS
+    return lp
 
 
 def _drawn_refit(rng, monkeypatch):
@@ -452,7 +546,8 @@ def _drawn_vix_exact_portfolio(rng, monkeypatch):
 
 @pytest.mark.parametrize(
     "draw",
-    [_drawn_transport, _drawn_polytope, _drawn_refit, _drawn_vix_primal, _drawn_vix_exact_portfolio],
+    [_drawn_transport, _drawn_polytope, _drawn_refit, _drawn_vix_primal, _drawn_vix_exact_portfolio,
+     _drawn_transport_below_large, _drawn_transport_at_large, _drawn_transport_large, _drawn_polytope_large],
     ids=lambda f: f.__name__.removeprefix("_drawn_"),
 )
 def test_solve_lp_is_bitwise_linprog(draw, monkeypatch):

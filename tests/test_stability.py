@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from emot import lp_core, solvers
 from emot.cli import main
 from emot.convex_order import binary_kernel
 from emot.measures import DiscreteMeasure, check_convex_order, mean
@@ -27,6 +28,38 @@ def base_pair():
         DiscreteMeasure([-1, 0, 1], [0.25, 0.5, 0.25]),
         DiscreteMeasure([-2, 0, 2], [0.25, 0.5, 0.25]),
     )
+
+
+# mot pair 6 of the benchmark's held-out seed-3 stability_approx inputs: mu has 40 atoms
+# of weight 1/40, nu 58 atoms
+HELDOUT_MU_ATOMS = [
+    -0.9505039918065223, -0.9499514984747228, -0.9161600723160315, -0.9022972909509315, -0.8239539391019162,
+    -0.8125657478375707, -0.7970478041508813, -0.7758757537754251, -0.6672838330243795, -0.6666238557375219,
+    -0.5742312635670876, -0.4947788736413996, -0.4562258154633263, -0.30577552972485034, -0.29229589124896127,
+    -0.24831226887684066, -0.15749983077517293, -0.09410596665306081, -0.04961161742251807, -0.001887283064012868,
+    0.13040494484495535, 0.15029557834351648, 0.16644744937998723, 0.2272408201724272, 0.23395783835294726,
+    0.24447555644024188, 0.3096292290466831, 0.3185322774699795, 0.355632941841717, 0.3568911430831776,
+    0.5802804557090908, 0.6425684126453886, 0.6595894101058375, 0.7524348099515081, 0.8394965476449316,
+    0.9401059081151062, 0.9564922784461507, 0.9569529038462556, 0.9709988070687678, 0.9836918883976529,
+]
+HELDOUT_NU_ATOMS = [
+    -2.439688170219182, -2.211868184654987, -2.1990862969312976, -2.120846906457887, -1.9846399914115136,
+    -1.8969712608447469, -1.775487343886351, -1.749376696049089, -1.7355401645094934, -1.692778102818136,
+    -1.646197729142434, -1.5945606490407087, -1.4037225756194387, -1.3874943546016771, -1.230139800626258,
+    -1.2017592819252714, -1.0694380868085167, -0.8399810230102704, -0.7259217441523069, -0.592509286670396,
+    -0.5838386340204771, -0.5780397135168152, -0.5534183551297882, -0.4697409156468346, -0.4231740309036458,
+    -0.27013673283549444, -0.2600195735397901, -0.2373742230088647, -0.08592602349904203, -0.085595220855939,
+    0.11639328207093676, 0.13871995944022594, 0.14375322029323187, 0.28539656333206853, 0.40036298934608006,
+    0.4171217225332482, 0.4325918416226018, 0.43764886174799145, 0.4538424129471741, 0.6282907774283037,
+    0.940329992477345, 0.9584105765560951, 0.9850615591554437, 0.9912011573384243, 1.008546938579062,
+    1.2857670140487407, 1.3623739867105757, 1.6595236061076672, 1.8334616269859332, 1.9696336470296103,
+    2.0560800502573855, 2.0843007825615754, 2.1616764429334676, 2.1854546579507774, 2.4105272215004936,
+    2.464192225974509, 2.4947187480451936, 2.506629263637617,
+]
+HELDOUT_NU_WEIGHTS = np.repeat(
+    [0.017241379310344827, 0.017241379310344834, 0.017241379310344807, 0.017241379310344862, 0.017241379310344085],
+    [4, 11, 14, 28, 1],
+)
 
 
 @st.composite
@@ -216,6 +249,25 @@ class TestRunAndEmit:
         cfg = ExperimentConfig(mu=FOUND_MU, nu=FOUND_NU, problem="shadow", scales=(0.2, 0.05), seed=5)
         rep = run_stability(cfg)
         assert [row["status"] for row in rep.rows] == ["ok", "ok"]
+
+    def test_mot_plans_of_a_large_pair_have_no_negative_entry(self, monkeypatch):
+        # without presolve at HiGHS's default primal feasibility tolerance
+        # (1e-7), the perturbed plan held an entry of -9.9e-9 and the row
+        # failed with "negative kernel weight"
+        plans, solve = [], solvers.solve_lp
+
+        def spy(p):
+            sol = solve(p)
+            plans.append(sol.x)
+            return sol
+
+        monkeypatch.setattr(solvers, "solve_lp", spy)
+        mu = DiscreteMeasure(HELDOUT_MU_ATOMS, np.full(40, 1 / 40))
+        nu = DiscreteMeasure(HELDOUT_NU_ATOMS, HELDOUT_NU_WEIGHTS)
+        cfg = ExperimentConfig(mu=mu, nu=nu, problem="mot", perturbation="mass_jitter", scales=(0.2,), seed=1220963932)
+        (row,) = run_stability(cfg).rows
+        assert row["status"] == "ok", row["reason"]
+        assert len(plans) == 2 and all(x.size >= lp_core.LARGE_COLS and x.min() >= 0.0 for x in plans)
 
     def test_error_rows_are_tagged(self):
         # a jitter wide enough to push a VIX marginal below zero fails at
