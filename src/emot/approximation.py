@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_order import ConvexOrderError, convex_min, convex_order_projection, irreducible_decomposition, window_kernel
+from .convex_order import (
+    ConvexOrderError,
+    convex_min,
+    convex_order_projection,
+    irreducible_decomposition,
+    require_convex_order,
+    window_kernel,
+)
 from .couplings import DiscreteCoupling, _point_cost, adapted_wasserstein, coupling_from_plan, disintegrate, martingale_polytope_lp
 from .lp_core import Block, LinearProgram, block_rows, solve_lp, transport_plan
 from .measures import DiscreteMeasure, LiftedMeasure, cdf, check_convex_order, mean, wasserstein_line
@@ -52,9 +59,7 @@ def split_marginals(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Discret
     """
     mu_bar = pi.first_marginal
     mu = pi.x_marginal()
-    ok, witness = check_convex_order(mu_bar_p.x_marginal(), nu_p)
-    if not ok:
-        raise ConvexOrderError("perturbed marginals are not in convex order", witness)
+    require_convex_order(mu_bar_p.x_marginal(), nu_p, "perturbed marginals are not in convex order")
     decomp = irreducible_decomposition(mu, pi.second_marginal())
     plan, _ = transport_plan(_point_cost(mu_bar.atoms, mu_bar_p.atoms, 1.0), mu_bar.weights, mu_bar_p.weights)
 
@@ -201,9 +206,7 @@ def min_cost_martingale_rearrangement(theta: DiscreteMeasure, nu: DiscreteMeasur
     one, so the classical rearrangement bound carries over.  The report
     holds the cost, the bound and the plan, one row per atom of theta.
     """
-    ok, witness = check_convex_order(theta, nu)
-    if not ok:
-        raise ConvexOrderError("rearrangement requires convex order", witness)
+    require_convex_order(theta, nu, "rearrangement requires convex order")
     mb = LiftedMeasure.from_measure(theta)
     plan, cost = _min_displacement(mb, nu)
     # the order check allows a mass gap of 1e-9; W1 needs equal masses

@@ -54,10 +54,10 @@ def _load(path: str) -> dict:
 
 
 def _marginal(kind, data: dict):
-    """``kind`` on the input's atoms and weights; one it refuses, or one with no
+    """``kind`` read from the input's dict form; one it refuses, or one with no
     mass, is an input error, as in ``ExperimentConfig.from_json``."""
     try:
-        m = kind(data["atoms"], data["weights"])
+        m = kind.from_dict(data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad marginal: {exc}") from exc
     if len(m) == 0:
@@ -73,10 +73,6 @@ def _lifted(data: dict) -> LiftedMeasure:
     return _marginal(LiftedMeasure, data)
 
 
-def _measure_json(m: DiscreteMeasure) -> dict:
-    return {"atoms": m.atoms.tolist(), "weights": m.weights.tolist()}
-
-
 def _write(report: dict, out: str | None):
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
@@ -90,14 +86,10 @@ def _write(report: dict, out: str | None):
 _EXTENSIONS = {"csv": "csv", "json": "json", "plotdata": "plot.json"}
 
 
-def _coupling_json(c: DiscreteCoupling) -> dict:
-    return json.loads(c.to_json())
-
-
 def cmd_mot(args) -> dict:
     data = _load(args.input)
     r = solve_mot(_measure(data["mu"]), _measure(data["nu"]), CostSpec(fn=COSTS[args.cost]), args.sense)
-    return {"value": r["value"], "coupling": _coupling_json(r["coupling"])}
+    return {"value": r["value"], "coupling": r["coupling"].to_dict()}
 
 
 def cmd_emot(args) -> dict:
@@ -105,7 +97,7 @@ def cmd_emot(args) -> dict:
     r = solve_extended_mot(
         _lifted(data["mu_bar"]), _measure(data["nu"]), CostSpec(fn=COSTS[args.cost]), args.sense
     )
-    return {"value": r["value"], "coupling": _coupling_json(r["coupling"])}
+    return {"value": r["value"], "coupling": r["coupling"].to_dict()}
 
 
 def cmd_wmot(args) -> dict:
@@ -115,7 +107,7 @@ def cmd_wmot(args) -> dict:
         "value": r["value"],
         "fw_gap": r["fw_gap"],
         "iterations": r["iterations"],
-        "coupling": _coupling_json(r["coupling"]),
+        "coupling": r["coupling"].to_dict(),
     }
 
 
@@ -164,7 +156,7 @@ def cmd_shadow(args) -> dict:
     mu, nu = _measure(data["mu"]), _measure(data["nu"])
     mb = copula_lift(mu, args.copula, args.m)
     r = shadow_coupling(mb, nu)
-    return {"value": r["value"], "coupling": _coupling_json(r["coupling"])}
+    return {"value": r["value"], "coupling": r["coupling"].to_dict()}
 
 
 def cmd_decompose(args) -> dict:
@@ -172,20 +164,20 @@ def cmd_decompose(args) -> dict:
     d = irreducible_decomposition(_measure(data["mu"]), _measure(data["nu"]))
     return {
         "components": [
-            {"interval": list(c.interval), "mu": _measure_json(c.mu), "nu": _measure_json(c.nu)}
+            {"interval": list(c.interval), "mu": c.mu.to_dict(), "nu": c.nu.to_dict()}
             for c in d.components
         ],
-        "stationary": _measure_json(d.stationary) if not d.stationary.is_zero else None,
+        "stationary": d.stationary.to_dict() if not d.stationary.is_zero else None,
     }
 
 
 def cmd_approx(args) -> dict:
     data = _load(args.input)
-    pi = DiscreteCoupling.from_json(json.dumps(data["coupling"]))
+    pi = DiscreteCoupling.from_dict(data["coupling"])
     out, diag = approximate_coupling(
         pi, _lifted(data["mu_bar"]), _measure(data["nu"]), args.eps
     )
-    return {"aw1": diag["aw1"], "stages": diag["stages"], "coupling": _coupling_json(out)}
+    return {"aw1": diag["aw1"], "stages": diag["stages"], "coupling": out.to_dict()}
 
 
 def cmd_stability(args) -> dict:

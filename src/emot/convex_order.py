@@ -34,6 +34,16 @@ class ConvexOrderError(ValueError):
         self.witness = witness
 
 
+def require_convex_order(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, message: str = "marginals are not in convex order", tol: float = 1e-9
+):
+    """Raise ``ConvexOrderError(message, witness)`` unless ``check_convex_order``
+    finds mu <=_cx nu at ``tol``."""
+    ordered, witness = check_convex_order(mu, nu, tol)
+    if not ordered:
+        raise ConvexOrderError(message, witness)
+
+
 def binary_kernel(x: float, l: float, r: float) -> DiscreteMeasure:
     """The unique probability on {l, r} with barycentre x; Dirac when degenerate."""
     if not (l <= x <= r):
@@ -147,9 +157,7 @@ def irreducible_decomposition(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: flo
     Per component, nu gets its interior atoms plus endpoint atoms sized by a
     2x2 mass/mean matching system; eta is mu restricted to {u_mu = u_nu}.
     """
-    ordered, witness = check_convex_order(mu, nu, tol)
-    if not ordered:
-        raise ConvexOrderError("mu is not dominated by nu in convex order", witness)
+    require_convex_order(mu, nu, "mu is not dominated by nu in convex order", tol)
     pts = np.union1d(mu.atoms, nu.atoms)
     gap = potential_values(nu, pts) - potential_values(mu, pts)
     scale = max(1.0, nu.mass, float(np.abs(pts).max()))

@@ -11,7 +11,6 @@ exactly with ``disintegrate``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,20 +73,16 @@ class DiscreteCoupling:
         flat = LiftedMeasure(np.column_stack([xs, np.zeros(xs.size)]), w)
         return DiscreteCoupling(flat, self.y_support, K / w[:, None])
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "first_marginal": json.loads(self.first_marginal.to_json()),
-                "y_support": self.y_support.tolist(),
-                "kernels": self.kernels.tolist(),
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "first_marginal": self.first_marginal.to_dict(),
+            "y_support": self.y_support.tolist(),
+            "kernels": self.kernels.tolist(),
+        }
 
     @staticmethod
-    def from_json(text: str) -> "DiscreteCoupling":
-        data = json.loads(text)
-        fm = LiftedMeasure(data["first_marginal"]["atoms"], data["first_marginal"]["weights"])
-        return DiscreteCoupling(fm, data["y_support"], data["kernels"])
+    def from_dict(data: dict) -> "DiscreteCoupling":
+        return DiscreteCoupling(LiftedMeasure.from_dict(data["first_marginal"]), data["y_support"], data["kernels"])
 
 
 def disintegrate(table):

@@ -16,21 +16,29 @@ where dual simplex won at every size measured (the interior point took
 about 2x as long at 60x60, 100x100 and 150x150).
 
 LPs with at least ``LARGE_COLS`` columns run without presolve, at a
-primal feasibility tolerance of 1e-10; smaller LPs keep presolve, and
-every LP keeps HiGHS's default tolerances otherwise (1e-7).  Measured by
-replaying the LPs of seed-0 benchmark passes, four alternating rounds on
-a 2-core host, faster in every round: without presolve the 14 500-column
-mot LPs took 0.71x the time (the same 192 IPM iterations), the
-10 440-column American LPs 0.78x, the 2 320-column mot LPs of the
-stability runs 0.60x and their 1 600-column AW1 transport LPs 0.41x, with
-values within 6.2e-15 relative.  The tolerance comes with it: without
-presolve at 1e-7, one 2 320-column mot plan held an entry of -9.9e-9,
-which ``DiscreteCoupling`` refuses.  The dual tolerance stays: at 1e-10,
-crossover left one 10 440-column American LP 3.6e-8 dual infeasible and
-HiGHS reported status Unknown.  Below 1 000 columns presolve solves most
-LPs outright (2 259 of the 2 611 in a seed-0 stability pass take no
-simplex iteration), and without it one 9-column LP kept an equality
-residual of 4.6e-8, against 6e-13 with it.
+primal feasibility tolerance of 1e-10; smaller LPs keep presolve, at a
+primal feasibility tolerance of 1e-9, and every LP keeps HiGHS's default
+tolerances otherwise (1e-7).  Presolve was measured by replaying the LPs
+of seed-0 benchmark passes, four alternating rounds on a 2-core host,
+faster in every round: without presolve the 14 500-column mot LPs took
+0.71x the time (the same 192 IPM iterations), the 10 440-column American
+LPs 0.78x, the 2 320-column mot LPs of the stability runs 0.60x and their
+1 600-column AW1 transport LPs 0.41x, with values within 6.2e-15
+relative.  Below 1 000 columns presolve solves most LPs outright (2 259
+of the 2 611 in a seed-0 stability pass take no simplex iteration), and
+without it one 9-column LP kept an equality residual of 4.6e-8, against
+6e-13 with it.  At the default primal tolerance mot plans held negative
+entries, which ``DiscreteCoupling`` refuses: -9.9e-9 in a 2 320-column
+plan without presolve, -4.7e-8 in an 800-column plan with it.  One
+tolerance does not serve both: with presolve at 1e-10, presolve called a
+feasible 15-column LP with two weights of 1.5e-11 infeasible, and without
+presolve at 1e-9, 2 of 20 mot values on 2 320-column pairs scaled by 1e-5
+came back wrong, against none at 1e-10.  Below ``LARGE_COLS``, 1e-9 gave
+bitwise the default's x, value and iteration count on 2 621 of the 2 627
+LPs of seed-0 passes of both benchmark workloads; the other six, 9-column
+LPs that presolve solves, moved by 9e-16 at most.  The dual tolerance
+stays: at 1e-10, crossover left one 10 440-column American LP 3.6e-8 dual
+infeasible and HiGHS reported status Unknown.
 
 HiGHS is called through scipy's bundled binding
 (``scipy.optimize._highspy._core``) with the model and options that
@@ -70,7 +78,7 @@ from scipy.optimize._highspy._core import (
 
 FEAS_TOL = 1e-9
 IPM_MIN_COLS = 3000
-LARGE_COLS = 1000  # from here on HiGHS runs without presolve, at a primal feasibility tolerance of 1e-10
+LARGE_COLS = 1000  # from here on HiGHS runs without presolve, at a primal feasibility tolerance of 1e-10 (1e-9 below)
 MAX_VERTICES = 10000  # enumerate_vertices stops after this many
 
 
@@ -201,9 +209,10 @@ def solve_lp(p: LinearProgram) -> LPSolution:
 
     The method follows the LP: interior point with crossover when it has at
     least ``IPM_MIN_COLS`` columns and a constraint coefficient other than
-    0/+-1, dual simplex otherwise; from ``LARGE_COLS`` columns on, HiGHS runs
-    without presolve at a primal feasibility tolerance of 1e-10 (see the
-    module docstring for the measurements behind each rule)."""
+    0/+-1, dual simplex otherwise; HiGHS runs with presolve at a primal
+    feasibility tolerance of 1e-9, and from ``LARGE_COLS`` columns on without
+    presolve at 1e-10 (see the module docstring for the measurements behind
+    each rule)."""
     sign = 1.0 if p.sense == "min" else -1.0
     ipm = p.n_vars >= IPM_MIN_COLS and not all(
         np.isin(A.data, (-1.0, 0.0, 1.0)).all() for A in (p.A_eq, p.A_ub) if A is not None
@@ -230,8 +239,7 @@ def solve_lp(p: LinearProgram) -> LPSolution:
 def _highs_options(solver: str, large: bool) -> HighsOptions:
     options = HighsOptions()
     options.presolve = "off" if large else "on"
-    if large:
-        options.primal_feasibility_tolerance = 1e-10
+    options.primal_feasibility_tolerance = 1e-10 if large else 1e-9
     options.solver = solver
     options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.output_flag = options.log_to_console = False
@@ -250,9 +258,9 @@ _POINT_TOL = 10 * np.sqrt(1e-9)  # linprog's check of an optimal point against i
 def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), method="highs-ds"):
     """HiGHS on min c @ x s.t. A_ub x <= b_ub, A_eq x = b_eq and ``bounds``
     (default x >= 0), given the model and options ``scipy.optimize.linprog``
-    gives it: A_ub stacked over A_eq as CSC, presolve on (off, with a 1e-10
-    primal feasibility tolerance, from ``LARGE_COLS`` columns), the dual simplex
-    strategy, output off, and ``method`` "highs-ds" (dual simplex) or
+    gives it: A_ub stacked over A_eq as CSC, presolve on at a 1e-9 primal
+    feasibility tolerance (off, at 1e-10, from ``LARGE_COLS`` columns), the
+    dual simplex strategy, output off, and ``method`` "highs-ds" (dual simplex) or
     "highs-ipm" (IPX with crossover).  Like ``linprog`` it reports an
     "optimal" point off a row or bound by more than 10*sqrt(1e-9) as status 4.
 

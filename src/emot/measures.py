@@ -1,17 +1,19 @@
 """Finitely supported measures on the line and on the line with an information label.
 
 Measures are immutable after construction, and all operations are pure.
-One rule, ``merge_atoms``, decides which input atoms are one atom, for
-both measure types, ``disintegrate`` and ``total_variation``; the order in
-which atoms are given changes no bit of any result.  Masses other than 1
-are allowed so that the same types can carry subprobability pieces;
+``DiscreteMeasure`` (atoms are points) and ``LiftedMeasure`` (atoms are
+(x, u) rows) share one constructor, their algebra (``scaled``, ``+``) and
+one dict form, ``{"atoms": ..., "weights": ...}``, the form JSON inputs and
+outputs hold.  One rule, ``merge_atoms``, decides which input atoms are one
+atom, for both measure types, ``disintegrate`` and ``total_variation``; the
+order in which atoms are given changes no bit of any result.  Masses other
+than 1 are allowed so that the same types can carry subprobability pieces;
 metric operations for unequal-mass inputs raise.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,11 +32,6 @@ class MassMismatchError(ValueError):
 
 class NonFiniteError(ValueError):
     """Raised when a measure is given a NaN or infinite atom or weight."""
-
-
-def _check_finite(atoms: np.ndarray, weights: np.ndarray):
-    if not (np.isfinite(atoms).all() and np.isfinite(weights).all()):
-        raise NonFiniteError("atoms and weights must be finite")
 
 
 def merge_atoms(keys: np.ndarray, weights: np.ndarray):
@@ -83,20 +80,24 @@ def merge_atoms(keys: np.ndarray, weights: np.ndarray):
     return atoms, mass, order, group
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Nonnegative finite measure with finitely many atoms on the real line."""
+@dataclass(frozen=True, init=False)
+class _Measure:
+    """What both measure types share, whose atoms differ only in shape
+    (``_ATOM_SHAPE``).  The constructor checks that atoms and weights are
+    finite and that no weight is below -``MERGE_TOL``, drops the zero
+    weights, merges the atoms by ``merge_atoms`` and stores the mass."""
 
     atoms: np.ndarray
     weights: np.ndarray
-    mass: float = field(init=False)
+    mass: float
 
-    def __init__(self, atoms: Sequence[float], weights: Sequence[float]):
-        atoms = np.asarray(atoms, dtype=float).ravel()
+    def __init__(self, atoms: Sequence, weights: Sequence[float]):
+        atoms = np.asarray(atoms, dtype=float).reshape(self._ATOM_SHAPE)
         weights = np.asarray(weights, dtype=float).ravel()
-        if atoms.shape != weights.shape:
+        if len(atoms) != len(weights):
             raise ValueError("atoms and weights must have the same length")
-        _check_finite(atoms, weights)
+        if not (np.isfinite(atoms).all() and np.isfinite(weights).all()):
+            raise NonFiniteError("atoms and weights must be finite")
         if (weights < -MERGE_TOL).any():
             raise ValueError("negative weight")
         keep = weights > 0
@@ -105,10 +106,39 @@ class DiscreteMeasure:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "mass", float(weights.sum()))
 
-    # -- basic queries ---------------------------------------------------
-
     def __len__(self) -> int:
-        return self.atoms.size
+        return len(self.weights)
+
+    # -- algebra ---------------------------------------------------------
+
+    def scaled(self, factor: float):
+        if factor < 0:
+            raise ValueError("scaling factor must be nonnegative")
+        return type(self)(self.atoms, self.weights * factor)
+
+    def __add__(self, other):
+        return type(self)(
+            np.concatenate([self.atoms, other.atoms]),
+            np.concatenate([self.weights, other.weights]),
+        )
+
+    # -- dict form, as JSON holds it -------------------------------------
+
+    def to_dict(self) -> dict:
+        return {"atoms": self.atoms.tolist(), "weights": self.weights.tolist()}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        return cls(data["atoms"], data["weights"])
+
+
+@dataclass(frozen=True, init=False)
+class DiscreteMeasure(_Measure):
+    """Nonnegative finite measure with finitely many atoms on the real line."""
+
+    _ATOM_SHAPE = (-1,)
+
+    # -- basic queries ---------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
@@ -127,23 +157,10 @@ class DiscreteMeasure:
             return 0.0
         return float(np.dot(np.asarray(f(self.atoms), dtype=float), self.weights))
 
-    # -- algebra ---------------------------------------------------------
-
-    def scaled(self, factor: float) -> "DiscreteMeasure":
-        if factor < 0:
-            raise ValueError("scaling factor must be nonnegative")
-        return DiscreteMeasure(self.atoms, self.weights * factor)
-
     def normalized(self) -> "DiscreteMeasure":
         if self.mass <= 0:
             raise EmptyMeasureError("empty measure")
         return self.scaled(1.0 / self.mass)
-
-    def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
-        return DiscreteMeasure(
-            np.concatenate([self.atoms, other.atoms]),
-            np.concatenate([self.weights, other.weights]),
-        )
 
     def restrict(self, lo: float, hi: float, closed: bool = True) -> "DiscreteMeasure":
         """Restriction to the interval [lo, hi] (or (lo, hi) when open)."""
@@ -157,47 +174,17 @@ class DiscreteMeasure:
         keep = (self.atoms < lo) | (self.atoms > hi)
         return DiscreteMeasure(self.atoms[keep], self.weights[keep])
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({"atoms": self.atoms.tolist(), "weights": self.weights.tolist()})
-
-    @staticmethod
-    def from_json(text: str) -> "DiscreteMeasure":
-        data = json.loads(text)
-        return DiscreteMeasure(data["atoms"], data["weights"])
-
     def __repr__(self) -> str:
         pairs = ", ".join(f"{a:g}: {w:g}" for a, w in zip(self.atoms, self.weights))
         return f"DiscreteMeasure({{{pairs}}})"
 
 
-@dataclass(frozen=True)
-class LiftedMeasure:
-    """Measure on R x U where the information space U is a finite set of real labels."""
+@dataclass(frozen=True, init=False)
+class LiftedMeasure(_Measure):
+    """Measure on R x U where the information space U is a finite set of real
+    labels; its atoms are (x, u) rows in lexicographic order."""
 
-    atoms: np.ndarray  # shape (n, 2), lexicographically sorted rows (x, u)
-    weights: np.ndarray
-
-    def __init__(self, atoms: Sequence[Sequence[float]], weights: Sequence[float]):
-        atoms = np.asarray(atoms, dtype=float).reshape(-1, 2)
-        weights = np.asarray(weights, dtype=float).ravel()
-        if atoms.shape[0] != weights.shape[0]:
-            raise ValueError("atoms and weights must have the same length")
-        _check_finite(atoms, weights)
-        if (weights < -MERGE_TOL).any():
-            raise ValueError("negative weight")
-        keep = weights > 0
-        atoms, weights, _, _ = merge_atoms(atoms[keep], weights[keep])
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
-
-    def __len__(self) -> int:
-        return self.atoms.shape[0]
-
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
+    _ATOM_SHAPE = (-1, 2)
 
     @property
     def xs(self) -> np.ndarray:
@@ -212,23 +199,6 @@ class LiftedMeasure:
 
     def u_marginal(self) -> DiscreteMeasure:
         return DiscreteMeasure(self.us, self.weights)
-
-    def scaled(self, factor: float) -> "LiftedMeasure":
-        return LiftedMeasure(self.atoms, self.weights * factor)
-
-    def __add__(self, other: "LiftedMeasure") -> "LiftedMeasure":
-        return LiftedMeasure(
-            np.concatenate([self.atoms, other.atoms]),
-            np.concatenate([self.weights, other.weights]),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps({"atoms": self.atoms.tolist(), "weights": self.weights.tolist()})
-
-    @staticmethod
-    def from_json(text: str) -> "LiftedMeasure":
-        data = json.loads(text)
-        return LiftedMeasure(data["atoms"], data["weights"])
 
     @staticmethod
     def from_measure(m: DiscreteMeasure, label: float = 0.0) -> "LiftedMeasure":

@@ -15,10 +15,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import sparse
 
-from .convex_order import ConvexOrderError
+from .convex_order import require_convex_order
 from .couplings import DiscreteCoupling, coupling_from_plan, disintegrate, martingale_polytope_lp
 from .lp_core import CertificateError, LinearProgram, plan_rows, solve_lp
-from .measures import DiscreteMeasure, LiftedMeasure, QuantileView, check_convex_order
+from .measures import DiscreteMeasure, LiftedMeasure, QuantileView
 
 MAX_FW_ITER = 500
 
@@ -69,15 +69,9 @@ class BarrierMaps:
     t2: np.ndarray
 
 
-def _require_order(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    ok, witness = check_convex_order(mu, nu)
-    if not ok:
-        raise ConvexOrderError("marginals are not in convex order", witness)
-
-
 def solve_extended_mot(mu_bar: LiftedMeasure, nu: DiscreteMeasure, cost: CostSpec, sense: str = "min"):
     """Linear martingale transport over the lifted polytope Pi_M(mu_bar, nu)."""
-    _require_order(mu_bar.x_marginal(), nu)
+    require_convex_order(mu_bar.x_marginal(), nu)
     C = np.array([cost.fn(x, u, nu.atoms) for x, u in mu_bar.atoms], dtype=float).reshape(len(mu_bar), len(nu))
     lp = martingale_polytope_lp(mu_bar, nu, cost=C)
     lp.sense = sense
@@ -123,7 +117,7 @@ def solve_wmot_fw(
     line search with a 2/(k+2) fallback.  Stops when the Frank-Wolfe gap
     certificate drops below ``tol``.
     """
-    _require_order(mu_bar.x_marginal(), nu)
+    require_convex_order(mu_bar.x_marginal(), nu)
     ys = nu.atoms
     w = mu_bar.weights
 
@@ -192,7 +186,7 @@ def price_american(mu: DiscreteMeasure, nu: DiscreteMeasure, phi1, phi2):
     LP over two martingale branches per x atom: branch 1 collects the
     exercised mass (paid phi1), branch 2 the continued mass (paid phi2).
     """
-    _require_order(mu, nu)
+    require_convex_order(mu, nu)
     n, m = len(mu), len(nu)
     xs, ys = mu.atoms, nu.atoms
     p1 = np.array([float(phi1(x)) for x in xs]) if callable(phi1) else np.asarray(phi1, dtype=float)
@@ -261,7 +255,7 @@ def vix_dual_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float):
     mu(phi) + nu(psi) <= D_sub.  phi(x) is lowered by the worst excess of its
     inequalities; an excess above 1e-6 max(1, max cost) is a ``CertificateError``.
     """
-    _require_order(mu, nu)
+    require_convex_order(mu, nu)
     lp, (i, j, k, p) = _vix_lp(mu, nu, tau)
     sol = solve_lp(lp)
     # HiGHS's duals are dual feasible to 1e-7 on its scaled LP, so an inequality may be
@@ -308,7 +302,7 @@ def shadow_coupling(mu_bar: LiftedMeasure, nu: DiscreteMeasure):
     """
     if np.any(mu_bar.us < -1e-12) or np.any(mu_bar.us > 1 + 1e-12):
         raise ValueError("shadow coupling needs u-labels in [0, 1]")
-    _require_order(mu_bar.x_marginal(), nu)
+    require_convex_order(mu_bar.x_marginal(), nu)
     ys, left, plan = nu.atoms, nu.weights.copy(), np.zeros((len(mu_bar), len(nu)))
     order = np.lexsort((mu_bar.xs, mu_bar.us))
     for i, x, w in zip(order, mu_bar.xs[order], mu_bar.weights[order]):

@@ -20,7 +20,6 @@ import numpy as np
 
 from .convex_order import ConvexOrderError, convex_order_projection
 from .couplings import _point_cost, adapted_wasserstein, hausdorff_mot
-from .lp_core import DimensionGuardError
 from .measures import (
     DiscreteMeasure,
     LiftedMeasure,
@@ -95,8 +94,8 @@ class ExperimentConfig:
     def from_json(text: str) -> "ExperimentConfig":
         data = json.loads(text)
         try:
-            mu = DiscreteMeasure(data["mu"]["atoms"], data["mu"]["weights"])
-            nu = DiscreteMeasure(data["nu"]["atoms"], data["nu"]["weights"])
+            mu = DiscreteMeasure.from_dict(data["mu"])
+            nu = DiscreteMeasure.from_dict(data["nu"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad marginals in config: {exc}") from exc
         kwargs = {k: v for k, v in data.items() if k not in ("mu", "nu")}
@@ -230,17 +229,14 @@ def run_stability(config: ExperimentConfig) -> StabilityReport:
             if base_coupling is not None and coupling_p is not None:
                 row["aw_gap"] = adapted_wasserstein(base_coupling, coupling_p, 1.0)
             if config.problem == "mot" and len(config.mu) * len(config.nu) <= 12:
-                try:
-                    h = hausdorff_mot(
-                        LiftedMeasure.from_measure(config.mu),
-                        config.nu,
-                        LiftedMeasure.from_measure(mu_p),
-                        nu_p,
-                    )
-                    row["hausdorff_lower"] = h["lower"]
-                    row["hausdorff_upper"] = h["upper"]
-                except DimensionGuardError:
-                    pass
+                h = hausdorff_mot(
+                    LiftedMeasure.from_measure(config.mu),
+                    config.nu,
+                    LiftedMeasure.from_measure(mu_p),
+                    nu_p,
+                )
+                row["hausdorff_lower"] = h["lower"]
+                row["hausdorff_upper"] = h["upper"]
             if config.problem == "shadow":
                 exceed, tv = _barrier_exceedance(
                     base_coupling, coupling_p, config.barrier_threshold

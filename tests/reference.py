@@ -26,11 +26,11 @@ from fractions import Fraction
 import numpy as np
 from scipy import sparse
 
-from emot.convex_order import _lower_convex_hull
+from emot.convex_order import _lower_convex_hull, require_convex_order
 from emot.couplings import DiscreteCoupling, disintegrate
 from emot.lp_core import Block, CertificateError, LinearProgram, block_rows, plan_rows, solve_lp, transport_plan
 from emot.measures import MERGE_TOL, DiscreteMeasure, LiftedMeasure, QuantileView, potential_values
-from emot.solvers import _log_contract, _require_order
+from emot.solvers import _log_contract
 
 
 @dataclass(frozen=True)
@@ -319,7 +319,7 @@ def vix_bracket(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, bins: int)
     so that every one holds and ``p_value`` = mu(phi) + nu(psi) <= D_sub by
     weak duality; an excess above 1e-6 max(1, max cost) is a ``CertificateError``.
     """
-    _require_order(mu, nu)
+    require_convex_order(mu, nu)
     edges = vix_bin_edges(mu, nu, tau, bins)
     n, m, nb = len(mu), len(nu), len(edges) - 1
     lp = vix_bin_lp(mu, nu, tau, edges)

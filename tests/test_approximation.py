@@ -164,6 +164,22 @@ class TestRearrangement:
         c, rep = min_cost_martingale_rearrangement(m, m)
         assert rep["cost"] == pytest.approx(0.0, abs=1e-10)
 
+    def test_atoms_lighter_than_the_lp_tolerance(self):
+        # theta's stage-two sum in op 20 (mass_jitter+base3) of the benchmark's
+        # held-out seed-5 stability_approx pass, with two atoms of weight 1.5e-11:
+        # at a primal feasibility tolerance of 1e-10, HiGHS's presolve called
+        # this feasible LP infeasible
+        theta = DiscreteMeasure(
+            [1.0002369903420025, 1.000244140625, 1.9999928497170025, 2.9997487090920023, 2.999755859375],
+            [1.50417508310019e-11, 0.2421883660540789, 0.015625, 0.24218663391583758, 1.50417508310019e-11],
+        )
+        nu = DiscreteMeasure(
+            [-2.9958516842734455, 0.9909370618831388, 3.016754449755369],
+            [0.0003204023360556807, 0.25, 0.24967959766394432],
+        )
+        _, rep = min_cost_martingale_rearrangement(theta, nu)
+        assert rep["cost"] <= rep["bound"]
+
     def test_dirac_to_binary(self):
         theta = DiscreteMeasure([0], [1.0])
         nu = DiscreteMeasure([-1, 1], [0.5, 0.5])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ class TestDiscreteCoupling:
 
     def test_json_round_trip(self):
         c = f1_coupling()
-        c2 = DiscreteCoupling.from_json(c.to_json())
+        c2 = DiscreteCoupling.from_dict(json.loads(json.dumps(c.to_dict())))
         assert np.allclose(c.kernels, c2.kernels)
         assert np.allclose(c.first_marginal.atoms, c2.first_marginal.atoms)
 

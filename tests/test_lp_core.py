@@ -437,11 +437,13 @@ def test_stats_method_follows_the_column_rule():
 
 
 def _oracle(p, method):
-    """scipy's ``linprog`` on the LP ``solve_lp`` hands HiGHS, from ``LARGE_COLS``
-    columns on without presolve and at a primal feasibility tolerance of 1e-10."""
+    """scipy's ``linprog`` on the LP ``solve_lp`` hands HiGHS: at a primal
+    feasibility tolerance of 1e-9, and from ``LARGE_COLS`` columns on without
+    presolve at 1e-10."""
     sign = 1.0 if p.sense == "min" else -1.0
     bounds = p.bounds if p.bounds is not None else (0, None)
-    options = {"presolve": False, "primal_feasibility_tolerance": 1e-10} if p.n_vars >= lp_core.LARGE_COLS else {}
+    large = p.n_vars >= lp_core.LARGE_COLS
+    options = {"presolve": False, "primal_feasibility_tolerance": 1e-10} if large else {"primal_feasibility_tolerance": 1e-9}
     return sign, linprog(sign * p.c, A_ub=p.A_ub, b_ub=p.b_ub, A_eq=p.A_eq, b_eq=p.b_eq, bounds=bounds, method=method,
                          options=options)
 

@@ -73,7 +73,7 @@ class TestDiscreteMeasure:
 
     def test_json_round_trip(self):
         m = DiscreteMeasure([-1.5, 0.25], [0.3, 0.7])
-        m2 = DiscreteMeasure.from_json(m.to_json())
+        m2 = DiscreteMeasure.from_dict(json.loads(json.dumps(m.to_dict())))
         assert np.array_equal(m.atoms, m2.atoms)
         assert np.array_equal(m.weights, m2.weights)
 
@@ -93,7 +93,7 @@ class TestLiftedMeasure:
 
     def test_json_round_trip(self):
         lm = LiftedMeasure([(0.5, 0.1)], [1.0])
-        lm2 = LiftedMeasure.from_json(lm.to_json())
+        lm2 = LiftedMeasure.from_dict(json.loads(json.dumps(lm.to_dict())))
         assert np.array_equal(lm.atoms, lm2.atoms)
 
 
@@ -285,3 +285,20 @@ def test_merge_matches_the_rule_row_by_row(points, keyed):
     for measure, (atoms, weights) in cases:
         assert atoms.shape == measure.atoms.shape
         assert np.allclose(measure.atoms, atoms, **close) and np.allclose(measure.weights, weights, **close)
+
+
+@settings(max_examples=200)
+@given(point_rows, point_rows, st.floats(0.0, 4.0))
+def test_both_measure_types_share_one_constructor_and_algebra(points, others, factor):
+    m, other = discrete(points[0]), discrete(others[0])
+    lm, lifted_other = LiftedMeasure.from_measure(m), LiftedMeasure.from_measure(other)
+    back = lm.x_marginal()
+    assert same_bits((back.atoms, m.atoms), (back.weights, m.weights)) and back.mass.hex() == m.mass.hex()
+    # merged weights are summed in (x, u) order on R x U: a few ulps apart at most
+    close = dict(rtol=4 * np.finfo(float).eps, atol=0.0)
+    for plain, lifted_ in ((m.scaled(factor), lm.scaled(factor)), (m + other, lm + lifted_other)):
+        assert same_bits((lifted_.xs, plain.atoms))
+        assert np.allclose(lifted_.weights, plain.weights, **close) and np.isclose(lifted_.mass, plain.mass, **close)
+    for measure in (m, lm):
+        with pytest.raises(ValueError, match="nonnegative"):
+            measure.scaled(-1.0)

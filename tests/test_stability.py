@@ -61,6 +61,31 @@ HELDOUT_NU_WEIGHTS = np.repeat(
     [4, 11, 14, 28, 1],
 )
 
+# the scale-0.05 pair of op 18 (quantile_discretize) of the benchmark's held-out seed-2
+# stability_approx inputs: mu has 40 atoms of weight 1/40, nu 20 atoms
+SMALL_MU_ATOMS = [
+    -0.9699694973006199, -0.9218393104280078, -0.7705471951260938, -0.756733333214977, -0.7558889170814409,
+    -0.6385726423750071, -0.6205544389614084, -0.5581674082730659, -0.526183044308248, -0.48160785780329585,
+    -0.4757267679349828, -0.31534807179189883, -0.20857026178917626, -0.18145735416864706, -0.0255432930859405,
+    -0.0065637933794606695, 0.0007450849214127864, 0.06157119829240165, 0.07277516031305908, 0.07421013700861923,
+    0.14144886378003751, 0.14158970861208497, 0.16570799789181967, 0.16601524504282605, 0.22556584490391196,
+    0.23818323315351053, 0.33264736721349886, 0.42335933024753647, 0.45157270469565747, 0.49979466914908177,
+    0.5197436872295076, 0.5733399144547731, 0.5763410783053886, 0.6226090472742396, 0.6306365542494898,
+    0.6372678162006269, 0.8399657909268712, 0.8606072087161152, 0.8659641437048469, 0.9900524650513303,
+]
+SMALL_NU_ATOMS = [
+    -2.24212693916019, -2.0666868523959643, -1.8988971040008664, -1.58761302255273, -1.2819554628045755,
+    -0.9560301969272755, -0.6274140199366942, -0.30836031860364327, -0.1814527199388712, -0.04315295847869681,
+    0.12293828598421688, 0.3582360767256319, 0.44501591598408613, 0.6797092266853088, 1.2991006591911634,
+    1.550830337160321, 1.6783592104861702, 1.7598993793176205, 1.9777224965239861, 2.271098538899189,
+]
+SMALL_NU_WEIGHTS = [
+    0.05, 0.05, 0.04999999999999999, 0.05000000000000002, 0.04999999999999999,
+    0.04999999999999999, 0.04999999999999999, 0.050000000000000044, 0.04999999999999999, 0.04999999999999999,
+    0.050000000000000044, 0.04999999999999993, 0.050000000000000044, 0.04999999999999993, 0.050000000000000044,
+    0.050000000000000044, 0.04999999999999993, 0.050000000000000044, 0.04999999999999993, 0.050000000000000044,
+]
+
 
 @st.composite
 def spread_configs(draw):
@@ -268,6 +293,24 @@ class TestRunAndEmit:
         (row,) = run_stability(cfg).rows
         assert row["status"] == "ok", row["reason"]
         assert len(plans) == 2 and all(x.size >= lp_core.LARGE_COLS and x.min() >= 0.0 for x in plans)
+
+    def test_mot_plan_of_a_pair_below_large_cols_has_no_negative_entry(self, monkeypatch):
+        # with presolve on at HiGHS's default primal feasibility tolerance (1e-7),
+        # the 800-column plan held an entry of -4.7e-8 and solve_mot raised
+        # "negative kernel weight"
+        plans, solve = [], solvers.solve_lp
+
+        def spy(p):
+            sol = solve(p)
+            plans.append(sol.x)
+            return sol
+
+        monkeypatch.setattr(solvers, "solve_lp", spy)
+        mu = DiscreteMeasure(SMALL_MU_ATOMS, np.full(40, 1 / 40))
+        nu = DiscreteMeasure(SMALL_NU_ATOMS, SMALL_NU_WEIGHTS)
+        solvers.solve_mot(mu, nu, solvers.CostSpec(fn=solvers.COSTS["abs"]))
+        (x,) = plans
+        assert x.size == 800 < lp_core.LARGE_COLS and x.min() >= 0.0
 
     def test_error_rows_are_tagged(self):
         # a jitter wide enough to push a VIX marginal below zero fails at

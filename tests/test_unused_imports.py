@@ -2,7 +2,8 @@
 every private module-level function or class, and every module-level
 ALL_CAPS constant, is read by some module.  A public module-level function,
 or a public method of a module-level class, that no module calls is named
-in ``UNCALLED_PUBLIC`` with its reason.
+in ``UNCALLED_PUBLIC`` with its reason.  No two functions or methods have
+the same body.
 
 No linter is part of the toolchain, so this check stands in for one.
 ``__init__.py`` is skipped by the import check: its imports are the
@@ -115,6 +116,20 @@ def unread_public_functions(trees: dict) -> list:
     )
 
 
+def duplicated_bodies(trees: dict) -> list:
+    """The functions and methods, nested ones too, that share a body with
+    another: one "module: name (line)" list per body, compared by
+    ``ast.dump`` after the docstring."""
+    places = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+                key = "\n".join(ast.dump(stmt) for stmt in body)
+                places.setdefault(key, []).append(f"{module}: {node.name} (line {node.lineno})")
+    return sorted(found for found in places.values() if len(found) > 1)
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -150,3 +165,18 @@ def test_uncalled_public_method_is_flagged():
     )
     trees["measures.py"] = ast.parse(text)
     assert unread_public_functions(trees) == sorted([*UNCALLED_PUBLIC, "DiscreteMeasure.unread_moment"])
+
+
+def test_no_duplicated_bodies():
+    assert duplicated_bodies({p.name: ast.parse(p.read_text()) for p in MODULES}) == []
+
+
+def test_duplicated_body_is_flagged():
+    trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
+    text = (SRC / "measures.py").read_text()
+    source = ast.parse(text)
+    mean_def = next(node for node in source.body if isinstance(node, ast.FunctionDef) and node.name == "mean")
+    copy = ast.get_source_segment(text, mean_def).replace("def mean(", "def mean_again(")
+    trees["measures.py"] = ast.parse(text + "\n\n" + copy + "\n")
+    line = len(text.splitlines()) + 3
+    assert duplicated_bodies(trees) == [[f"measures.py: mean (line {mean_def.lineno})", f"measures.py: mean_again (line {line})"]]
