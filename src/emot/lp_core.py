@@ -41,12 +41,17 @@ stays: at 1e-10, crossover left one 10 440-column American LP 3.6e-8 dual
 infeasible and HiGHS reported status Unknown.
 
 HiGHS is called through scipy's bundled binding
-(``scipy.optimize._highspy._core``) with the model and options that
-``scipy.optimize.linprog`` passes it, so every x, value, dual and iteration
-count is bitwise what ``linprog`` returns; ``linprog`` itself, whose input
-validation and result assembly cost more than HiGHS on LPs of a few hundred
-columns, is used only by the tests, as the oracle.  The binding is private
-to scipy, hence the scipy>=1.17 floor.
+(``scipy.optimize._highspy._core``) in one place, ``linprog``: it hands
+HiGHS the ``LinearProgram``'s CSR rows as they were built, with the options
+``scipy.optimize.linprog`` passes, and returns the ``LPSolution`` or raises
+``LPError``.  Every x, value, dual and iteration count is bitwise what
+``scipy.optimize.linprog`` returns, which copies the rows to columns first:
+on the 2 931 LPs of seed-0 passes of both benchmark workloads the rows gave
+bitwise the x, value, duals and ``stats`` of that copy.
+``scipy.optimize.linprog`` itself, whose input validation and result
+assembly cost more than HiGHS on LPs of a few hundred columns, is used only
+by the tests, as the oracle.  The binding is private to scipy, hence the
+scipy>=1.17 floor.
 
 Solves are deterministic for fixed input.  ``solve_lp`` returns an optimal
 vertex with its dual multipliers (crossover ends the interior point on a
@@ -64,7 +69,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import OptimizeResult
 from scipy.optimize._highspy._core import (
     HighsLp,
     HighsModelStatus,
@@ -203,6 +207,11 @@ class LPSolution:
     value: float
     stats: dict
 
+    @property
+    def nit(self) -> int:
+        """HiGHS's simplex or interior-point iterations, crossover aside."""
+        return self.stats["simplex_iterations"] or self.stats["ipm_iterations"]
+
 
 def solve_lp(p: LinearProgram) -> LPSolution:
     """Solve with HiGHS: an optimal vertex with duals attached, or ``LPError``.
@@ -213,27 +222,11 @@ def solve_lp(p: LinearProgram) -> LPSolution:
     feasibility tolerance of 1e-9, and from ``LARGE_COLS`` columns on without
     presolve at 1e-10 (see the module docstring for the measurements behind
     each rule)."""
-    sign = 1.0 if p.sense == "min" else -1.0
     ipm = p.n_vars >= IPM_MIN_COLS and not all(
         np.isin(A.data, (-1.0, 0.0, 1.0)).all() for A in (p.A_eq, p.A_ub) if A is not None
     )
-    res = linprog(
-        sign * p.c,
-        A_ub=p.A_ub,
-        b_ub=p.b_ub,
-        A_eq=p.A_eq,
-        b_eq=p.b_eq,
-        bounds=p.bounds if p.bounds is not None else (0, None),
-        method="highs-ipm" if ipm else "highs-ds",
-    )
-    if not res.success:
-        status = {2: "infeasible", 3: "unbounded"}.get(res["status"], "failed")
-        rows = sum(A.shape[0] for A in (p.A_eq, p.A_ub) if A is not None)
-        raise LPError(status, f"LP ({rows} rows, {p.n_vars} columns) {status}: {res.message}")
-    duals_eq = sign * np.asarray(res.eqlin.marginals) if p.A_eq is not None else None
-    duals_ub = sign * np.asarray(res.ineqlin.marginals) if p.A_ub is not None else None
-    value = sign * float(res.fun)
-    return LPSolution(np.asarray(res.x), duals_eq, duals_ub, value, res.stats)
+    return linprog(p.c, A_ub=p.A_ub, b_ub=p.b_ub, A_eq=p.A_eq, b_eq=p.b_eq, bounds=p.bounds, sense=p.sense,
+                   method="highs-ipm" if ipm else "highs-ds")
 
 
 def _highs_options(solver: str, large: bool) -> HighsOptions:
@@ -249,81 +242,79 @@ def _highs_options(solver: str, large: bool) -> HighsOptions:
 # keyed by (method, at least LARGE_COLS columns)
 _OPTIONS = {(method, large): _highs_options(solver, large)
             for method, solver in (("highs-ds", "simplex"), ("highs-ipm", "ipm")) for large in (False, True)}
-# scipy's status codes for HiGHS's model statuses; every other status is 4
-_STATUS = {HighsModelStatus.kOptimal: 0, HighsModelStatus.kInfeasible: 2, HighsModelStatus.kModelError: 2,
-           HighsModelStatus.kUnbounded: 3}
+# LPError's status for HiGHS's model status; every status not listed but optimal is "failed"
+_STATUS = {HighsModelStatus.kInfeasible: "infeasible", HighsModelStatus.kModelError: "infeasible",
+           HighsModelStatus.kUnbounded: "unbounded"}
 _POINT_TOL = 10 * np.sqrt(1e-9)  # linprog's check of an optimal point against its rows and bounds
 
 
-def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), method="highs-ds"):
-    """HiGHS on min c @ x s.t. A_ub x <= b_ub, A_eq x = b_eq and ``bounds``
-    (default x >= 0), given the model and options ``scipy.optimize.linprog``
-    gives it: A_ub stacked over A_eq as CSC, presolve on at a 1e-9 primal
-    feasibility tolerance (off, at 1e-10, from ``LARGE_COLS`` columns), the
-    dual simplex strategy, output off, and ``method`` "highs-ds" (dual simplex) or
-    "highs-ipm" (IPX with crossover).  Like ``linprog`` it reports an
-    "optimal" point off a row or bound by more than 10*sqrt(1e-9) as status 4.
+def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, sense="min",
+            method="highs-ds") -> LPSolution:
+    """HiGHS on the LP that ``LinearProgram``'s fields describe: an optimal
+    vertex, or ``LPError``.
 
-    The result has ``linprog``'s ``success``, ``status`` (0 optimal,
-    2 infeasible, 3 unbounded, 4 other), ``message``, ``x``, ``fun``, ``nit``
-    and ``eqlin``/``ineqlin.marginals``, and once HiGHS has run ``stats``
-    (see ``LPSolution``).  Name and keywords are ``linprog``'s because
-    ``benchmarks/tracing.py`` wraps ``emot.lp_core.linprog`` and reads
-    ``c``, ``A_eq``, ``A_ub`` and ``nit``; the function becomes
+    HiGHS reads A_ub's CSR rows stacked over A_eq's as they are and runs
+    ``method``, "highs-ds" (dual simplex) or "highs-ipm" (IPX with
+    crossover), with the options ``scipy.optimize.linprog`` passes: presolve
+    on at a 1e-9 primal feasibility tolerance (off, at 1e-10, from
+    ``LARGE_COLS`` columns), the dual simplex strategy, output off.  A max
+    problem is solved as min -c @ x, and its value and duals are negated
+    back.  An infeasible LP, and a model HiGHS refuses (such as a lower bound
+    of +inf), raise "infeasible", an unbounded one "unbounded", and every
+    other status but optimal "failed", as does an "optimal" point off a row
+    or bound by more than 10*sqrt(1e-9) (``linprog``'s check).
+
+    Name and keywords are ``linprog``'s because ``benchmarks/tracing.py``
+    wraps ``emot.lp_core.linprog``, reads ``c``, ``A_eq`` and ``A_ub`` from
+    its arguments and ``nit`` from its result; the function becomes
     ``_run_highs`` when the tracer moves to that name (ROADMAP item 13).
     """
-    c = np.asarray(c, dtype=float)
+    sign = 1.0 if sense == "min" else -1.0
+    c = sign * np.asarray(c, dtype=float)
     n, m_ub = c.size, 0 if A_ub is None else A_ub.shape[0]
     given = [A for A in (A_ub, A_eq) if A is not None] or [sparse.csr_array((0, n))]
-    A = (sparse.vstack(given) if len(given) > 1 else given[0]).tocsc()
+    A = sparse.vstack(given, format="csr") if len(given) > 1 else given[0]
     b_ub, b_eq = (np.empty(0) if b is None else np.asarray(b, dtype=float) for b in (b_ub, b_eq))
     lhs, rhs = np.concatenate([np.full(m_ub, -kHighsInf), b_eq]), np.concatenate([b_ub, b_eq])
-    lb, ub = np.broadcast_to(np.array(bounds, dtype=float), (n, 2)).T
+    lb, ub = np.broadcast_to(np.array((0, None) if bounds is None else bounds, dtype=float), (n, 2)).T
     lb, ub = np.where(np.isnan(lb), -kHighsInf, lb), np.where(np.isnan(ub), kHighsInf, ub)
 
     lp = HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
     lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
-    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.format_ = MatrixFormat.kRowwise
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
     lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_ = c, lb, ub, lhs, rhs
     highs = _Highs()
     highs.passOptions(_OPTIONS[method, n >= LARGE_COLS])
-    if highs.passModel(lp) == HighsStatus.kError:  # a model HiGHS refuses, such as a lower bound of +inf
-        return OptimizeResult(success=False, status=2, message="HiGHS model status Model error", nit=0)
-    highs.run()
-    model_status, info = highs.getModelStatus(), highs.getInfo()
-    status, message = _STATUS.get(model_status, 4), f"HiGHS model status {highs.modelStatusToString(model_status)}"
-    x = fun = row_dual = None
-    if status == 0:
-        solution = highs.getSolution()
+    model_status = HighsModelStatus.kModelError
+    if highs.passModel(lp) != HighsStatus.kError:
+        highs.run()
+        model_status = highs.getModelStatus()
+    message = f"HiGHS model status {highs.modelStatusToString(model_status)}"
+    if model_status == HighsModelStatus.kOptimal:
+        solution, info = highs.getSolution(), highs.getInfo()
         x, row, row_dual = (np.array(v) for v in (solution.col_value, solution.row_value, solution.row_dual))
-        fun = info.objective_function_value
+        value = info.objective_function_value
         off = np.concatenate([lb - x, x - ub, lhs - row, row - rhs])
-        if np.isnan(fun) or not (off <= _POINT_TOL).all():
-            status, message = 4, f"{message}, but its point is off a row or bound by more than {_POINT_TOL:.2e}"
-    stats = {
-        "method": method,
-        "simplex_iterations": info.simplex_iteration_count,
-        "ipm_iterations": info.ipm_iteration_count,
-        "crossover_iterations": info.crossover_iteration_count,
-        "max_primal_infeasibility": info.max_primal_infeasibility,
-        "max_dual_infeasibility": info.max_dual_infeasibility,
-        "rows": A.shape[0],
-        "cols": n,
-        "nnz": A.nnz,
-    }
-    return OptimizeResult(
-        success=status == 0,
-        status=status,
-        message=message,
-        x=x,
-        fun=fun,
-        nit=stats["simplex_iterations"] or stats["ipm_iterations"],
-        ineqlin=OptimizeResult(marginals=None if row_dual is None else row_dual[:m_ub]),
-        eqlin=OptimizeResult(marginals=None if row_dual is None else row_dual[m_ub:]),
-        stats=stats,
-    )
+        if not np.isnan(value) and (off <= _POINT_TOL).all():
+            stats = {
+                "method": method,
+                "simplex_iterations": info.simplex_iteration_count,
+                "ipm_iterations": info.ipm_iteration_count,
+                "crossover_iterations": info.crossover_iteration_count,
+                "max_primal_infeasibility": info.max_primal_infeasibility,
+                "max_dual_infeasibility": info.max_dual_infeasibility,
+                "rows": A.shape[0],
+                "cols": n,
+                "nnz": A.nnz,
+            }
+            duals_eq = None if A_eq is None else sign * row_dual[m_ub:]
+            duals_ub = None if A_ub is None else sign * row_dual[:m_ub]
+            return LPSolution(x, duals_eq, duals_ub, sign * float(value), stats)
+        message += f", but its point is off a row or bound by more than {_POINT_TOL:.2e}"
+    status = _STATUS.get(model_status, "failed")
+    raise LPError(status, f"LP ({A.shape[0]} rows, {n} columns) {status}: {message}")
 
 
 def transport_plan(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):

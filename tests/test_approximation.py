@@ -158,6 +158,20 @@ class TestApproximatePairs:
             approximate_pairs([mu], [nu], [mu], (-2.0, 2.0), nu, eps=0.05)
 
 
+# theta's stage-two sum in op 20 (mass_jitter+base3) of the benchmark's held-out
+# seed-5 stability_approx pass, with two atoms of weight 1.5e-11, and its nu
+LIGHT_ATOMS = (
+    DiscreteMeasure(
+        [1.0002369903420025, 1.000244140625, 1.9999928497170025, 2.9997487090920023, 2.999755859375],
+        [1.50417508310019e-11, 0.2421883660540789, 0.015625, 0.24218663391583758, 1.50417508310019e-11],
+    ),
+    DiscreteMeasure(
+        [-2.9958516842734455, 0.9909370618831388, 3.016754449755369],
+        [0.0003204023360556807, 0.25, 0.24967959766394432],
+    ),
+)
+
+
 class TestRearrangement:
     def test_identity(self):
         m = DiscreteMeasure([-1, 1], [0.5, 0.5])
@@ -165,20 +179,17 @@ class TestRearrangement:
         assert rep["cost"] == pytest.approx(0.0, abs=1e-10)
 
     def test_atoms_lighter_than_the_lp_tolerance(self):
-        # theta's stage-two sum in op 20 (mass_jitter+base3) of the benchmark's
-        # held-out seed-5 stability_approx pass, with two atoms of weight 1.5e-11:
         # at a primal feasibility tolerance of 1e-10, HiGHS's presolve called
         # this feasible LP infeasible
-        theta = DiscreteMeasure(
-            [1.0002369903420025, 1.000244140625, 1.9999928497170025, 2.9997487090920023, 2.999755859375],
-            [1.50417508310019e-11, 0.2421883660540789, 0.015625, 0.24218663391583758, 1.50417508310019e-11],
-        )
-        nu = DiscreteMeasure(
-            [-2.9958516842734455, 0.9909370618831388, 3.016754449755369],
-            [0.0003204023360556807, 0.25, 0.24967959766394432],
-        )
-        _, rep = min_cost_martingale_rearrangement(theta, nu)
+        _, rep = min_cost_martingale_rearrangement(*LIGHT_ATOMS)
         assert rep["cost"] <= rep["bound"]
+
+    @pytest.mark.xfail(strict=True, reason="HiGHS leaves the 1.5e-11 atoms' plan rows at zero")
+    def test_atoms_lighter_than_the_lp_tolerance_keep_the_martingale(self):
+        # coupling_from_plan drops the empty rows, and a kept kernel's
+        # barycentre is 9.6e-9 off its x at every primal tolerance down to 2e-10
+        c, _ = min_cost_martingale_rearrangement(*LIGHT_ATOMS)
+        assert check_martingale(c, 1e-9)[0]
 
     def test_dirac_to_binary(self):
         theta = DiscreteMeasure([0], [1.0])

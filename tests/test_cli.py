@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from emot import cli, lp_core, solvers
 from emot.cli import main
@@ -226,7 +225,7 @@ def test_bad_stability_format_exits_2_before_the_run(tmp_path, capsys, monkeypat
 
 def test_infeasible_lp_is_an_lp_error_and_exit_3(tmp_path, capsys, monkeypatch):
     def infeasible(*args, **kwargs):
-        return OptimizeResult(status=2, success=False, message="The problem is infeasible.")
+        raise LPError("infeasible", "LP infeasible: HiGHS model status Infeasible")
 
     monkeypatch.setattr(lp_core, "linprog", infeasible)
     mu, nu = (DiscreteMeasure(SPREAD[k]["atoms"], SPREAD[k]["weights"]) for k in ("mu", "nu"))

@@ -469,6 +469,18 @@ class TestShadow:
         certified_shadow(copula_lift(FOUND_MU, "hoeffding_frechet", 8), FOUND_NU)
 
     @pytest.mark.parametrize("m", [7, 8])
+    def test_tiny_weight_spread_lp_is_the_closed_form(self, m):
+        # solve_extended_mot raised LPError "infeasible" here while LPs below
+        # 1 000 columns ran at HiGHS's default 1e-7 primal feasibility tolerance;
+        # nu is every kernel of delta_0, so the value is (1 - E u) E_nu sqrt(1 + y^2)
+        nu = binary_kernel(0.0, -1.0, 1.1920929e-07)
+        r = solve_extended_mot(copula_lift(DiscreteMeasure([0.0], [1.0]), "independence", m), nu,
+                               CostSpec(fn=COSTS["shadow"]))
+        closed = 0.5 * float(nu.weights @ np.sqrt(1.0 + nu.atoms ** 2))
+        assert abs(r["value"] - closed) <= 1e-12 * closed
+        assert check_martingale(r["coupling"])[0]
+
+    @pytest.mark.parametrize("m", [7, 8])
     def test_tiny_weight_spread(self, m):
         # the shadow LP reported "infeasible" here
         nu = binary_kernel(0.0, -1.0, 1.1920929e-07)
@@ -578,3 +590,34 @@ def test_solutions_are_martingale():
         r = solve_mot(mu, nu, ABS_COST)
         ok, dev = check_martingale(r["coupling"], tol=1e-8)
         assert ok, dev
+
+
+# convex_pair(np.random.default_rng([6, 7]), 12, 20) of benchmarks/workloads.py
+SMALL_SCALE_MU = DiscreteMeasure(
+    [-0.9585797912114828, -0.6507051811572973, -0.5726713401409824, -0.5064702387640663, -0.4497191399379443,
+     0.0971707978667049, 0.30503595347961787, 0.31574557724731545, 0.3279015436752144, 0.368064750521647,
+     0.481342683890962, 0.7668902845225689],
+    np.full(12, 1 / 12),
+)
+SMALL_SCALE_NU = DiscreteMeasure(
+    [-2.21513782301702, -1.8126046586307238, -1.779897613859552, -1.3626263785741253, -1.3193906692041597,
+     -1.148676667760505, -1.0066159151735594, -0.7218683410881438, -0.5461301559722914, -0.3247349834054549,
+     -0.13727984474564645, 0.09674230334942704, 0.3347940028395697, 0.3764140214343923, 1.042441012314369,
+     1.5183669653313456, 1.5790943012796628, 1.7767176626949845, 2.3663367357088925, 2.490732546465634],
+    [0.05, 0.05, 0.05000000000000002, 0.04999999999999999, 0.04999999999999999, 0.04999999999999999,
+     0.04999999999999999, 0.04999999999999999, 0.04999999999999999, 0.04999999999999999, 0.04999999999999999,
+     0.050000000000000044, 0.050000000000000044, 0.050000000000000044, 0.050000000000000044, 0.050000000000000044,
+     0.050000000000000044, 0.050000000000000044, 0.050000000000000044, 0.04999999999999971],
+)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+def test_mot_value_scales_with_the_atoms():
+    """HiGHS's tolerances are absolute, so at atom scale 1e-6 the value is
+    6.2e-6 off (relative) and a kernel's barycentre 2.6e-4*s off its x."""
+    s = 1e-6
+    value = solve_mot(SMALL_SCALE_MU, SMALL_SCALE_NU, CostSpec(fn=COSTS["abs"]))["value"]
+    small = solve_mot(DiscreteMeasure(s * SMALL_SCALE_MU.atoms, SMALL_SCALE_MU.weights),
+                      DiscreteMeasure(s * SMALL_SCALE_NU.atoms, SMALL_SCALE_NU.weights), CostSpec(fn=COSTS["abs"]))
+    assert abs(small["value"] - s * value) <= 1e-9 * s * value
+    assert check_martingale(small["coupling"], 1e-9 * s)[0]

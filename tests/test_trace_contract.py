@@ -2,13 +2,13 @@
 
 ``benchmarks/tracing.py`` wraps each ``(module, function)`` of its
 ``TARGETS`` and the call into HiGHS, ``emot.lp_core.linprog``.  That hook is
-emot's own call into HiGHS's binding, named and shaped like
-``scipy.optimize.linprog`` for the tracer, which reads ``c``, ``A_eq`` and
-``A_ub`` from its arguments and ``nit`` from its result.  A name that is
-gone is only recorded as absent, and the traced run then lacks that layer's
-metrics; these checks make such a rename, or a change of the hook's
-arguments, fail here instead.  The tracer is loaded by path, since
-``benchmarks`` is not a package.
+emot's one call into HiGHS's binding: it returns the ``LPSolution`` or
+raises ``LPError``, and keeps ``scipy.optimize.linprog``'s name and keywords
+for the tracer, which reads ``c``, ``A_eq`` and ``A_ub`` from its arguments
+and ``nit`` from its result.  A name that is gone is only recorded as
+absent, and the traced run then lacks that layer's metrics; these checks
+make such a rename, or a change of the hook's arguments, fail here instead.
+The tracer is loaded by path, since ``benchmarks`` is not a package.
 """
 
 import collections
@@ -17,6 +17,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy import sparse
 
 from emot import lp_core
@@ -71,3 +72,6 @@ def test_highs_hook_takes_the_tracers_arguments(monkeypatch):
         tracing._lp_after(counts)(res)
     assert (counts["lp_core.lp.rows"], counts["lp_core.lp.cols"], counts["lp_core.lp.nnz"]) == (3, 6, 7)
     assert counts["lp_core.highs.iterations"] == sum(res.nit for _, _, res in calls)
+    with pytest.raises(lp_core.LPError) as err:
+        lp_core.solve_lp(lp_core.LinearProgram(c=[1.0], A_eq=[[1.0]], b_eq=[-1.0]))
+    assert err.value.status == "infeasible"

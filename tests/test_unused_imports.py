@@ -22,6 +22,7 @@ MODULES = sorted(SRC.glob("*.py"))
 UNCALLED_PUBLIC = {
     "DiscreteMeasure.integrate": "the integral of a payoff against a measure, the tests' closed-form price (criterion 06)",
     "LiftedMeasure.u_marginal": "the label marginal of a lifted measure, for callers and the copula-lift tests",
+    "LPSolution.nit": "the iteration count `benchmarks/tracing.py` reads",
     "vix_primal_lp": "exact portfolio LP, oracle for the repaired duals",
     "check_martingale": "a coupling's martingale residual, for callers and the tests of every solver",
     "report_from_csv": "reads a stability CSV emission back, exactly",
