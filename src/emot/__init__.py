@@ -9,7 +9,7 @@ pipeline, and a stability experiment harness.
 from .measures import (
     DiscreteMeasure,
     LiftedMeasure,
-    QuantileView,
+    cell_masses,
     check_convex_order,
     mean,
     quantile_discretize,
@@ -23,7 +23,6 @@ from .convex_order import (
     convex_min,
     convex_order_projection,
     irreducible_decomposition,
-    w1_binary,
     window_kernel,
 )
 from .lp_core import (
@@ -42,15 +41,12 @@ from .couplings import (
     check_martingale,
     disintegrate,
     hausdorff_mot,
-    wasserstein_coupling,
 )
 from .solvers import (
     BarrierMaps,
     CostSpec,
-    barrier_monotonicity_violation,
     copula_lift,
     extract_barriers,
-    left_monotone_violation,
     price_american,
     shadow_coupling,
     solve_extended_mot,

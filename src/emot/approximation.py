@@ -61,7 +61,7 @@ def split_marginals(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Discret
     mu = pi.x_marginal()
     require_convex_order(mu_bar_p.x_marginal(), nu_p, "perturbed marginals are not in convex order")
     decomp = irreducible_decomposition(mu, pi.second_marginal())
-    plan, _ = transport_plan(_point_cost(mu_bar.atoms, mu_bar_p.atoms, 1.0), mu_bar.weights, mu_bar_p.weights)
+    plan, _ = transport_plan(_point_cost(mu_bar.atoms, mu_bar_p.atoms), mu_bar.weights, mu_bar_p.weights)
 
     gamma, _ = _min_displacement(mu_bar_p, nu_p)
     rows = gamma.sum(axis=1, keepdims=True)
@@ -156,7 +156,7 @@ def approximate_pairs(mu_js: list, nu_js: list, mu_p_js: list, interval, nu_p: D
         raise ConvexOrderError(
             f"projected cell marginals never dominated the target; trace {margin_trace[-3:]}"
         )
-    trim_err = max(wasserstein_line(nu_j, t, 1.0) for nu_j, t in zip(nu_js, trimmed))
+    trim_err = max(wasserstein_line(nu_j, t) for nu_j, t in zip(nu_js, trimmed))
 
     _, step3 = min_cost_martingale_rearrangement(theta, nu_p)
     # redistribute each cell through the plan's rows: a cell atom belongs to
@@ -210,7 +210,7 @@ def min_cost_martingale_rearrangement(theta: DiscreteMeasure, nu: DiscreteMeasur
     mb = LiftedMeasure.from_measure(theta)
     plan, cost = _min_displacement(mb, nu)
     # the order check allows a mass gap of 1e-9; W1 needs equal masses
-    bound = 2.0 * wasserstein_line(theta.scaled(nu.mass / theta.mass), nu, 1.0)
+    bound = 2.0 * wasserstein_line(theta.scaled(nu.mass / theta.mass), nu)
     if cost > bound + 1e-9:
         raise AssertionError(f"martingale rearrangement cost {cost:.6g} exceeds 2 W1 = {bound:.6g}")
     return coupling_from_plan(mb, nu, plan), {"cost": cost, "bound": bound, "plan": plan}
@@ -277,5 +277,5 @@ def approximate_coupling(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Di
         i, j = np.nonzero(K > 0)
         tables.append(np.column_stack([sm.xs[i], sm.us[i], nu_p.atoms[j], sm.weights[i] * K[i, j]]))
     out, _ = disintegrate(np.concatenate(tables))
-    aw = adapted_wasserstein(out, pi, 1.0)
+    aw = adapted_wasserstein(out, pi)
     return out, {"aw1": aw, "stages": stages}

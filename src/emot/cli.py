@@ -53,24 +53,25 @@ def _load(path: str) -> dict:
         return json.load(fh)
 
 
-def _marginal(kind, data: dict):
-    """``kind`` read from the input's dict form; one it refuses, or one with no
-    mass, is an input error, as in ``ExperimentConfig.from_json``."""
+def _read(kind, data: dict):
+    """A measure or coupling ``kind`` read from the input's dict form; one it
+    refuses, or one with no mass, is an input error, as in
+    ``ExperimentConfig.from_json``."""
     try:
         m = kind.from_dict(data)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad marginal: {exc}") from exc
-    if len(m) == 0:
-        raise ConfigError("bad marginal: empty measure")
+        raise ConfigError(f"bad {kind.__name__}: {exc}") from exc
+    if m.mass <= 0:
+        raise ConfigError(f"bad {kind.__name__}: empty measure")
     return m
 
 
 def _measure(data: dict) -> DiscreteMeasure:
-    return _marginal(DiscreteMeasure, data)
+    return _read(DiscreteMeasure, data)
 
 
 def _lifted(data: dict) -> LiftedMeasure:
-    return _marginal(LiftedMeasure, data)
+    return _read(LiftedMeasure, data)
 
 
 def _write(report: dict, out: str | None):
@@ -173,7 +174,7 @@ def cmd_decompose(args) -> dict:
 
 def cmd_approx(args) -> dict:
     data = _load(args.input)
-    pi = DiscreteCoupling.from_dict(data["coupling"])
+    pi = _read(DiscreteCoupling, data["coupling"])
     out, diag = approximate_coupling(
         pi, _lifted(data["mu_bar"]), _measure(data["nu"]), args.eps
     )

@@ -22,7 +22,6 @@ from .measures import (
     check_convex_order,
     mean,
     potential_values,
-    wasserstein_line,
 )
 
 
@@ -51,23 +50,6 @@ def binary_kernel(x: float, l: float, r: float) -> DiscreteMeasure:
     if l < x < r:
         return DiscreteMeasure([l, r], [(r - x) / (r - l), (x - l) / (r - l)])
     return DiscreteMeasure([x], [1.0])
-
-
-def w1_binary(x: float, y: float, z: float, yk: float, zk: float) -> float:
-    """Closed-form W1 between the binary kernels B(x, yk, zk) and B(x, y, z)."""
-    if not (y <= x <= z and yk <= x <= zk):
-        raise ValueError("orderings y <= x <= z and yk <= x <= zk required")
-    degenerate = (y == x == z) or (yk == x == zk)
-    if degenerate:
-        return wasserstein_line(binary_kernel(x, y, z), binary_kernel(x, yk, zk), 1.0)
-    py = (z - x) / (z - y)
-    pk = (zk - x) / (zk - yk)
-    return (
-        min(py, pk) * abs(y - yk)
-        + max(py - pk, 0.0) * (zk - y)
-        + max(pk - py, 0.0) * (z - yk)
-        + min(1.0 - py, 1.0 - pk) * abs(z - zk)
-    )
 
 
 # -- convex-order minimum ------------------------------------------------
@@ -151,12 +133,15 @@ class IrreducibleDecomposition:
     stationary: DiscreteMeasure  # common part eta
 
 
-def irreducible_decomposition(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-10) -> IrreducibleDecomposition:
+def irreducible_decomposition(mu: DiscreteMeasure, nu: DiscreteMeasure) -> IrreducibleDecomposition:
     """Decompose a convex-ordered pair along the maximal intervals {u_mu < u_nu}.
 
     Per component, nu gets its interior atoms plus endpoint atoms sized by a
     2x2 mass/mean matching system; eta is mu restricted to {u_mu = u_nu}.
+    The order check, the strict gap and a component's width are taken at a
+    tolerance of 1e-10 (relative to the pair's scale for the gap).
     """
+    tol = 1e-10
     require_convex_order(mu, nu, "mu is not dominated by nu in convex order", tol)
     pts = np.union1d(mu.atoms, nu.atoms)
     gap = potential_values(nu, pts) - potential_values(mu, pts)

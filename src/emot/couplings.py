@@ -1,7 +1,7 @@
-"""Extended couplings on R x U x R: disintegration, martingale checks,
-flat and adapted Wasserstein distances, martingale polytope LPs, and
-Hausdorff distances between martingale polytopes (``hausdorff_mot``: exact
-by vertex enumeration within the dimension guard, sampled bounds past it).
+"""Extended couplings on R x U x R: disintegration, martingale checks, the
+adapted W1 distance, martingale polytope LPs, and W1 Hausdorff distances
+between martingale polytopes (``hausdorff_mot``: exact by vertex
+enumeration within the dimension guard, sampled bounds past it).
 
 A coupling is stored in kernel view: first-marginal atoms (x, u), each
 carrying a probability kernel over one shared y-support.  This is the
@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .lp_core import DimensionGuardError, LinearProgram, enumerate_vertices, plan_rows, solve_lp, transport_plan
-from .measures import DiscreteMeasure, LiftedMeasure, merge_atoms, wasserstein_line, wasserstein_rows
+from .measures import DiscreteMeasure, LiftedMeasure, NonFiniteError, merge_atoms, wasserstein_line, wasserstein_rows
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class DiscreteCoupling:
             raise ValueError("negative kernel weight")
         kernels = np.maximum(kernels, 0.0)
         rows = kernels.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > 1e-9):
+        if not np.all(np.abs(rows - 1.0) <= 1e-9):  # a NaN row fails too
             raise ValueError("kernel rows must sum to 1")
         kernels = kernels / rows[:, None]
         object.__setattr__(self, "first_marginal", first_marginal)
@@ -62,17 +62,6 @@ class DiscreteCoupling:
         fm = self.first_marginal
         return np.column_stack([fm.xs[i], fm.us[i], self.y_support[j], fm.weights[i] * self.kernels[i, j]])
 
-    def proj13(self) -> "DiscreteCoupling":
-        """Forget the information label: coupling of (x marginal, nu)."""
-        fm = self.first_marginal
-        xs, row = np.unique(fm.xs, return_inverse=True)
-        w = np.zeros(xs.size)
-        K = np.zeros((xs.size, self.y_support.size))
-        np.add.at(w, row, fm.weights)
-        np.add.at(K, row, fm.weights[:, None] * self.kernels)
-        flat = LiftedMeasure(np.column_stack([xs, np.zeros(xs.size)]), w)
-        return DiscreteCoupling(flat, self.y_support, K / w[:, None])
-
     def to_dict(self) -> dict:
         return {
             "first_marginal": self.first_marginal.to_dict(),
@@ -82,7 +71,23 @@ class DiscreteCoupling:
 
     @staticmethod
     def from_dict(data: dict) -> "DiscreteCoupling":
-        return DiscreteCoupling(LiftedMeasure.from_dict(data["first_marginal"]), data["y_support"], data["kernels"])
+        """The coupling of a dict form, built by ``disintegrate`` from its
+        (x, u, y, weight * kernel) table, so that the order of the atoms with
+        their kernel rows, and of the y support with the kernel columns,
+        changes no bit.  Kernels without one row per atom and one column per
+        y, or whose rows do not sum to 1, raise ``ValueError``, and a
+        non-finite entry ``NonFiniteError``."""
+        fm = data["first_marginal"]
+        atoms = np.asarray(fm["atoms"], dtype=float).reshape(-1, 2)
+        weights, ys = (np.asarray(v, dtype=float).ravel() for v in (fm["weights"], data["y_support"]))
+        kernels = np.asarray(data["kernels"], dtype=float)
+        if weights.size != len(atoms) or kernels.shape != (len(atoms), ys.size):
+            raise ValueError("kernels need one row per first-marginal atom and one column per y")
+        if np.any(np.abs(kernels.sum(axis=1) - 1.0) > 1e-9):
+            raise ValueError("kernel rows must sum to 1")
+        n, m = kernels.shape
+        return disintegrate(np.column_stack([np.repeat(atoms, m, axis=0), np.tile(ys, n),
+                                             (weights[:, None] * kernels).ravel()]))[0]
 
 
 def disintegrate(table):
@@ -90,9 +95,11 @@ def disintegrate(table):
 
     Rows whose (x, u) keys ``merge_atoms`` merges share one kernel, at the
     merged atom.  Atoms with zero mass are dropped; their count is returned
-    alongside.
+    alongside.  A non-finite entry raises ``NonFiniteError``.
     """
     table = np.asarray(table, dtype=float).reshape(-1, 4)
+    if not np.isfinite(table).all():
+        raise NonFiniteError("coupling table entries must be finite")
     if np.any(table[:, 3] < -1e-12):
         raise ValueError("negative weight in table")
     ys, col = np.unique(table[:, 2], return_inverse=True)
@@ -112,28 +119,21 @@ def check_martingale(c: DiscreteCoupling, tol: float = 1e-9):
     return worst <= tol, worst
 
 
-def _point_cost(a_points, b_points, p: float) -> np.ndarray:
-    """Sum over coordinates of |a - b|^p, for every pair of rows."""
+def _point_cost(a_points, b_points) -> np.ndarray:
+    """Sum over coordinates of |a - b|, for every pair of rows."""
     a = np.asarray(a_points)[:, None, :]
     b = np.asarray(b_points)[None, :, :]
-    return (np.abs(a - b) ** p).sum(axis=2)
+    return np.abs(a - b).sum(axis=2)
 
 
-def wasserstein_coupling(c1: DiscreteCoupling, c2: DiscreteCoupling, p: float = 1.0) -> float:
-    """Flat W_p between joint measures with the product metric on R x U x R."""
-    j1, j2 = c1.joint(), c2.joint()
-    _, value = transport_plan(_point_cost(j1[:, :3], j2[:, :3], p), j1[:, 3], j2[:, 3])
-    return float(value ** (1.0 / p))
-
-
-def adapted_wasserstein(c1: DiscreteCoupling, c2: DiscreteCoupling, p: float = 1.0) -> float:
-    """Adapted W_p: outer transport on (x, u) atoms with nested kernel cost."""
+def adapted_wasserstein(c1: DiscreteCoupling, c2: DiscreteCoupling) -> float:
+    """Adapted W1: outer transport on (x, u) atoms with nested kernel cost."""
     fm1, fm2 = c1.first_marginal, c2.first_marginal
-    inner = np.array([wasserstein_rows(c1.y_support, k, c2.y_support, c2.kernels, p) for k in c1.kernels])
+    inner = np.array([wasserstein_rows(c1.y_support, k, c2.y_support, c2.kernels) for k in c1.kernels])
     dx = np.abs(fm1.xs[:, None] - fm2.xs[None, :])
     du = np.abs(fm1.us[:, None] - fm2.us[None, :])
-    _, value = transport_plan(dx ** p + du ** p + inner ** p, fm1.weights, fm2.weights)
-    return float(value ** (1.0 / p))
+    _, value = transport_plan(dx + du + inner, fm1.weights, fm2.weights)
+    return float(value)
 
 
 # -- martingale polytope helpers -----------------------------------------
@@ -156,8 +156,8 @@ def coupling_from_plan(mu_bar: LiftedMeasure, nu: DiscreteMeasure, plan: np.ndar
     return DiscreteCoupling(fm, nu.atoms, kernels)
 
 
-def distance_to_polytope(c: DiscreteCoupling, mu_bar: LiftedMeasure, nu: DiscreteMeasure, p: float = 1.0) -> float:
-    """W_p distance from a coupling to the polytope Pi_M(mu_bar, nu).
+def distance_to_polytope(c: DiscreteCoupling, mu_bar: LiftedMeasure, nu: DiscreteMeasure) -> float:
+    """W1 distance from a coupling to the polytope Pi_M(mu_bar, nu).
 
     Single LP: joint variables are a member of the polytope together with
     a transport plan from the support of c to the member's support grid.
@@ -166,22 +166,16 @@ def distance_to_polytope(c: DiscreteCoupling, mu_bar: LiftedMeasure, nu: Discret
     grid = np.column_stack([np.repeat(mu_bar.atoms, len(nu), axis=0), np.tile(nu.atoms, len(mu_bar))])
     K, G = len(joint), len(grid)
     # variables: T (K*G), pi (G); T's column sums are tied to pi
-    c_obj = np.concatenate([_point_cost(joint[:, :3], grid, p).ravel(), np.zeros(G)])
+    c_obj = np.concatenate([_point_cost(joint[:, :3], grid).ravel(), np.zeros(G)])
     T = plan_rows(K, G)
     pol = martingale_polytope_lp(mu_bar, nu)
     A_eq = sparse.bmat([[T[:K], None], [T[K:], -sparse.eye_array(G)], [None, pol.A_eq]], format="csr")
     b_eq = np.concatenate([joint[:, 3], np.zeros(G), pol.b_eq])
-    return float(solve_lp(LinearProgram(c=c_obj, A_eq=A_eq, b_eq=b_eq)).value ** (1.0 / p))
+    return float(solve_lp(LinearProgram(c=c_obj, A_eq=A_eq, b_eq=b_eq)).value)
 
 
-def hausdorff_mot(
-    mu_bar1: LiftedMeasure,
-    nu1: DiscreteMeasure,
-    mu_bar2: LiftedMeasure,
-    nu2: DiscreteMeasure,
-    p: float = 1.0,
-):
-    """Hausdorff distance bounds between two martingale polytopes.
+def hausdorff_mot(mu_bar1: LiftedMeasure, nu1: DiscreteMeasure, mu_bar2: LiftedMeasure, nu2: DiscreteMeasure):
+    """W1 Hausdorff distance bounds between two martingale polytopes.
 
     Exact when vertex enumeration passes the dimension guard on both
     sides (the sup of a convex distance function over a polytope is
@@ -191,14 +185,14 @@ def hausdorff_mot(
     "sampled".  ``run_stability`` reaches the sampled mode when the
     perturbation adds atoms (``quantile_discretize`` on a 3 x 3 pair).
     """
-    lifted_w1 = _lifted_wasserstein(mu_bar1, mu_bar2, p)
-    nu_w = wasserstein_line(nu1, nu2, p)
+    lifted_w1 = _lifted_wasserstein(mu_bar1, mu_bar2)
+    nu_w = wasserstein_line(nu1, nu2)
     # each side's couplings measured against the other side's polytope
     sides = [(mu_bar1, nu1, mu_bar2, nu2), (mu_bar2, nu2, mu_bar1, nu1)]
     try:
         vertices = [enumerate_vertices(martingale_polytope_lp(mb, nu)) for mb, nu, _, _ in sides]
         d = max(
-            distance_to_polytope(coupling_from_plan(mb, nu, v), mb_o, nu_o, p)
+            distance_to_polytope(coupling_from_plan(mb, nu, v), mb_o, nu_o)
             for (mb, nu, mb_o, nu_o), vs in zip(sides, vertices)
             for v in vs
         )
@@ -210,11 +204,11 @@ def hausdorff_mot(
     for _ in range(8):
         for mb, nu, mb_o, nu_o in sides:
             sol = solve_lp(martingale_polytope_lp(mb, nu, rng.standard_normal((len(mb), len(nu)))))
-            lower = max(lower, distance_to_polytope(coupling_from_plan(mb, nu, sol.x), mb_o, nu_o, p))
+            lower = max(lower, distance_to_polytope(coupling_from_plan(mb, nu, sol.x), mb_o, nu_o))
     upper = lower + lifted_w1 + 2.0 * nu_w
     return {"lower": lower, "upper": upper, "mode": "sampled"}
 
 
-def _lifted_wasserstein(m1: LiftedMeasure, m2: LiftedMeasure, p: float = 1.0) -> float:
-    _, value = transport_plan(_point_cost(m1.atoms, m2.atoms, p), m1.weights, m2.weights)
-    return float(value ** (1.0 / p))
+def _lifted_wasserstein(m1: LiftedMeasure, m2: LiftedMeasure) -> float:
+    _, value = transport_plan(_point_cost(m1.atoms, m2.atoms), m1.weights, m2.weights)
+    return float(value)

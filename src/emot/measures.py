@@ -151,12 +151,6 @@ class DiscreteMeasure(_Measure):
         """Unnormalized first moment (sum of atom * weight)."""
         return float(np.dot(self.atoms, self.weights))
 
-    def integrate(self, f) -> float:
-        """Integral of a vectorizable function against the measure."""
-        if self.is_zero:
-            return 0.0
-        return float(np.dot(np.asarray(f(self.atoms), dtype=float), self.weights))
-
     def normalized(self) -> "DiscreteMeasure":
         if self.mass <= 0:
             raise EmptyMeasureError("empty measure")
@@ -197,40 +191,10 @@ class LiftedMeasure(_Measure):
     def x_marginal(self) -> DiscreteMeasure:
         return DiscreteMeasure(self.xs, self.weights)
 
-    def u_marginal(self) -> DiscreteMeasure:
-        return DiscreteMeasure(self.us, self.weights)
-
     @staticmethod
-    def from_measure(m: DiscreteMeasure, label: float = 0.0) -> "LiftedMeasure":
-        atoms = np.column_stack([m.atoms, np.full(len(m), label)])
-        return LiftedMeasure(atoms, m.weights)
-
-
-class QuantileView:
-    """Generalized inverse of the CDF of a discrete measure.
-
-    The quantile function is the right-continuous step function with
-    Q(q) = atom_i for q in (c_{i-1}, c_i], c the cumulative weights.
-    """
-
-    def __init__(self, m: DiscreteMeasure):
-        if m.is_zero:
-            raise EmptyMeasureError("empty measure")
-        self.measure = m
-        self.cum = m.cumulative()
-
-    def __call__(self, q):
-        q = np.asarray(q, dtype=float)
-        idx = np.searchsorted(self.cum, q, side="left")
-        idx = np.clip(idx, 0, len(self.measure) - 1)
-        return self.measure.atoms[idx]
-
-    def cell_masses(self, levels) -> np.ndarray:
-        """Mass of each atom inside each quantile cell (levels[c], levels[c+1]]:
-        one row per cell, one column per atom, zero outside the cell."""
-        levels = np.asarray(levels, dtype=float)[:, None]
-        cum = np.concatenate([[0.0], self.cum])
-        return np.maximum(np.minimum(cum[1:], levels[1:]) - np.maximum(cum[:-1], levels[:-1]), 0.0)
+    def from_measure(m: DiscreteMeasure) -> "LiftedMeasure":
+        """m with every atom at label 0."""
+        return LiftedMeasure(np.column_stack([m.atoms, np.zeros(len(m))]), m.weights)
 
 
 # -- operations ----------------------------------------------------------
@@ -243,8 +207,8 @@ def mean(m: DiscreteMeasure) -> float:
     return m.first_moment() / m.mass
 
 
-def wasserstein_rows(ya, a, yb, B, p: float = 1.0) -> np.ndarray:
-    """W_p from the weight row ``a`` on sorted atoms ``ya`` to every row of
+def wasserstein_rows(ya, a, yb, B) -> np.ndarray:
+    """W1 from the weight row ``a`` on sorted atoms ``ya`` to every row of
     ``B`` on sorted atoms ``yb``, by the quantile formula over [0, mass].
 
     Per row, the quantile levels are the union of both cumulative sums; at a
@@ -262,26 +226,21 @@ def wasserstein_rows(ya, a, yb, B, p: float = 1.0) -> np.ndarray:
     ia = np.minimum(np.cumsum(from_a, axis=1) - from_a, len(a) - 1)
     ib = np.minimum(np.cumsum(~from_a, axis=1) - ~from_a, len(yb) - 1)
     seg = np.diff(levels, axis=1, prepend=0.0)
-    dist = np.abs(ya[ia] - yb[ib])
-    if p == 1:
-        return (dist * seg).sum(axis=1)
-    return ((dist ** p) * seg).sum(axis=1) ** (1.0 / p)
+    return (np.abs(ya[ia] - yb[ib]) * seg).sum(axis=1)
 
 
-def wasserstein_line(m1: DiscreteMeasure, m2: DiscreteMeasure, p: float = 1.0) -> float:
-    """p-Wasserstein distance on the line via the quantile formula.
+def wasserstein_line(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
+    """W1 distance on the line via the quantile formula.
 
-    For equal-mass inputs with mass different from 1 this computes the
-    normalized convention mass^(1/p) * W_p of the normalized measures,
-    which equals the quantile integral over [0, mass].
+    For equal-mass inputs with mass different from 1 this computes mass
+    times the W1 of the normalized measures, which equals the quantile
+    integral over [0, mass].
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
     if m1.mass <= 0 or m2.mass <= 0:
         raise EmptyMeasureError("empty measure")
     if abs(m1.mass - m2.mass) > MASS_TOL * max(1.0, m1.mass):
         raise MassMismatchError(f"masses differ: {m1.mass} vs {m2.mass}")
-    return float(wasserstein_rows(m1.atoms, m1.weights, m2.atoms, m2.weights, p)[0])
+    return float(wasserstein_rows(m1.atoms, m1.weights, m2.atoms, m2.weights)[0])
 
 
 def cdf(m: DiscreteMeasure, ys) -> np.ndarray:
@@ -327,6 +286,16 @@ def check_convex_order(m1: DiscreteMeasure, m2: DiscreteMeasure, tol: float = 1e
     return True, None
 
 
+def cell_masses(m: DiscreteMeasure, levels) -> np.ndarray:
+    """Mass of each atom of m inside each quantile cell (levels[c], levels[c+1]]:
+    one row per cell, one column per atom, zero outside the cell."""
+    if m.is_zero:
+        raise EmptyMeasureError("empty measure")
+    levels = np.asarray(levels, dtype=float)[:, None]
+    cum = np.concatenate([[0.0], m.cumulative()])
+    return np.maximum(np.minimum(cum[1:], levels[1:]) - np.maximum(cum[:-1], levels[:-1]), 0.0)
+
+
 def quantile_discretize(m: DiscreteMeasure, k: int) -> DiscreteMeasure:
     """Conditional means on k equal quantile cells; mass and mean preserved.
 
@@ -336,7 +305,7 @@ def quantile_discretize(m: DiscreteMeasure, k: int) -> DiscreteMeasure:
         raise ValueError("k must be >= 1")
     if m.mass <= 0:
         raise EmptyMeasureError("empty measure")
-    W = QuantileView(m).cell_masses(np.arange(k + 1) * m.mass / k)
+    W = cell_masses(m, np.arange(k + 1) * m.mass / k)
     mass = W.sum(axis=1)
     full = mass > 0
     return DiscreteMeasure(W[full] @ m.atoms / mass[full], mass[full])

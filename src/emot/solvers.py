@@ -18,7 +18,7 @@ from scipy import sparse
 from .convex_order import require_convex_order
 from .couplings import DiscreteCoupling, coupling_from_plan, disintegrate, martingale_polytope_lp
 from .lp_core import CertificateError, LinearProgram, plan_rows, solve_lp
-from .measures import DiscreteMeasure, LiftedMeasure, QuantileView
+from .measures import DiscreteMeasure, LiftedMeasure, cell_masses
 
 MAX_FW_ITER = 500
 
@@ -84,13 +84,14 @@ def solve_mot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec, sense: s
     return solve_extended_mot(LiftedMeasure.from_measure(mu), nu, cost, sense)
 
 
-def _golden_section(f, lo: float = 0.0, hi: float = 1.0, tol: float = 1e-10) -> float:
+def _golden_section(f) -> float:
+    """Minimizer of a unimodal f on [0, 1], to within 1e-10."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = 0.0, 1.0
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-10:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
@@ -102,20 +103,14 @@ def _golden_section(f, lo: float = 0.0, hi: float = 1.0, tol: float = 1e-10) -> 
     return 0.5 * (a + b)
 
 
-def solve_wmot_fw(
-    mu_bar: LiftedMeasure,
-    nu: DiscreteMeasure,
-    cost: CostSpec,
-    tol: float = 1e-8,
-    max_iter: int = MAX_FW_ITER,
-):
+def solve_wmot_fw(mu_bar: LiftedMeasure, nu: DiscreteMeasure, cost: CostSpec, tol: float = 1e-8):
     """Convex kernel-cost martingale transport by Frank-Wolfe.
 
     Minimizes sum_i w_i C(x_i, u_i, K_i) over kernels K of couplings in
     Pi_M(mu_bar, nu).  The linear minimization oracle is the lifted LP
     with the current gradient as cost; steps use exact golden-section
     line search with a 2/(k+2) fallback.  Stops when the Frank-Wolfe gap
-    certificate drops below ``tol``.
+    certificate drops below ``tol``, or after ``MAX_FW_ITER`` iterations.
     """
     require_convex_order(mu_bar.x_marginal(), nu)
     ys = nu.atoms
@@ -138,8 +133,8 @@ def solve_wmot_fw(
 
     _check_gradient(cost, mu_bar, ys, plan / w[:, None])
 
-    fw_gap, k = np.inf, -1  # max_iter=0 returns the feasible start uncertified
-    for k in range(max_iter):
+    fw_gap, k = np.inf, -1  # with MAX_FW_ITER = 0 the feasible start is returned uncertified
+    for k in range(MAX_FW_ITER):
         G = gradient(plan)
         S = solve_lp(martingale_polytope_lp(mu_bar, nu, cost=G)).x.reshape(plan.shape)
         fw_gap = float(np.sum(G * (plan - S)))
@@ -158,9 +153,9 @@ def solve_wmot_fw(
     }
 
 
-def _check_gradient(cost: CostSpec, mu_bar: LiftedMeasure, ys: np.ndarray, K: np.ndarray, h: float = 1e-6):
-    """Compare the gradient oracle with central differences; abort on mismatch."""
-    i = 0
+def _check_gradient(cost: CostSpec, mu_bar: LiftedMeasure, ys: np.ndarray, K: np.ndarray):
+    """Compare the gradient oracle with central differences of step 1e-6; abort on mismatch."""
+    i, h = 0, 1e-6
     g = np.asarray(cost.kernel_grad(mu_bar.xs[i], mu_bar.us[i], ys, K[i]))
     for j in range(min(3, ys.size)):
         e = np.zeros(ys.size)
@@ -330,50 +325,21 @@ def _support_ends(c: DiscreteCoupling, tol: float):
     return on, c.y_support[first], c.y_support[last]
 
 
-def extract_barriers(c: DiscreteCoupling, tol: float = 1e-10):
+def extract_barriers(c: DiscreteCoupling):
     """Barrier maps of a coupling with at-most-binary kernels.
 
     Kernels supported on one point give T1 = T2 = x; on two points the
-    support endpoints.  Kernels with larger support are excluded and
-    reported in the diagnostics with their count and carried mass.
+    support endpoints; a kernel entry counts when it is above 1e-10.
+    Kernels with larger support are excluded and reported in the
+    diagnostics with their count and carried mass.
     """
-    on, lo, hi = _support_ends(c, tol)
+    on, lo, hi = _support_ends(c, 1e-10)
     size = on.sum(axis=1)
     keep = size <= 2
     fm = c.first_marginal
     t1, t2 = np.where(size == 1, fm.xs, lo), np.where(size == 1, fm.xs, hi)
     bm = BarrierMaps(fm.atoms[keep], fm.weights[keep], t1[keep], t2[keep])
     return bm, {"excluded_count": int((~keep).sum()), "excluded_mass": float(fm.weights[~keep].sum())}
-
-
-def barrier_monotonicity_violation(bm: BarrierMaps, tol: float = 1e-9) -> float:
-    """Mass violating the nesting T1 nonincreasing / T2 nondecreasing in u.
-
-    For each x and each adjacent label pair v < u the intervals
-    [T1(x, v), T2(x, v)] must sit inside [T1(x, u), T2(x, u)].
-    """
-    order = np.lexsort((bm.atoms[:, 1], bm.atoms[:, 0]))
-    a, b = order[:-1], order[1:]
-    # label at b is larger: its interval must contain the one at a
-    bad = (bm.atoms[a, 0] == bm.atoms[b, 0]) & ((bm.t1[b] > bm.t1[a] + tol) | (bm.t2[b] < bm.t2[a] - tol))
-    return float(bm.weights[b[bad]].sum())
-
-
-def left_monotone_violation(c: DiscreteCoupling, tol: float = 1e-10) -> float:
-    """Mass breaking the left-monotone support pattern of proj_{1,3}.
-
-    A violation is a point y' of the kernel at x' landing strictly
-    between two support points of the kernel at some x < x'.
-    """
-    flat = c.proj13()
-    xs, ys = flat.first_marginal.xs, flat.y_support
-    on, lo, hi = _support_ends(flat, tol)
-    # inside[i, j]: y_j lies strictly between the support ends of the kernel
-    # at x_i, farther than tol from each of its support points
-    near = on @ (np.abs(ys[:, None] - ys[None, :]) <= tol)
-    inside = (on.sum(axis=1) >= 2)[:, None] & (lo[:, None] + tol < ys) & (ys < hi[:, None] - tol) & ~near
-    hit = (xs[None, :] < xs[:, None] - tol) @ inside
-    return float((flat.first_marginal.weights[:, None] * flat.kernels)[on & hit].sum())
 
 
 def copula_lift(mu: DiscreteMeasure, copula: str = "independence", m: int = 1) -> LiftedMeasure:
@@ -391,7 +357,7 @@ def copula_lift(mu: DiscreteMeasure, copula: str = "independence", m: int = 1) -
         raise ValueError(f"unknown copula {copula!r}")
     cells = np.full((m, m), 1.0 / (m * m)) if copula == "independence" else np.eye(m) / m
     # quantile cell i of mu, scaled by m * cells[i, k], carries label (k + 1/2) / m
-    W = QuantileView(mu).cell_masses(np.arange(m + 1) * mu.mass / m)
+    W = cell_masses(mu, np.arange(m + 1) * mu.mass / m)
     weights = (m * cells)[:, :, None] * W[:, None, :]
     labels = np.broadcast_to(((np.arange(m) + 0.5) / m)[None, :, None], weights.shape)
     atoms = np.column_stack([np.broadcast_to(mu.atoms, weights.shape).ravel(), labels.ravel()])

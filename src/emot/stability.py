@@ -170,7 +170,7 @@ def _barrier_exceedance(c_base, c_pert, threshold: float) -> tuple:
     bm1, _ = extract_barriers(c_pert)
     if len(bm1.weights):
         # each base atom is compared with the L1-nearest perturbed atom
-        j = _point_cost(bm0.atoms, bm1.atoms, 1.0).argmin(axis=1)
+        j = _point_cost(bm0.atoms, bm1.atoms).argmin(axis=1)
         drift = np.abs(bm1.t1[j] - bm0.t1) + np.abs(bm1.t2[j] - bm0.t2)
     else:
         drift = np.full(len(bm0.weights), np.inf)
@@ -220,14 +220,14 @@ def run_stability(config: ExperimentConfig) -> StabilityReport:
             mu_p, nu_p = perturb_marginals(
                 config.mu, config.nu, config.perturbation, scale, rng
             )
-            row["w1_mu"] = wasserstein_line(config.mu, mu_p, 1.0)
-            row["w1_nu"] = wasserstein_line(config.nu, nu_p, 1.0)
+            row["w1_mu"] = wasserstein_line(config.mu, mu_p)
+            row["w1_nu"] = wasserstein_line(config.nu, nu_p)
             value_p, coupling_p = _solve(config.problem, mu_p, nu_p, config)
             row["value_base"] = base_value
             row["value_pert"] = value_p
             row["value_gap"] = abs(value_p - base_value)
             if base_coupling is not None and coupling_p is not None:
-                row["aw_gap"] = adapted_wasserstein(base_coupling, coupling_p, 1.0)
+                row["aw_gap"] = adapted_wasserstein(base_coupling, coupling_p)
             if config.problem == "mot" and len(config.mu) * len(config.nu) <= 12:
                 h = hausdorff_mot(
                     LiftedMeasure.from_measure(config.mu),
@@ -285,21 +285,3 @@ def emit(report: StabilityReport, fmt: str) -> str:
                 curves[key] = series
         return json.dumps(curves, sort_keys=True, indent=2) + "\n"
     raise ConfigError(f"unknown format {fmt!r}")
-
-
-def report_from_csv(text: str) -> list:
-    """Rows parsed back from a CSV emission (floats restored exactly)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    rows = []
-    for rec in reader:
-        row = {}
-        for key, val in zip(header, rec):
-            if val == "":
-                row[key] = None
-            elif key in ("status", "reason"):
-                row[key] = val
-            else:
-                row[key] = float(val)
-        rows.append(row)
-    return rows

@@ -1,7 +1,8 @@
-"""Pairwise reference implementations of the array metric kernels.
+"""Pairwise reference implementations of the array metric kernels, and the
+checks and readers that only the tests use.
 
 These are the straightforward per-pair forms that ``emot`` replaced with
-array code: the per-pair quantile W_p, adapted W_p built from one pair of
+array code: the per-pair quantile W1, adapted W1 built from one pair of
 kernel measures at a time, the convex-order minimum that intersects every
 pair of affine pieces of the two potentials, the convex-order projection
 that walks the running maxima point by point and joins them where they
@@ -17,20 +18,27 @@ went through scipy's COO-to-CSR conversion.  The VIX bin LP, which
 ``emot vix`` solved before its exact LP over two-point kernels, is the
 bracket oracle: ``vix_bracket`` gives d_lo <= D_sub <= d_hi with gap one bin
 width times mu(R), and ``vix_bin_primal_lp`` its portfolio LP.
+
+The tests' own checks follow: the quantile function, closed-form W1
+between binary kernels, flat W1 between couplings (the lower bound on
+adapted W1), the nesting of shadow barriers, the left-monotone support of
+a coupling, and the reader of a stability CSV emission.
 """
 
 import bisect
+import csv
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
 
-from emot.convex_order import _lower_convex_hull, require_convex_order
-from emot.couplings import DiscreteCoupling, disintegrate
+from emot.convex_order import _lower_convex_hull, binary_kernel, require_convex_order
+from emot.couplings import DiscreteCoupling, _point_cost, disintegrate
 from emot.lp_core import Block, CertificateError, LinearProgram, block_rows, plan_rows, solve_lp, transport_plan
-from emot.measures import MERGE_TOL, DiscreteMeasure, LiftedMeasure, QuantileView, potential_values
-from emot.solvers import _log_contract
+from emot.measures import MERGE_TOL, DiscreteMeasure, LiftedMeasure, potential_values
+from emot.solvers import BarrierMaps, _log_contract, _support_ends
 
 
 @dataclass(frozen=True)
@@ -80,32 +88,30 @@ def potential(m: DiscreteMeasure) -> PiecewiseLinearConvex:
     return PiecewiseLinearConvex(m.atoms.copy(), vals, -m.mass, m.mass)
 
 
-def wasserstein_line(m1: DiscreteMeasure, m2: DiscreteMeasure, p: float = 1.0) -> float:
-    """Quantile W_p of two equal-mass measures, one pair at a time."""
+def wasserstein_line(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
+    """Quantile W1 of two equal-mass measures, one pair at a time."""
     c1, c2 = m1.cumulative(), m2.cumulative()
     grid = np.union1d(c1, c2)
     grid = grid[grid <= min(c1[-1], c2[-1]) + 1e-12]
     seg = np.diff(np.concatenate([[0.0], grid]))
     q1 = m1.atoms[np.clip(np.searchsorted(c1, grid - 1e-15, side="left"), 0, len(m1) - 1)]
     q2 = m2.atoms[np.clip(np.searchsorted(c2, grid - 1e-15, side="left"), 0, len(m2) - 1)]
-    if p == 1:
-        return float(np.dot(np.abs(q1 - q2), seg))
-    return float(np.dot(np.abs(q1 - q2) ** p, seg) ** (1.0 / p))
+    return float(np.dot(np.abs(q1 - q2), seg))
 
 
-def adapted_wasserstein(c1: DiscreteCoupling, c2: DiscreteCoupling, p: float = 1.0) -> float:
-    """Adapted W_p with the nested kernel cost filled one pair at a time."""
+def adapted_wasserstein(c1: DiscreteCoupling, c2: DiscreteCoupling) -> float:
+    """Adapted W1 with the nested kernel cost filled one pair at a time."""
     n1, n2 = len(c1.first_marginal), len(c2.first_marginal)
     cost = np.zeros((n1, n2))
     for i in range(n1):
         ki = c1.kernel_measure(i)
         for j in range(n2):
-            inner = wasserstein_line(ki, c2.kernel_measure(j), p)
+            inner = wasserstein_line(ki, c2.kernel_measure(j))
             dx = abs(c1.first_marginal.xs[i] - c2.first_marginal.xs[j])
             du = abs(c1.first_marginal.us[i] - c2.first_marginal.us[j])
-            cost[i, j] = dx ** p + du ** p + inner ** p
+            cost[i, j] = dx + du + inner
     _, value = transport_plan(cost, c1.first_marginal.weights, c2.first_marginal.weights)
-    return float(value ** (1.0 / p))
+    return float(value)
 
 
 def product_coupling(mu_bar: LiftedMeasure, nu: DiscreteMeasure) -> DiscreteCoupling:
@@ -228,7 +234,7 @@ def convex_order_projection(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Discret
 
 def cell_restriction(m: DiscreteMeasure, q_lo: float, q_hi: float) -> DiscreteMeasure:
     """Submeasure of m carrying the quantile mass of (q_lo, q_hi]."""
-    cum = np.concatenate([[0.0], QuantileView(m).cum])
+    cum = np.concatenate([[0.0], m.cumulative()])
     atoms, weights = [], []
     for i, a in enumerate(m.atoms):
         w = min(cum[i + 1], q_hi) - max(cum[i], q_lo)
@@ -365,3 +371,97 @@ def vix_bin_primal_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, tau: float, u_gr
     phi, psi, delta_s, alpha, beta = np.split(sol.x, np.cumsum([n, m, n * nb, n * nb]))
     return {"p_value": sol.value, "phi": phi, "psi": psi, "delta_s": delta_s.reshape(n, nb),
             "delta_l": (alpha - beta).reshape(n, nb)}
+
+
+# -- checks and readers only the tests use --------------------------------
+
+
+def quantile(m: DiscreteMeasure, q):
+    """Generalized inverse of the CDF of m: the right-continuous step function
+    with Q(q) = atom_i for q in (c_{i-1}, c_i], c the cumulative weights."""
+    idx = np.searchsorted(m.cumulative(), np.asarray(q, dtype=float), side="left")
+    return m.atoms[np.clip(idx, 0, len(m) - 1)]
+
+
+def w1_binary(x: float, y: float, z: float, yk: float, zk: float) -> float:
+    """Closed-form W1 between the binary kernels B(x, yk, zk) and B(x, y, z)."""
+    if not (y <= x <= z and yk <= x <= zk):
+        raise ValueError("orderings y <= x <= z and yk <= x <= zk required")
+    degenerate = (y == x == z) or (yk == x == zk)
+    if degenerate:
+        return wasserstein_line(binary_kernel(x, y, z), binary_kernel(x, yk, zk))
+    py = (z - x) / (z - y)
+    pk = (zk - x) / (zk - yk)
+    return (
+        min(py, pk) * abs(y - yk)
+        + max(py - pk, 0.0) * (zk - y)
+        + max(pk - py, 0.0) * (z - yk)
+        + min(1.0 - py, 1.0 - pk) * abs(z - zk)
+    )
+
+
+def wasserstein_coupling(c1: DiscreteCoupling, c2: DiscreteCoupling) -> float:
+    """Flat W1 between joint measures with the product metric on R x U x R."""
+    j1, j2 = c1.joint(), c2.joint()
+    _, value = transport_plan(_point_cost(j1[:, :3], j2[:, :3]), j1[:, 3], j2[:, 3])
+    return float(value)
+
+
+def barrier_monotonicity_violation(bm: BarrierMaps, tol: float = 1e-9) -> float:
+    """Mass violating the nesting T1 nonincreasing / T2 nondecreasing in u.
+
+    For each x and each adjacent label pair v < u the intervals
+    [T1(x, v), T2(x, v)] must sit inside [T1(x, u), T2(x, u)].
+    """
+    order = np.lexsort((bm.atoms[:, 1], bm.atoms[:, 0]))
+    a, b = order[:-1], order[1:]
+    # label at b is larger: its interval must contain the one at a
+    bad = (bm.atoms[a, 0] == bm.atoms[b, 0]) & ((bm.t1[b] > bm.t1[a] + tol) | (bm.t2[b] < bm.t2[a] - tol))
+    return float(bm.weights[b[bad]].sum())
+
+
+def proj13(c: DiscreteCoupling) -> DiscreteCoupling:
+    """Forget the information label: coupling of (x marginal, nu)."""
+    fm = c.first_marginal
+    xs, row = np.unique(fm.xs, return_inverse=True)
+    w = np.zeros(xs.size)
+    K = np.zeros((xs.size, c.y_support.size))
+    np.add.at(w, row, fm.weights)
+    np.add.at(K, row, fm.weights[:, None] * c.kernels)
+    flat = LiftedMeasure(np.column_stack([xs, np.zeros(xs.size)]), w)
+    return DiscreteCoupling(flat, c.y_support, K / w[:, None])
+
+
+def left_monotone_violation(c: DiscreteCoupling, tol: float = 1e-10) -> float:
+    """Mass breaking the left-monotone support pattern of proj_{1,3}.
+
+    A violation is a point y' of the kernel at x' landing strictly
+    between two support points of the kernel at some x < x'.
+    """
+    flat = proj13(c)
+    xs, ys = flat.first_marginal.xs, flat.y_support
+    on, lo, hi = _support_ends(flat, tol)
+    # inside[i, j]: y_j lies strictly between the support ends of the kernel
+    # at x_i, farther than tol from each of its support points
+    near = on @ (np.abs(ys[:, None] - ys[None, :]) <= tol)
+    inside = (on.sum(axis=1) >= 2)[:, None] & (lo[:, None] + tol < ys) & (ys < hi[:, None] - tol) & ~near
+    hit = (xs[None, :] < xs[:, None] - tol) @ inside
+    return float((flat.first_marginal.weights[:, None] * flat.kernels)[on & hit].sum())
+
+
+def report_from_csv(text: str) -> list:
+    """Rows parsed back from a stability CSV emission (floats restored exactly)."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    rows = []
+    for rec in reader:
+        row = {}
+        for key, val in zip(header, rec):
+            if val == "":
+                row[key] = None
+            elif key in ("status", "reason"):
+                row[key] = val
+            else:
+                row[key] = float(val)
+        rows.append(row)
+    return rows

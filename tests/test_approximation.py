@@ -49,7 +49,7 @@ class TestSplitMarginals:
         assert s.stationary_mu_bar is None
         p = s.pieces[0]
         assert p["mu_bar"].mass == pytest.approx(1.0)
-        assert wasserstein_line(p["nu"], pi.second_marginal(), 1.0) < 1e-9
+        assert wasserstein_line(p["nu"], pi.second_marginal()) < 1e-9
 
     def test_pieces_in_convex_order(self):
         pi = f1_base()
@@ -61,7 +61,7 @@ class TestSplitMarginals:
             ok, _ = check_convex_order(p["mu_bar"].x_marginal(), p["nu"], tol=1e-8)
             assert ok
             total_nu = p["nu"] if total_nu is None else total_nu + p["nu"]
-        assert wasserstein_line(total_nu, nu_p, 1.0) < 1e-9
+        assert wasserstein_line(total_nu, nu_p) < 1e-9
 
     def test_two_components_mass_split(self):
         mu = DiscreteMeasure([-2, 2], [0.5, 0.5])
@@ -97,7 +97,7 @@ class TestSplitMarginals:
         assert np.array_equal(total.atoms, mu_p.atoms)
         assert np.allclose(total.weights, mu_p.weights, atol=1e-12)
         out, _ = approximate_coupling(pi, mu_p, nu_p, 0.05)
-        assert wasserstein_line(out.second_marginal(), nu_p, 1.0) < 1e-9
+        assert wasserstein_line(out.second_marginal(), nu_p) < 1e-9
 
     def test_rejects_bad_order(self):
         pi = f1_base()
@@ -113,7 +113,7 @@ class TestApproximatePairs:
         out, diag = approximate_pairs([mu], [nu], [mu], (-1.0, 1.0), nu, eps=0.05)
         assert len(out) == 1
         total = out[0]
-        assert wasserstein_line(total, nu, 1.0) < 1e-9
+        assert wasserstein_line(total, nu) < 1e-9
         ok, _ = check_convex_order(mu, total, tol=1e-8)
         assert ok
 
@@ -129,7 +129,7 @@ class TestApproximatePairs:
             [mu1, mu2], [nu1, nu2], [mu_p1, mu_p2], (-2.1, 2.1), nu_p, eps=0.05
         )
         total = out[0] + out[1]
-        assert wasserstein_line(total, nu_p, 1.0) < 1e-9
+        assert wasserstein_line(total, nu_p) < 1e-9
         for mu_p, o in zip((mu_p1, mu_p2), out):
             ok, _ = check_convex_order(mu_p, o, tol=1e-8)
             assert ok
@@ -253,10 +253,10 @@ class TestApproximateCoupling:
         pi = DiscreteCoupling(mb, [-1.0, 1.0], [[0.5, 0.5]])
         nu_p = DiscreteMeasure([-1.1, 1.1], [0.5, 0.5])
         out, rep = approximate_coupling(pi, mb, nu_p, 0.05)
-        assert wasserstein_line(out.second_marginal(), nu_p, 1.0) < 1e-9
+        assert wasserstein_line(out.second_marginal(), nu_p) < 1e-9
         ok, dev = check_martingale(out, tol=1e-7)
         assert ok, dev
-        assert rep["aw1"] <= wasserstein_line(pi.second_marginal(), nu_p, 1.0) + 0.2
+        assert rep["aw1"] <= wasserstein_line(pi.second_marginal(), nu_p) + 0.2
 
     def test_f1_perturbation_marginals_exact(self):
         pi = f1_base()
@@ -270,8 +270,8 @@ class TestApproximateCoupling:
         out, rep = approximate_coupling(pi, mu_p, nu_p, eps=delta)
         fm = out.first_marginal
         assert np.allclose(np.sort(fm.xs), np.sort(mu_p.xs))
-        assert wasserstein_line(out.x_marginal(), mu_p.x_marginal(), 1.0) < 1e-9
-        assert wasserstein_line(out.second_marginal(), nu_p, 1.0) < 1e-9
+        assert wasserstein_line(out.x_marginal(), mu_p.x_marginal()) < 1e-9
+        assert wasserstein_line(out.second_marginal(), nu_p) < 1e-9
         ok, dev = check_martingale(out, tol=1e-7)
         assert ok, dev
         assert rep["aw1"] < 1.0
@@ -290,9 +290,32 @@ class TestApproximateCoupling:
             out, rep = approximate_coupling(pi, mu_p, nu_p, eps=delta)
             vals.append(rep["aw1"])
             assert rep["aw1"] == pytest.approx(
-                adapted_wasserstein(out, pi, 1.0), abs=1e-10
+                adapted_wasserstein(out, pi), abs=1e-10
             )
         assert vals[2] < vals[0]
+
+    def test_split_base_atom_refits_two_atoms(self, monkeypatch):
+        # mu' splits the base atom -1 in two, so that cell's kernels are refit
+        # for two atoms in one LP; AW1 read 0.405, 0.103 and 0.026
+        sizes, refit = [], approximation._refit_piece
+
+        def counted(kernel, mu_bar_piece, nu_piece):
+            sizes.append(len(mu_bar_piece))
+            return refit(kernel, mu_bar_piece, nu_piece)
+
+        monkeypatch.setattr(approximation, "_refit_piece", counted)
+        pi, vals = f1_base(), []
+        for d in (0.2, 0.05, 0.0125):
+            mu_p = LiftedMeasure.from_measure(DiscreteMeasure([-1 - d, -1 + d / 2, 1 + d / 2], [0.25, 0.25, 0.5]))
+            nu_p = repaired(mu_p.x_marginal(), DiscreteMeasure([-2 - d, 2 + d], [0.5, 0.5]))
+            out, rep = approximate_coupling(pi, mu_p, nu_p, eps=d)
+            assert np.allclose(out.first_marginal.atoms, mu_p.atoms, rtol=0, atol=1e-9)
+            assert np.allclose(out.first_marginal.weights, mu_p.weights, rtol=0, atol=1e-9)
+            assert wasserstein_line(out.second_marginal(), nu_p) <= 1e-9
+            assert check_martingale(out, tol=1e-9)[0]
+            vals.append(rep["aw1"])
+        assert sizes.count(2) == 3
+        assert vals[0] > vals[1] > vals[2]
 
 
 def _criterion_08_bases():

@@ -94,6 +94,20 @@ LIFTED = {
     "mu_bar": {"atoms": [[-1.0, 0.2], [0.0, 0.5], [0.0, 0.8], [1.0, 0.5]], "weights": [0.25, 0.25, 0.25, 0.25]},
     "nu": SPREAD["nu"],
 }
+# the smallest `emot approx` input: a coupling that spreads -1 and 1 to -2, 0 and 2, with its own marginals
+APPROX = {
+    "coupling": {
+        "first_marginal": {"atoms": [[-1.0, 0.0], [1.0, 0.0]], "weights": [0.5, 0.5]},
+        "y_support": [-2.0, 0.0, 2.0],
+        "kernels": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],
+    },
+    "mu_bar": {"atoms": [[-1.0, 0.0], [1.0, 0.0]], "weights": [0.5, 0.5]},
+    "nu": {"atoms": [-2.0, 0.0, 2.0], "weights": [0.25, 0.5, 0.25]},
+}
+
+
+def _with_kernels(kernels):
+    return {**APPROX, "coupling": {**APPROX["coupling"], "kernels": kernels}}
 
 
 def _exit_code(argv) -> int:
@@ -119,8 +133,12 @@ def _input(tmp_path, data, name="input.json"):
         ("mot", {**SPREAD, "nu": {"atoms": [], "weights": []}}),
         ("emot", {**LIFTED, "mu_bar": {"atoms": [[0.0, 0.5]], "weights": [-1.0]}}),
         ("vix", {**POSITIVE, "nu": {"atoms": [0.0, 2.0], "weights": [0.5, 0.5]}}),
+        ("approx", _with_kernels([[0.5, 0.4, 0.0], [0.0, 0.5, 0.5]])),
+        ("approx", _with_kernels([[0.5, 0.5], [0.5, 0.5]])),
+        ("approx", _with_kernels([[float("nan"), 0.5, 0.0], [0.0, 0.5, 0.5]])),
     ],
-    ids=["negative-weight", "lengths-differ", "empty-mu", "empty-nu", "negative-lifted-weight", "vix-nu-atom-at-0"],
+    ids=["negative-weight", "lengths-differ", "empty-mu", "empty-nu", "negative-lifted-weight", "vix-nu-atom-at-0",
+         "kernel-rows-off", "kernel-shape", "nan-kernel"],
 )
 def test_bad_marginal_is_a_config_error(tmp_path, capsys, command, data):
     assert main([command, "--input", _input(tmp_path, data)]) == 2
@@ -136,14 +154,23 @@ def test_bad_marginal_is_a_config_error(tmp_path, capsys, command, data):
         ("vix", POSITIVE, ["--bins", "4"]),
         ("decompose", SPREAD, []),
         ("mot", REPEATED, []),
+        ("approx", APPROX, []),
     ],
 )
 @pytest.mark.parametrize("order", ["reversed", "rolled"])
 def test_output_ignores_atom_order(tmp_path, command, data, args, order):
-    def permuted(measure):
-        idx = np.arange(len(measure["weights"]))
-        idx = idx[::-1] if order == "reversed" else np.roll(idx, 1)
-        return {key: [measure[key][i] for i in idx] for key in ("atoms", "weights")}
+    def shuffled(n):
+        idx = np.arange(n)
+        return idx[::-1] if order == "reversed" else np.roll(idx, 1)
+
+    def permuted(item):
+        if "kernels" in item:  # a coupling: atoms with their kernel rows, y with the kernel columns
+            rows, cols = shuffled(len(item["kernels"])), shuffled(len(item["y_support"]))
+            return {"first_marginal": permuted(item["first_marginal"]),
+                    "y_support": [item["y_support"][j] for j in cols],
+                    "kernels": [[item["kernels"][i][j] for j in cols] for i in rows]}
+        idx = shuffled(len(item["weights"]))
+        return {key: [item[key][i] for i in idx] for key in ("atoms", "weights")}
 
     outputs = []
     for name, d in [("sorted", data), ("permuted", {key: permuted(m) for key, m in data.items()})]:
@@ -153,16 +180,6 @@ def test_output_ignores_atom_order(tmp_path, command, data, args, order):
     assert outputs[0] == outputs[1]
 
 
-# the smallest `emot approx` input: a coupling that spreads -1 and 1 to -2, 0 and 2, with its own marginals
-APPROX = {
-    "coupling": {
-        "first_marginal": {"atoms": [[-1.0, 0.0], [1.0, 0.0]], "weights": [0.5, 0.5]},
-        "y_support": [-2.0, 0.0, 2.0],
-        "kernels": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],
-    },
-    "mu_bar": {"atoms": [[-1.0, 0.0], [1.0, 0.0]], "weights": [0.5, 0.5]},
-    "nu": {"atoms": [-2.0, 0.0, 2.0], "weights": [0.25, 0.5, 0.25]},
-}
 FLAG_INPUTS = {"vix": POSITIVE, "shadow": SPREAD, "wmot": LIFTED, "approx": APPROX}
 
 

@@ -11,11 +11,10 @@ from emot.couplings import (
     disintegrate,
     hausdorff_mot,
     martingale_polytope_lp,
-    wasserstein_coupling,
 )
 from emot.lp_core import DimensionGuardError, enumerate_vertices, solve_lp
-from emot.measures import DiscreteMeasure, LiftedMeasure, wasserstein_line
-from reference import product_coupling
+from emot.measures import DiscreteMeasure, LiftedMeasure, NonFiniteError, wasserstein_line
+from reference import product_coupling, wasserstein_coupling
 
 
 def f1_coupling():
@@ -36,6 +35,17 @@ class TestDiscreteCoupling:
         mb = LiftedMeasure.from_measure(DiscreteMeasure([0], [1.0]))
         with pytest.raises(ValueError):
             DiscreteCoupling(mb, [0.0, 1.0], [[0.5, 0.2]])
+
+    def test_nan_entries_are_refused(self):
+        mb = LiftedMeasure.from_measure(DiscreteMeasure([0], [1.0]))
+        with pytest.raises(ValueError, match="sum to 1"):
+            DiscreteCoupling(mb, [0.0, 1.0], [[np.nan, 0.5]])
+        data = {**f1_coupling().to_dict(), "kernels": [[np.nan, 0.25], [0.25, 0.75]]}
+        with pytest.raises(NonFiniteError):
+            DiscreteCoupling.from_dict(data)
+        # a NaN weight is not a zero-mass atom to drop
+        with pytest.raises(NonFiniteError):
+            disintegrate([(0.0, 0.0, 0.0, np.nan), (1.0, 0.0, 1.0, 1.0)])
 
     def test_json_round_trip(self):
         c = f1_coupling()
@@ -96,20 +106,20 @@ class TestCheckMartingale:
 class TestDistances:
     def test_self_distance_zero(self):
         c = f1_coupling()
-        assert wasserstein_coupling(c, c, 1.0) == pytest.approx(0.0, abs=1e-10)
-        assert adapted_wasserstein(c, c, 1.0) == pytest.approx(0.0, abs=1e-10)
+        assert wasserstein_coupling(c, c) == pytest.approx(0.0, abs=1e-10)
+        assert adapted_wasserstein(c, c) == pytest.approx(0.0, abs=1e-10)
 
     def test_y_shift(self):
         mb = LiftedMeasure.from_measure(DiscreteMeasure([0], [1.0]))
         c1 = DiscreteCoupling(mb, [0.0], [[1.0]])
         c2 = DiscreteCoupling(mb, [1.0], [[1.0]])
-        assert wasserstein_coupling(c1, c2, 1.0) == pytest.approx(1.0)
+        assert wasserstein_coupling(c1, c2) == pytest.approx(1.0)
 
     def test_aw_kernel_fixture(self):
         mb = LiftedMeasure.from_measure(DiscreteMeasure([0], [1.0]))
         c1 = DiscreteCoupling(mb, [-1.0, 1.0], [[0.5, 0.5]])
         c2 = DiscreteCoupling(mb, [0.0], [[1.0]])
-        assert adapted_wasserstein(c1, c2, 1.0) == pytest.approx(1.0)
+        assert adapted_wasserstein(c1, c2) == pytest.approx(1.0)
 
     def test_aw_label_shift(self):
         c = f1_coupling()
@@ -118,7 +128,7 @@ class TestDistances:
             c.first_marginal.weights,
         )
         c2 = DiscreteCoupling(shifted_fm, c.y_support, c.kernels)
-        assert adapted_wasserstein(c, c2, 1.0) == pytest.approx(1.0)
+        assert adapted_wasserstein(c, c2) == pytest.approx(1.0)
 
     def test_aw_dominates_w(self):
         rng = np.random.default_rng(6)
@@ -134,8 +144,8 @@ class TestDistances:
             K2 = rng.uniform(0.05, 1, (len(fm), 3))
             K2 /= K2.sum(axis=1, keepdims=True)
             c2 = DiscreteCoupling(fm, ys, K2)
-            aw = adapted_wasserstein(c1, c2, 1.0)
-            w_flat = wasserstein_coupling(c1, c2, 1.0)
+            aw = adapted_wasserstein(c1, c2)
+            w_flat = wasserstein_coupling(c1, c2)
             assert aw >= w_flat - 1e-9
 
     def test_brute_force_two_atoms(self):
@@ -155,7 +165,7 @@ class TestDistances:
                 for j in range(2)
             )
             best = min(best, cost)
-        assert wasserstein_coupling(c1, c2, 1.0) == pytest.approx(best, abs=1e-9)
+        assert wasserstein_coupling(c1, c2) == pytest.approx(best, abs=1e-9)
 
 
 class TestHausdorff:
@@ -172,7 +182,7 @@ class TestHausdorff:
         nu2 = DiscreteMeasure([-2, 2], [0.5, 0.5])
         h = hausdorff_mot(mb, nu1, mb, nu2)
         assert h["mode"] == "exact"
-        assert h["lower"] == pytest.approx(wasserstein_line(nu1, nu2, 1.0), abs=1e-8)
+        assert h["lower"] == pytest.approx(wasserstein_line(nu1, nu2), abs=1e-8)
 
     def test_past_the_guard_is_sampled(self):
         mb = LiftedMeasure.from_measure(DiscreteMeasure([-1, 0, 1], [0.25, 0.5, 0.25]))
@@ -195,6 +205,6 @@ class TestHausdorff:
         v2 = solve_lp(martingale_polytope_lp(mb, nu_s)).x
         c1 = coupling_from_plan(mb, nu, v1)
         c2 = coupling_from_plan(mb, nu_s, v2)
-        direct = wasserstein_coupling(c1, c2, 1.0)
+        direct = wasserstein_coupling(c1, c2)
         assert h["mode"] == "exact"
         assert h["upper"] == pytest.approx(direct, abs=1e-8)

@@ -17,9 +17,9 @@ from emot.stability import (
     ExperimentConfig,
     emit,
     perturb_marginals,
-    report_from_csv,
     run_stability,
 )
+from reference import report_from_csv
 from test_solvers import FOUND_MU, FOUND_NU
 
 

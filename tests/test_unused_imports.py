@@ -2,8 +2,10 @@
 every private module-level function or class, and every module-level
 ALL_CAPS constant, is read by some module.  A public module-level function,
 or a public method of a module-level class, that no module calls is named
-in ``UNCALLED_PUBLIC`` with its reason.  No two functions or methods have
-the same body.
+in ``UNCALLED_PUBLIC`` with its reason.  Every defaulted parameter of such
+a function or method is passed, by position or by keyword, by some call in
+a module, unless the function is in ``UNCALLED_PUBLIC`` or ``UNSET_EXEMPT``.
+No two functions or methods have the same body.
 
 No linter is part of the toolchain, so this check stands in for one.
 ``__init__.py`` is skipped by the import check: its imports are the
@@ -11,6 +13,7 @@ package's public API.  Its re-exports do not count as calls.
 """
 
 import ast
+import collections
 from pathlib import Path
 
 import pytest
@@ -20,16 +23,14 @@ MODULES = sorted(SRC.glob("*.py"))
 
 # public functions and methods that no module in src/emot calls, each with the reason it stays
 UNCALLED_PUBLIC = {
-    "DiscreteMeasure.integrate": "the integral of a payoff against a measure, the tests' closed-form price (criterion 06)",
-    "LiftedMeasure.u_marginal": "the label marginal of a lifted measure, for callers and the copula-lift tests",
     "LPSolution.nit": "the iteration count `benchmarks/tracing.py` reads",
     "vix_primal_lp": "exact portfolio LP, oracle for the repaired duals",
     "check_martingale": "a coupling's martingale residual, for callers and the tests of every solver",
-    "report_from_csv": "reads a stability CSV emission back, exactly",
-    "w1_binary": "closed-form W1 between binary kernels (criterion 12)",
-    "wasserstein_coupling": "flat W_p, the lower bound on adapted W_p (criterion 12)",
-    "barrier_monotonicity_violation": "the nesting of shadow barriers (criterion 11)",
-    "left_monotone_violation": "the left-monotone support of a shadow coupling (criterion 11)",
+}
+
+# functions whose defaulted parameters no module passes, each with the reason they stay
+UNSET_EXEMPT = {
+    "main": "cli.main(argv): the console script calls it with no argument, so argparse reads sys.argv",
 }
 
 
@@ -117,6 +118,57 @@ def unread_public_functions(trees: dict) -> list:
     )
 
 
+def defaulted_parameters(tree: ast.Module):
+    """(reported name, called name, parameter, position) of each defaulted
+    parameter of a module-level function or of a method of a module-level
+    class.  A keyword-only parameter has no position; a method's positions
+    count from the argument after self or cls, and ``__init__`` is called
+    by its class's name."""
+    functions = [(f.name, f.name, f, 0) for f in tree.body if isinstance(f, ast.FunctionDef)]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in f.decorator_list)
+                    called = node.name if f.name == "__init__" else f.name
+                    functions.append((f"{node.name}.{f.name}", called, f, 0 if static else 1))
+    for reported, called, f, skip in functions:
+        positional = f.args.posonlyargs + f.args.args
+        for i in range(len(positional) - len(f.args.defaults), len(positional)):
+            yield reported, called, positional[i].arg, i - skip
+        for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+            if default is not None:
+                yield reported, called, arg.arg, None
+
+
+def passed_arguments(trees: dict) -> dict:
+    """For each called name, a plain name or an attribute, the positions and
+    keywords that some call passes; "*" and "**" stand for a starred
+    argument, which may pass any position or keyword."""
+    passed = collections.defaultdict(set)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                args = passed[node.func.id if isinstance(node.func, ast.Name) else node.func.attr]
+                args.update(range(len(node.args)))
+                args.update("*" for a in node.args if isinstance(a, ast.Starred))
+                args.update(k.arg or "**" for k in node.keywords)
+    return passed
+
+
+def unset_parameters(trees: dict) -> list:
+    """The defaulted parameters of ``defaulted_parameters`` that no call
+    passes, as "module: function(parameter)"."""
+    passed = passed_arguments(trees)
+    return sorted(
+        f"{module}: {reported}({param})"
+        for module, tree in trees.items()
+        for reported, called, param, pos in defaulted_parameters(tree)
+        if reported not in UNCALLED_PUBLIC and reported not in UNSET_EXEMPT
+        and not ({param, "**"} | ({pos, "*"} if pos is not None else set())) & passed[called]
+    )
+
+
 def duplicated_bodies(trees: dict) -> list:
     """The functions and methods, nested ones too, that share a body with
     another: one "module: name (line)" list per body, compared by
@@ -166,6 +218,19 @@ def test_uncalled_public_method_is_flagged():
     )
     trees["measures.py"] = ast.parse(text)
     assert unread_public_functions(trees) == sorted([*UNCALLED_PUBLIC, "DiscreteMeasure.unread_moment"])
+
+
+def test_no_unset_parameters():
+    assert unset_parameters({p.name: ast.parse(p.read_text()) for p in MODULES}) == []
+
+
+def test_unset_parameter_is_flagged():
+    trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
+    text = (SRC / "measures.py").read_text()
+    planted = text.replace("def mean(m: DiscreteMeasure) -> float:", "def mean(m: DiscreteMeasure, ddof: int = 0) -> float:")
+    assert planted != text
+    trees["measures.py"] = ast.parse(planted)
+    assert unset_parameters(trees) == ["measures.py: mean(ddof)"]
 
 
 def test_no_duplicated_bodies():
