@@ -219,9 +219,20 @@ def min_cost_martingale_rearrangement(theta: DiscreteMeasure, nu: DiscreteMeasur
 def _refit_piece(base_kernel: DiscreteMeasure, mu_bar_piece: LiftedMeasure, nu_piece: DiscreteMeasure):
     """Kernels over nu_piece for the lifted atoms of mu_bar_piece that
     stay W1-close to the base kernel: single LP with CDF-gap variables.
+
+    The LP's nu rows fix the kernel of a one-atom cell to nu_piece over its
+    mass, so that kernel is returned in closed form, once its barycentre is
+    within 1e-9 of x, the primal tolerance at which the LP would call the
+    cell infeasible; off it, ``RuntimeError``.
     """
     ys = nu_piece.atoms
     n, m = len(mu_bar_piece), ys.size
+    if n == 1:
+        kernel = nu_piece.weights / nu_piece.mass
+        x, bary = mu_bar_piece.xs[0], kernel @ ys
+        if not abs(bary - x) <= 1e-9:  # a NaN barycentre fails too
+            raise RuntimeError(f"one-atom cell at x = {x!r}: its kernel's barycentre {bary!r} is more than 1e-9 off")
+        return DiscreteCoupling(mu_bar_piece, ys, kernel[None, :])
     grid = np.unique(np.concatenate([base_kernel.atoms, ys]))
     gaps = np.diff(grid)
     L = gaps.size
@@ -248,10 +259,12 @@ def approximate_coupling(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Di
     Pipeline: split the perturbed marginals along the base components,
     treat every base lifted atom as its own cell, rebuild the per-cell
     second marginals with :func:`approximate_pairs`, refit each cell's
-    kernels by the anchored LP, and merge all pieces.  Returns the
-    coupling together with stage diagnostics including the achieved AW1
-    distance to the input.  Equal marginals take this same path, with no
-    shortcut, so the output always carries the marginals asked for.
+    kernels by the anchored LP (in closed form for a cell of one lifted
+    atom, whose kernel is its second marginal over its mass), and merge all
+    pieces.  Returns the coupling together with stage diagnostics including
+    the achieved AW1 distance to the input.  Equal marginals take this same
+    path, with no shortcut, so the output always carries the marginals
+    asked for.
     """
     base_mu = pi.first_marginal
     split = split_marginals(pi, mu_bar_p, nu_p)

@@ -6,9 +6,12 @@ Measures are immutable after construction, and all operations are pure.
 one dict form, ``{"atoms": ..., "weights": ...}``, the form JSON inputs and
 outputs hold.  One rule, ``merge_atoms``, decides which input atoms are one
 atom, for both measure types, ``disintegrate`` and ``total_variation``; the
-order in which atoms are given changes no bit of any result.  Masses other
-than 1 are allowed so that the same types can carry subprobability pieces;
-metric operations for unequal-mass inputs raise.
+order in which atoms are given changes no bit of any result.  The
+constructor validates and merges; ``scaled``, ``normalized``, ``restrict``
+and ``restrict_outside`` take a positive multiple or a subset of arrays it
+made canonical, which are canonical already, and skip that work.  Masses
+other than 1 are allowed so that the same types can carry subprobability
+pieces; metric operations for unequal-mass inputs raise.
 """
 
 from __future__ import annotations
@@ -85,7 +88,8 @@ class _Measure:
     """What both measure types share, whose atoms differ only in shape
     (``_ATOM_SHAPE``).  The constructor checks that atoms and weights are
     finite and that no weight is below -``MERGE_TOL``, drops the zero
-    weights, merges the atoms by ``merge_atoms`` and stores the mass."""
+    weights, merges the atoms by ``merge_atoms`` and stores the mass, which
+    must be finite too."""
 
     atoms: np.ndarray
     weights: np.ndarray
@@ -101,10 +105,25 @@ class _Measure:
         if (weights < -MERGE_TOL).any():
             raise ValueError("negative weight")
         keep = weights > 0
-        atoms, weights, _, _ = merge_atoms(atoms[keep], weights[keep])
+        self._fill(*merge_atoms(atoms[keep], weights[keep])[:2])
+
+    @classmethod
+    def _trusted(cls, atoms: np.ndarray, weights: np.ndarray):
+        """The measure of arrays already canonical, such as a subset of a
+        measure's atoms or a positive multiple of its weights: the weights
+        > 0 are kept, with no finite check, sort or merge."""
+        keep = weights > 0
+        m = object.__new__(cls)
+        m._fill(atoms[keep], weights[keep])
+        return m
+
+    def _fill(self, atoms: np.ndarray, weights: np.ndarray):
+        mass = float(weights.sum())
+        if not np.isfinite(mass):
+            raise NonFiniteError("the mass overflows")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "mass", float(weights.sum()))
+        object.__setattr__(self, "mass", mass)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -114,7 +133,9 @@ class _Measure:
     def scaled(self, factor: float):
         if factor < 0:
             raise ValueError("scaling factor must be nonnegative")
-        return type(self)(self.atoms, self.weights * factor)
+        if not np.isfinite(factor):
+            raise NonFiniteError("scaling factor must be finite")
+        return self._trusted(self.atoms, self.weights * factor)
 
     def __add__(self, other):
         return type(self)(
@@ -162,11 +183,11 @@ class DiscreteMeasure(_Measure):
             keep = (self.atoms >= lo) & (self.atoms <= hi)
         else:
             keep = (self.atoms > lo) & (self.atoms < hi)
-        return DiscreteMeasure(self.atoms[keep], self.weights[keep])
+        return self._trusted(self.atoms[keep], self.weights[keep])
 
     def restrict_outside(self, lo: float, hi: float) -> "DiscreteMeasure":
         keep = (self.atoms < lo) | (self.atoms > hi)
-        return DiscreteMeasure(self.atoms[keep], self.weights[keep])
+        return self._trusted(self.atoms[keep], self.weights[keep])
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{a:g}: {w:g}" for a, w in zip(self.atoms, self.weights))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from emot import approximation
 from emot.approximation import (
@@ -233,7 +234,9 @@ class TestApproximateCoupling:
         pi = f1_base()
         out, rep = approximate_coupling(pi, pi.first_marginal, pi.second_marginal(), 0.05)
         assert rep["aw1"] == 0.0
-        assert np.array_equal(out.kernels, pi.kernels)
+        # one-atom cells take their kernel in closed form, nu_piece over its
+        # mass, which rounds apart from the base kernel's bits (1.1e-16 here)
+        assert np.allclose(out.kernels, pi.kernels, rtol=0, atol=1e-15)
 
     def test_tiny_perturbation_gets_its_own_marginals(self):
         # a perturbation within np.allclose's default tolerances is still a
@@ -367,3 +370,43 @@ def test_halving_eps_never_shrinks_a_windows_order_gap(monkeypatch):
             assert gap_half >= gap - 1e-12, (interval, (am, bm), eps, gap, gap_half)
             failed += gap > 1e-9
     assert failed  # some windows fail the order check, so the property is exercised
+
+
+@st.composite
+def one_atom_cells(draw):
+    """A base kernel, a lifted atom (x, u) of mass w, and a second marginal
+    of 2-6 atoms whose mean is x to rounding."""
+    def measure(min_size):
+        atoms = np.unique(draw(st.lists(st.floats(-3.0, 3.0), min_size=min_size, max_size=6)))
+        return atoms, np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(atoms), max_size=len(atoms))))
+
+    base, (ys, weights) = DiscreteMeasure(*measure(1)), measure(2)
+    assume(len(ys) >= 2 and np.diff(ys).min() > 1e-6)
+    x = float(weights @ ys / weights.sum())
+    return base.normalized(), x, draw(st.floats(0.0, 1.0)), draw(st.floats(0.05, 1.0)), DiscreteMeasure(ys, weights)
+
+
+@settings(max_examples=100)
+@given(one_atom_cells(), st.floats(0.1, 0.9))
+def test_one_atom_refit_is_the_lp_kernel_in_closed_form(cell, share):
+    base, x, u, w, nu = cell
+    closed = approximation._refit_piece(base, LiftedMeasure([(x, u)], [w]), nu)
+    # the same cell as two atoms at x: the LP path, whose rows may split the
+    # kernel at equal cost, so their mass-weighted mix is compared
+    split = LiftedMeasure([(x, u), (x, u + 1.0)], [share * w, (1 - share) * w])
+    lp = approximation._refit_piece(base, split, nu)
+    mix = lp.first_marginal.weights @ lp.kernels / lp.mass
+    assert np.array_equal(closed.y_support, nu.atoms) and closed.kernels.shape == (1, len(nu))
+    assert np.allclose(closed.kernels[0], mix, rtol=0, atol=1e-12)
+    assert np.allclose(closed.kernels[0], nu.weights / nu.mass, rtol=0, atol=1e-15)
+
+
+def test_one_atom_refit_off_its_mean_raises():
+    base, nu = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5]), DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
+    for x in (1e-6, -1e-6):
+        with pytest.raises(RuntimeError, match="barycentre"):
+            approximation._refit_piece(base, LiftedMeasure([(x, 0.0)], [1.0]), nu)
+        # the LP calls the same cell, given as two atoms, infeasible
+        with pytest.raises(RuntimeError, match="infeasible"):
+            approximation._refit_piece(base, LiftedMeasure([(x, 0.0), (x, 1.0)], [0.5, 0.5]), nu)
+    assert approximation._refit_piece(base, LiftedMeasure([(5e-10, 0.0)], [1.0]), nu).kernels.shape == (1, 2)

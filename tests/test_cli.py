@@ -304,3 +304,34 @@ def test_broken_vix_portfolio_is_a_certificate_error_and_exit_3(tmp_path, capsys
         vix_dual_lp(mu, nu, 1.0)
     assert main(["vix", "--input", _input(tmp_path, POSITIVE), "--bins", "4"]) == 3
     assert "breaks an inequality" in capsys.readouterr().err
+
+
+def test_one_parser_serves_successive_calls(tmp_path, capsys):
+    # flags given in one call and left at their defaults in the next, and a
+    # usage error between them, must not carry over through the shared parser
+    calls = [
+        ["shadow", "--input", _input(tmp_path, SPREAD, "spread.json"), "--copula", "independence", "--m", "2"],
+        ["vix", "--input", _input(tmp_path, POSITIVE, "positive.json"), "--tau", "0.5"],
+        ["shadow", "--input", str(tmp_path / "spread.json"), "--m", "0"],
+        ["mot", "--input", str(tmp_path / "spread.json"), "--cost", "abs", "--sense", "max"],
+        ["shadow", "--input", str(tmp_path / "spread.json")],
+        ["vix", "--input", str(tmp_path / "positive.json")],
+        ["decompose", "--input", str(tmp_path / "spread.json")],
+        ["mot", "--input", str(tmp_path / "spread.json")],
+    ]
+
+    def printed(fresh):
+        outputs = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = _exit_code(argv)
+            out = capsys.readouterr().out
+            outputs.append((code, json.loads(out) if code == 0 else out))
+        return outputs
+
+    shared = printed(fresh=False)
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _ in shared] == [0, 0, 2, 0, 0, 0, 0, 0]
+    assert shared == printed(fresh=True)
+    assert shared[0][1] != shared[4][1] and shared[1][1] != shared[5][1] and shared[3][1] != shared[7][1]

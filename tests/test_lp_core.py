@@ -1,9 +1,13 @@
-try:  # the binding emot.lp_core calls HiGHS through; private to scipy, hence the scipy>=1.17 floor
-    from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, HighsOptions, _Highs, kHighsInf  # noqa: F401
+# the names emot.lp_core imports from the binding it calls HiGHS through; private to scipy, hence the scipy>=1.17 floor
+try:
+    from scipy.optimize._highspy._core import (  # noqa: F401
+        HighsModelStatus, HighsOptions, HighsStatus, MatrixFormat, ObjSense, _Highs, kHighsInf, simplex_constants,
+    )
 except ImportError as exc:
     raise ImportError(
-        "emot.lp_core needs HiGHS's binding as scipy>=1.17 bundles it: _Highs, HighsLp, HighsOptions, "
-        "HighsModelStatus and kHighsInf in scipy.optimize._highspy._core; this scipy does not provide them"
+        "emot.lp_core needs HiGHS's binding as scipy>=1.17 bundles it: _Highs, HighsOptions, HighsModelStatus, "
+        "HighsStatus, MatrixFormat, ObjSense, kHighsInf and simplex_constants in scipy.optimize._highspy._core; "
+        "this scipy does not provide them"
     ) from exc
 
 import numpy as np

@@ -303,3 +303,41 @@ def test_both_measure_types_share_one_constructor_and_algebra(points, others, fa
     for measure in (m, lm):
         with pytest.raises(ValueError, match="nonnegative"):
             measure.scaled(-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteError):
+                measure.scaled(bad)
+        # every weight at least 4, then a factor that overflows each
+        with pytest.raises(NonFiniteError):
+            measure.scaled(4.0 / measure.weights.min()).scaled(np.finfo(float).max)
+
+
+@settings(max_examples=200)
+@given(point_rows, lifted_rows, st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, 1e-310, 1e-320, 0.5])),
+       st.floats(-1.5, 1.5), st.floats(0.0, 1.5), st.booleans())
+def test_trusted_algebra_gives_the_constructors_bits(points, keyed, factor, lo, width, closed):
+    m, lm = discrete(points[0]), lifted(keyed[0])
+    hi = lo + width
+    inside = (m.atoms >= lo) & (m.atoms <= hi) if closed else (m.atoms > lo) & (m.atoms < hi)
+    outside = (m.atoms < lo) | (m.atoms > hi)
+    pairs = [
+        (m.scaled(factor), DiscreteMeasure(m.atoms, m.weights * factor)),
+        (lm.scaled(factor), LiftedMeasure(lm.atoms, lm.weights * factor)),
+        (m.normalized(), DiscreteMeasure(m.atoms, m.weights * (1.0 / m.mass))),
+        (m.restrict(lo, hi, closed), DiscreteMeasure(m.atoms[inside], m.weights[inside])),
+        (m.restrict_outside(lo, hi), DiscreteMeasure(m.atoms[outside], m.weights[outside])),
+    ]
+    for trusted, built in pairs:
+        assert type(trusted) is type(built)
+        assert same_bits((trusted.atoms, built.atoms), (trusted.weights, built.weights))
+        assert trusted.mass.hex() == built.mass.hex()
+
+
+def test_a_mass_that_overflows_is_refused():
+    # each weight is finite, their sum is not
+    big = 0.75 * np.finfo(float).max
+    m = DiscreteMeasure([0.0, 1.0], [1.0, 1.0])
+    for make in (lambda: m.scaled(big), lambda: DiscreteMeasure([0.0, 1.0], [big, big]),
+                 lambda: LiftedMeasure([(0.0, 0.0), (0.0, 1.0)], [big, big])):
+        with pytest.raises(NonFiniteError, match="overflows"):
+            make()
+    assert m.scaled(0.5 * np.finfo(float).max).mass == np.finfo(float).max

@@ -5,7 +5,9 @@ or a public method of a module-level class, that no module calls is named
 in ``UNCALLED_PUBLIC`` with its reason.  Every defaulted parameter of such
 a function or method is passed, by position or by keyword, by some call in
 a module, unless the function is in ``UNCALLED_PUBLIC`` or ``UNSET_EXEMPT``.
-No two functions or methods have the same body.
+No two functions or methods have the same body.  No module but
+``lp_core.py`` imports HiGHS's binding, ``scipy.optimize._highspy``, the one
+place ``lp_core``'s docstring promises.
 
 No linter is part of the toolchain, so this check stands in for one.
 ``__init__.py`` is skipped by the import check: its imports are the
@@ -59,6 +61,26 @@ def unused_imports(tree: ast.Module) -> list:
                 imported[alias.asname or alias.name] = node.lineno
     read = names_read(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+HIGHS_BINDING = "scipy.optimize._highspy"
+
+
+def highs_binding_imports(trees: dict) -> list:
+    """"module (line)" of each import of ``HIGHS_BINDING``, or of a name in
+    it, by a module other than ``lp_core.py``."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if module != "lp_core.py" and any(n == HIGHS_BINDING or n.startswith(HIGHS_BINDING + ".") for n in names):
+                found.append(f"{module} (line {node.lineno})")
+    return found
 
 
 def module_definitions(tree: ast.Module):
@@ -246,3 +268,22 @@ def test_duplicated_body_is_flagged():
     trees["measures.py"] = ast.parse(text + "\n\n" + copy + "\n")
     line = len(text.splitlines()) + 3
     assert duplicated_bodies(trees) == [[f"measures.py: mean (line {mean_def.lineno})", f"measures.py: mean_again (line {line})"]]
+
+
+def test_highs_binding_is_imported_by_lp_core_only():
+    trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
+    assert any(HIGHS_BINDING in ast.dump(node) for node in ast.walk(trees["lp_core.py"]))
+    assert highs_binding_imports(trees) == []
+
+
+@pytest.mark.parametrize("planted", [
+    "from scipy.optimize._highspy._core import _Highs",
+    "from scipy.optimize._highspy import _core",
+    "from scipy.optimize import _highspy",
+    "import scipy.optimize._highspy._core as core",
+])
+def test_highs_binding_import_is_flagged(planted):
+    trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
+    text = (SRC / "solvers.py").read_text() + "\n" + planted + "\n"
+    trees["solvers.py"] = ast.parse(text)
+    assert highs_binding_imports(trees) == [f"solvers.py (line {len(text.splitlines())})"]
