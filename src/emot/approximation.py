@@ -6,7 +6,10 @@ Given a coupling with marginals (mu_bar, nu) and perturbed marginals
 perturbed marginals that is close in adapted Wasserstein distance:
 split the perturbed marginals along the irreducible components of the
 base pair, rebuild per-cell second marginals by a windowed trim /
-projection / redistribution scheme, and refit kernels piece by piece.
+projection / redistribution scheme, and read each perturbed atom's kernel
+off the sum of its cells' rebuilt second marginals.  A cell is one pair
+(base atom, perturbed atom) of the W1 plan between the first marginals,
+so it holds one lifted atom, and every kernel is a closed form.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from .convex_order import (
     require_convex_order,
     window_kernel,
 )
-from .couplings import DiscreteCoupling, _point_cost, adapted_wasserstein, coupling_from_plan, disintegrate, martingale_polytope_lp
-from .lp_core import Block, LinearProgram, block_rows, solve_lp, transport_plan
-from .measures import DiscreteMeasure, LiftedMeasure, cdf, check_convex_order, mean, wasserstein_line
+from .couplings import DiscreteCoupling, _point_cost, adapted_wasserstein, disintegrate, martingale_polytope_lp
+from .lp_core import solve_lp, transport_plan
+from .measures import DiscreteMeasure, LiftedMeasure, check_convex_order, mean, wasserstein_line
 
 WINDOW_MAX_LEVEL = 50
 
@@ -158,7 +161,7 @@ def approximate_pairs(mu_js: list, nu_js: list, mu_p_js: list, interval, nu_p: D
         )
     trim_err = max(wasserstein_line(nu_j, t) for nu_j, t in zip(nu_js, trimmed))
 
-    _, step3 = min_cost_martingale_rearrangement(theta, nu_p)
+    step3 = min_cost_martingale_rearrangement(theta, nu_p)
     # redistribute each cell through the plan's rows: a cell atom belongs to
     # the theta atom it merged into, the nearest one, as theta's atoms lie
     # more than MERGE_TOL apart
@@ -199,12 +202,13 @@ def _project_cell(mu_p_j, tilde_nu_j, am, bm, eps):
 
 
 def min_cost_martingale_rearrangement(theta: DiscreteMeasure, nu: DiscreteMeasure):
-    """LP-minimal mean-displacement martingale coupling of theta and nu.
+    """Report of the LP-minimal mean-displacement martingale coupling of
+    theta and nu: its cost, the bound and its plan, one row per atom of
+    theta.
 
-    The transport cost of the returned coupling is asserted to be at most
-    2 W1(theta, nu); the minimal coupling is dominated by any feasible
-    one, so the classical rearrangement bound carries over.  The report
-    holds the cost, the bound and the plan, one row per atom of theta.
+    The cost is asserted to be at most 2 W1(theta, nu); the minimal
+    coupling is dominated by any feasible one, so the classical
+    rearrangement bound carries over.
     """
     require_convex_order(theta, nu, "rearrangement requires convex order")
     mb = LiftedMeasure.from_measure(theta)
@@ -213,77 +217,60 @@ def min_cost_martingale_rearrangement(theta: DiscreteMeasure, nu: DiscreteMeasur
     bound = 2.0 * wasserstein_line(theta.scaled(nu.mass / theta.mass), nu)
     if cost > bound + 1e-9:
         raise AssertionError(f"martingale rearrangement cost {cost:.6g} exceeds 2 W1 = {bound:.6g}")
-    return coupling_from_plan(mb, nu, plan), {"cost": cost, "bound": bound, "plan": plan}
+    return {"cost": cost, "bound": bound, "plan": plan}
 
 
-def _refit_piece(base_kernel: DiscreteMeasure, mu_bar_piece: LiftedMeasure, nu_piece: DiscreteMeasure):
-    """Kernels over nu_piece for the lifted atoms of mu_bar_piece that
-    stay W1-close to the base kernel: single LP with CDF-gap variables.
-
-    The LP's nu rows fix the kernel of a one-atom cell to nu_piece over its
-    mass, so that kernel is returned in closed form, once its barycentre is
-    within 1e-9 of x, the primal tolerance at which the LP would call the
-    cell infeasible; off it, ``RuntimeError``.
-    """
-    ys = nu_piece.atoms
-    n, m = len(mu_bar_piece), ys.size
-    if n == 1:
-        kernel = nu_piece.weights / nu_piece.mass
-        x, bary = mu_bar_piece.xs[0], kernel @ ys
-        if not abs(bary - x) <= 1e-9:  # a NaN barycentre fails too
-            raise RuntimeError(f"one-atom cell at x = {x!r}: its kernel's barycentre {bary!r} is more than 1e-9 off")
-        return DiscreteCoupling(mu_bar_piece, ys, kernel[None, :])
-    grid = np.unique(np.concatenate([base_kernel.atoms, ys]))
-    gaps = np.diff(grid)
-    L = gaps.size
-    f_base = cdf(base_kernel, grid)
-    w, xs = mu_bar_piece.weights, mu_bar_piece.xs
-    # variables: K (n*m), t (n*L); per i a unit-mass row and a barycentre row, then
-    # per (i, l) the pair +-(CDF of K_i at grid[l]) - t_il <= +-F_base(grid[l])
-    nv, sgn = n * m + n * L, np.array([1.0, -1.0])
-    c = np.concatenate([np.zeros(n * m), (w[:, None] * gaps).ravel()])
-    eq = [Block(np.stack([np.ones((n, m)), ys[None, :] - xs[:, None]], axis=1)),
-          Block(np.broadcast_to(w, (m, 1, n)), row0=2 * n, steps=(1, m))]
-    b_eq = np.concatenate([np.tile([1.0, 0.0], n), nu_piece.weights / nu_piece.mass * mu_bar_piece.mass])
-    k_cdf = sgn[None, :, None] * (ys[None, None, :] <= grid[:L, None, None] + 1e-12)
-    ub = [Block(np.broadcast_to(k_cdf.reshape(2 * L, m), (n, 2 * L, m))), Block(-np.ones((n * L, 2, 1)), col0=n * m)]
-    b_ub = np.tile((f_base[:L, None] * sgn).ravel(), n)
-    A_eq, A_ub = block_rows(eq, (2 * n + m, nv)), block_rows(ub, (2 * n * L, nv))
-    sol = solve_lp(LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub))
-    return DiscreteCoupling(mu_bar_piece, ys, sol.x[: n * m].reshape(n, m))
+def _refit_piece(mu_bar_piece: LiftedMeasure, nu_piece: DiscreteMeasure) -> DiscreteCoupling:
+    """The coupling of a cell of one lifted atom, whose kernel is nu_piece
+    over its mass, once that kernel's barycentre is within 1e-9 of x (the
+    LPs' primal tolerance); off it, ``RuntimeError``."""
+    kernel = nu_piece.weights / nu_piece.mass
+    x, bary = mu_bar_piece.xs[0], kernel @ nu_piece.atoms
+    if not abs(bary - x) <= 1e-9:  # a NaN barycentre fails too
+        raise RuntimeError(f"one-atom cell at x = {x!r}: its kernel's barycentre {bary!r} is more than 1e-9 off")
+    return DiscreteCoupling(mu_bar_piece, nu_piece.atoms, kernel[None, :])
 
 
 def approximate_coupling(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: DiscreteMeasure, eps: float):
     """Coupling with the perturbed marginals close to ``pi`` in AW1.
 
-    Pipeline: split the perturbed marginals along the base components,
-    treat every base lifted atom as its own cell, rebuild the per-cell
-    second marginals with :func:`approximate_pairs`, refit each cell's
-    kernels by the anchored LP (in closed form for a cell of one lifted
-    atom, whose kernel is its second marginal over its mass), and merge all
-    pieces.  Returns the coupling together with stage diagnostics including
-    the achieved AW1 distance to the input.  Equal marginals take this same
+    Pipeline: split the perturbed marginals along the base components;
+    make one cell per pair (i, a) of the W1 plan between the first
+    marginals that carries more than 1e-14, holding base mass
+    w_i plan[i, a] / sum_a plan[i, a] with the base kernel K_i and
+    perturbed mass plan[i, a] at the lifted atom a; rebuild the per-cell
+    second marginals with :func:`approximate_pairs`; and read the kernel
+    of each perturbed atom off the sum of its cells' second marginals,
+    which mixes their kernels by their plan weights.
+    Returns the coupling together with stage diagnostics including the
+    achieved AW1 distance to the input.  Equal marginals take this same
     path, with no shortcut, so the output always carries the marginals
     asked for.
     """
     base_mu = pi.first_marginal
     split = split_marginals(pi, mu_bar_p, nu_p)
-    tables = []
+    at_atom = {}  # perturbed atom index -> (its mass from the cells, the sum of their second marginals)
     stages = []
     for piece in split.pieces:
-        idx, plan_rows = piece["base_indices"], piece["plan_rows"]
-        kernels = [pi.kernel_measure(i) for i in idx]
-        mu_js = [DiscreteMeasure([base_mu.xs[i]], [base_mu.weights[i]]) for i in idx]
-        nu_js = [k.scaled(base_mu.weights[i]) for k, i in zip(kernels, idx)]
-        mu_p_js = [DiscreteMeasure(mu_bar_p.xs[row > 1e-14], row[row > 1e-14]) for row in plan_rows]
+        rows, cols = np.nonzero(piece["plan_rows"] > 1e-14)
+        idx, plan = piece["base_indices"][rows], piece["plan_rows"][rows, cols]
+        # a row of one pair keeps its base weight's bits: plan / plan is 1.0
+        base_w = base_mu.weights[idx] * (plan / np.bincount(rows, plan)[rows])
+        mu_js = [DiscreteMeasure([base_mu.xs[i]], [w]) for i, w in zip(idx, base_w)]
+        nu_js = [pi.kernel_measure(i).scaled(w) for i, w in zip(idx, base_w)]
+        mu_p_js = [DiscreteMeasure([mu_bar_p.xs[a]], [q]) for a, q in zip(cols, plan)]
         try:
             nu_out, diag = approximate_pairs(mu_js, nu_js, mu_p_js, piece["interval"], piece["nu"], eps)
         except (ConvexOrderError, RuntimeError) as exc:
             raise RuntimeError(f"component {piece['interval']}: {exc}") from exc
         stages.append(diag)
-        for kernel, row, nu_j in zip(kernels, plan_rows, nu_out):
-            keep = row > 1e-14
-            tables.append(_refit_piece(kernel, LiftedMeasure(mu_bar_p.atoms[keep], row[keep]), nu_j).joint())
+        for a, q, nu_j in zip(cols, plan, nu_out):
+            w, nu_a = at_atom.get(a, (0.0, None))
+            at_atom[a] = (w + q, nu_j if nu_a is None else nu_a + nu_j)
+    # the cells at one perturbed atom share its kernel, the plan-weighted mix
+    # of theirs: a cell lighter than the rearrangement's tolerance keeps no
+    # barycentre of its own, but adds only its weight times that miss to the mix
+    tables = [_refit_piece(LiftedMeasure(mu_bar_p.atoms[[a]], [q]), nu_a).joint() for a, (q, nu_a) in at_atom.items()]
     if split.stationary_mu_bar is not None:
         # stationary mass rides the feasible coupling's kernels directly
         sm, K = split.stationary_mu_bar, split.stationary_kernels

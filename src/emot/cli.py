@@ -30,7 +30,7 @@ from .solvers import (
     solve_wmot_fw,
     vix_dual_lp,
 )
-from .stability import ConfigError, ExperimentConfig, emit, run_stability
+from .stability import ConfigError, ExperimentConfig, emit, read_measure, run_stability
 
 def _checked(kind, ok, what: str):
     """argparse type for a number of the given kind that ``ok`` accepts (NaN fails every comparison)."""
@@ -54,25 +54,12 @@ def _load(path: str) -> dict:
         return json.load(fh)
 
 
-def _read(kind, data: dict):
-    """A measure or coupling ``kind`` read from the input's dict form; one it
-    refuses, or one with no mass, is an input error, as in
-    ``ExperimentConfig.from_json``."""
-    try:
-        m = kind.from_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {kind.__name__}: {exc}") from exc
-    if m.mass <= 0:
-        raise ConfigError(f"bad {kind.__name__}: empty measure")
-    return m
-
-
 def _measure(data: dict) -> DiscreteMeasure:
-    return _read(DiscreteMeasure, data)
+    return read_measure(DiscreteMeasure, data)
 
 
 def _lifted(data: dict) -> LiftedMeasure:
-    return _read(LiftedMeasure, data)
+    return read_measure(LiftedMeasure, data)
 
 
 def _write(report: dict, out: str | None):
@@ -176,7 +163,7 @@ def cmd_decompose(args) -> dict:
 
 def cmd_approx(args) -> dict:
     data = _load(args.input)
-    pi = _read(DiscreteCoupling, data["coupling"])
+    pi = read_measure(DiscreteCoupling, data["coupling"])
     out, diag = approximate_coupling(
         pi, _lifted(data["mu_bar"]), _measure(data["nu"]), args.eps
     )

@@ -112,12 +112,11 @@ class CertificateError(RuntimeError):
 
 class Block(NamedTuple):
     """Rows for ``block_rows``: with ``coef`` of shape (k, r, m), row
-    row0 + q*r + s carries coef[q, s, t] in column col0 + q*steps[0] +
+    row0 + q*r + s carries coef[q, s, t] in column q*steps[0] +
     t*steps[1].  Steps default to (m, 1), block q's own m columns."""
 
     coef: np.ndarray
     row0: int = 0
-    col0: int = 0
     steps: Optional[tuple] = None
 
 
@@ -125,21 +124,21 @@ def block_rows(blocks, shape) -> sparse.csr_array:
     """Canonical CSR matrix of row blocks, filled from the known row lengths:
     indices sorted within each row, a cell written twice holds the sum, and
     zeros are not stored."""
-    blocks = [(np.asarray(coef, dtype=float), row0, col0, steps) for coef, row0, col0, steps in blocks]
+    blocks = [(np.asarray(coef, dtype=float), row0, steps) for coef, row0, steps in blocks]
     indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    for coef, row0, _, _ in blocks:
+    for coef, row0, _ in blocks:
         k, r, m = coef.shape
         indptr[row0 + 1:row0 + 1 + k * r] += m
     indptr = np.cumsum(indptr)
     data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int64)
     fill = indptr[:-1].copy()  # next free slot of each row
-    for coef, row0, col0, steps in blocks:
+    for coef, row0, steps in blocks:
         k, r, m = coef.shape
         q_step, t_step = steps or (m, 1)
         at = fill[row0:row0 + k * r, None] + np.arange(m)
         fill[row0:row0 + k * r] += m
         data[at] = coef.reshape(k * r, m)
-        cols = col0 + q_step * np.arange(k)[:, None, None] + t_step * np.arange(m)
+        cols = q_step * np.arange(k)[:, None, None] + t_step * np.arange(m)
         indices[at] = np.broadcast_to(cols, coef.shape).reshape(k * r, m)
     A = sparse.csr_array((data, indices, indptr), shape=shape)
     A.sum_duplicates()  # sorts the indices of rows that several blocks share

@@ -50,6 +50,18 @@ class ConfigError(ValueError):
     pass
 
 
+def read_measure(kind, data):
+    """A measure or coupling ``kind`` read from an input's dict form; one it
+    refuses, or one with no mass, is a ``ConfigError``."""
+    try:
+        m = kind.from_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {kind.__name__}: {exc}") from exc
+    if m.mass <= 0:
+        raise ConfigError(f"bad {kind.__name__}: empty measure")
+    return m
+
+
 def _is(value, kind) -> bool:
     """Whether value is a number of the ``numbers`` kind; a bool is not."""
     return isinstance(value, kind) and not isinstance(value, bool)
@@ -94,9 +106,9 @@ class ExperimentConfig:
     def from_json(text: str) -> "ExperimentConfig":
         data = json.loads(text)
         try:
-            mu = DiscreteMeasure.from_dict(data["mu"])
-            nu = DiscreteMeasure.from_dict(data["nu"])
-        except (KeyError, TypeError, ValueError) as exc:
+            mu = read_measure(DiscreteMeasure, data["mu"])
+            nu = read_measure(DiscreteMeasure, data["nu"])
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad marginals in config: {exc}") from exc
         kwargs = {k: v for k, v in data.items() if k not in ("mu", "nu")}
         try:

@@ -18,6 +18,9 @@ went through scipy's COO-to-CSR conversion.  The VIX bin LP, which
 ``emot vix`` solved before its exact LP over two-point kernels, is the
 bracket oracle: ``vix_bracket`` gives d_lo <= D_sub <= d_hi with gap one bin
 width times mu(R), and ``vix_bin_primal_lp`` its portfolio LP.
+``refit_lp`` is the CDF-gap LP that refit a cell's kernels before every
+approximation cell held one lifted atom; the LP tests keep it as an LP with
+both equality and inequality rows.
 
 The tests' own checks follow: the quantile function, closed-form W1
 between binary kernels, flat W1 between couplings (the lower bound on
@@ -37,7 +40,7 @@ from scipy import sparse
 from emot.convex_order import _lower_convex_hull, binary_kernel, require_convex_order
 from emot.couplings import DiscreteCoupling, _point_cost, disintegrate
 from emot.lp_core import Block, CertificateError, LinearProgram, block_rows, plan_rows, solve_lp, transport_plan
-from emot.measures import MERGE_TOL, DiscreteMeasure, LiftedMeasure, potential_values
+from emot.measures import MERGE_TOL, DiscreteMeasure, LiftedMeasure, cdf, potential_values
 from emot.solvers import BarrierMaps, _log_contract, _support_ends
 
 
@@ -123,11 +126,11 @@ def product_coupling(mu_bar: LiftedMeasure, nu: DiscreteMeasure) -> DiscreteCoup
 def block_rows_coo(blocks, shape) -> sparse.csr_array:
     """CSR matrix of row blocks in one ``csr_array`` call; zeros are not stored."""
     data, rows, cols = [], [], []
-    for coef, row0, col0, steps in blocks:
+    for coef, row0, steps in blocks:
         coef = np.asarray(coef, dtype=float)
         k, r, m = coef.shape
         q_step, t_step = steps or (m, 1)
-        at = col0 + q_step * np.arange(k)[:, None, None] + t_step * np.arange(m)
+        at = q_step * np.arange(k)[:, None, None] + t_step * np.arange(m)
         data.append(coef.ravel())
         rows.append(np.repeat(row0 + np.arange(k * r), m))
         cols.append(np.broadcast_to(at, coef.shape).ravel())
@@ -278,6 +281,32 @@ def merge_atoms(keys, weights):
             atoms.append((x, _position(us, weights, u_chain)))
             masses.append(sum(weights[i] for i in u_chain))
     return np.array(atoms), np.array(masses)
+
+
+def refit_lp(base_kernel: DiscreteMeasure, mu_bar_piece: LiftedMeasure, nu_piece: DiscreteMeasure) -> LinearProgram:
+    """Kernels K over nu_piece for the lifted atoms of mu_bar_piece, with the
+    marginal nu_piece, that minimise the weighted L1 gap t between each
+    kernel's CDF and the base kernel's on the union grid.  Variables: K
+    (n*m), then t (n*L); per i a unit-mass row and a barycentre row, then per
+    (i, l) the pair +-(CDF of K_i at grid[l]) - t_il <= +-F_base(grid[l])."""
+    ys = nu_piece.atoms
+    n, m = len(mu_bar_piece), ys.size
+    grid = np.unique(np.concatenate([base_kernel.atoms, ys]))
+    gaps = np.diff(grid)
+    L = gaps.size
+    w, xs, sgn = mu_bar_piece.weights, mu_bar_piece.xs, np.array([1.0, -1.0])
+    eq = [Block(np.stack([np.ones((n, m)), ys[None, :] - xs[:, None]], axis=1)),
+          Block(np.broadcast_to(w, (m, 1, n)), row0=2 * n, steps=(1, m))]
+    k_cdf = sgn[None, :, None] * (ys[None, None, :] <= grid[:L, None, None] + 1e-12)
+    A_ub = sparse.hstack([block_rows([Block(np.broadcast_to(k_cdf.reshape(2 * L, m), (n, 2 * L, m)))], (2 * n * L, n * m)),
+                          sparse.kron(sparse.eye_array(n * L), -np.ones((2, 1)))], format="csr")
+    return LinearProgram(
+        c=np.concatenate([np.zeros(n * m), (w[:, None] * gaps).ravel()]),
+        A_eq=block_rows(eq, (2 * n + m, n * m + n * L)),
+        b_eq=np.concatenate([np.tile([1.0, 0.0], n), nu_piece.weights / nu_piece.mass * mu_bar_piece.mass]),
+        A_ub=A_ub,
+        b_ub=np.tile((cdf(base_kernel, grid)[:L, None] * sgn).ravel(), n),
+    )
 
 
 # -- the VIX bin LP: a bracket [d_lo, d_hi] around the exact VIX value ------

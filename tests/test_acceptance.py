@@ -278,7 +278,7 @@ def test_criterion_09_rearrangement_bound():
         )
         # AssertionError inside would count as a violation
         try:
-            _, rep = min_cost_martingale_rearrangement(theta, nu)
+            rep = min_cost_martingale_rearrangement(theta, nu)
             if rep["cost"] > rep["bound"] + 1e-9:
                 STEP3_VIOLATIONS.append((rep["cost"], rep["bound"]))
         except AssertionError as exc:

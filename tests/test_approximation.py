@@ -13,10 +13,12 @@ from emot.approximation import (
     split_marginals,
 )
 from emot.convex_order import ConvexOrderError, convex_order_projection
+import reference
 from emot.couplings import (
     DiscreteCoupling,
     adapted_wasserstein,
     check_martingale,
+    coupling_from_plan,
 )
 from emot.measures import (
     DiscreteMeasure,
@@ -26,6 +28,7 @@ from emot.measures import (
     potential_values,
     wasserstein_line,
 )
+from emot.lp_core import solve_lp
 from emot.solvers import CostSpec, solve_extended_mot, solve_mot
 
 
@@ -176,36 +179,37 @@ LIGHT_ATOMS = (
 class TestRearrangement:
     def test_identity(self):
         m = DiscreteMeasure([-1, 1], [0.5, 0.5])
-        c, rep = min_cost_martingale_rearrangement(m, m)
+        rep = min_cost_martingale_rearrangement(m, m)
         assert rep["cost"] == pytest.approx(0.0, abs=1e-10)
 
     def test_atoms_lighter_than_the_lp_tolerance(self):
         # at a primal feasibility tolerance of 1e-10, HiGHS's presolve called
         # this feasible LP infeasible
-        _, rep = min_cost_martingale_rearrangement(*LIGHT_ATOMS)
+        rep = min_cost_martingale_rearrangement(*LIGHT_ATOMS)
         assert rep["cost"] <= rep["bound"]
 
     @pytest.mark.xfail(strict=True, reason="HiGHS leaves the 1.5e-11 atoms' plan rows at zero")
     def test_atoms_lighter_than_the_lp_tolerance_keep_the_martingale(self):
         # coupling_from_plan drops the empty rows, and a kept kernel's
         # barycentre is 9.6e-9 off its x at every primal tolerance down to 2e-10
-        c, _ = min_cost_martingale_rearrangement(*LIGHT_ATOMS)
-        assert check_martingale(c, 1e-9)[0]
+        theta, nu = LIGHT_ATOMS
+        rep = min_cost_martingale_rearrangement(theta, nu)
+        assert check_martingale(coupling_from_plan(LiftedMeasure.from_measure(theta), nu, rep["plan"]), 1e-9)[0]
 
     def test_dirac_to_binary(self):
         theta = DiscreteMeasure([0], [1.0])
         nu = DiscreteMeasure([-1, 1], [0.5, 0.5])
-        c, rep = min_cost_martingale_rearrangement(theta, nu)
+        rep = min_cost_martingale_rearrangement(theta, nu)
         assert rep["cost"] == pytest.approx(1.0)
         assert rep["bound"] == pytest.approx(2.0)
-        ok, _ = check_martingale(c, tol=1e-9)
+        ok, _ = check_martingale(coupling_from_plan(LiftedMeasure.from_measure(theta), nu, rep["plan"]), tol=1e-9)
         assert ok
 
     def test_mass_drift_within_order_tolerance(self):
         # the convex-order check accepts a mass gap that W1 alone rejects
         theta = DiscreteMeasure([0], [1.0 + 3e-12])
         nu = DiscreteMeasure([-1, 1], [0.5, 0.5])
-        _, rep = min_cost_martingale_rearrangement(theta, nu)
+        rep = min_cost_martingale_rearrangement(theta, nu)
         assert rep["cost"] == pytest.approx(1.0)
         assert rep["bound"] == pytest.approx(2.0)
 
@@ -225,7 +229,7 @@ class TestRearrangement:
                 np.concatenate([theta.atoms - spread, theta.atoms + spread]),
                 np.full(2 * n, 0.5 / n),
             )
-            _, rep = min_cost_martingale_rearrangement(theta, nu)
+            rep = min_cost_martingale_rearrangement(theta, nu)
             assert rep["cost"] <= rep["bound"] + 1e-9
 
 
@@ -298,15 +302,15 @@ class TestApproximateCoupling:
         assert vals[2] < vals[0]
 
     def test_split_base_atom_refits_two_atoms(self, monkeypatch):
-        # mu' splits the base atom -1 in two, so that cell's kernels are refit
-        # for two atoms in one LP; AW1 read 0.405, 0.103 and 0.026
-        sizes, refit = [], approximation._refit_piece
+        # mu' splits the base atom -1 in two, so the W1 plan gives it two
+        # cells, one per perturbed atom, and every cell holds one atom
+        sizes, pairs = [], approximation.approximate_pairs
 
-        def counted(kernel, mu_bar_piece, nu_piece):
-            sizes.append(len(mu_bar_piece))
-            return refit(kernel, mu_bar_piece, nu_piece)
+        def counted(mu_js, nu_js, mu_p_js, *args):
+            sizes.append([len(m) for m in mu_p_js])
+            return pairs(mu_js, nu_js, mu_p_js, *args)
 
-        monkeypatch.setattr(approximation, "_refit_piece", counted)
+        monkeypatch.setattr(approximation, "approximate_pairs", counted)
         pi, vals = f1_base(), []
         for d in (0.2, 0.05, 0.0125):
             mu_p = LiftedMeasure.from_measure(DiscreteMeasure([-1 - d, -1 + d / 2, 1 + d / 2], [0.25, 0.25, 0.5]))
@@ -317,8 +321,46 @@ class TestApproximateCoupling:
             assert wasserstein_line(out.second_marginal(), nu_p) <= 1e-9
             assert check_martingale(out, tol=1e-9)[0]
             vals.append(rep["aw1"])
-        assert sizes.count(2) == 3
-        assert vals[0] > vals[1] > vals[2]
+        assert sizes == [[1, 1, 1]] * 3
+        assert vals == pytest.approx([0.4045, 0.1026, 0.0257], rel=0, abs=5e-5)
+
+    def test_cell_lighter_than_the_lp_tolerance_joins_its_atoms_mix(self):
+        # the W1 plan sends 1.9e-12 of the base atom -1 to mu''s atom near 1:
+        # that cell's own kernel is 0.42 off its x, as the rearrangement LP
+        # works to 1e-9, but it enters that atom's kernel with its weight only
+        pi = f1_base()
+        mu_p = LiftedMeasure.from_measure(
+            DiscreteMeasure([-0.5510563250622347, 0.9600451393090961], [0.4999999999981256, 0.5000000000018744]))
+        nu_p = DiscreteMeasure([-1.6653525179634006, 2.0743413322159268], [0.5, 0.5])
+        out, _ = approximate_coupling(pi, mu_p, nu_p, 0.5)
+        assert np.allclose(out.first_marginal.weights, mu_p.weights, rtol=0, atol=1e-12)
+        assert wasserstein_line(out.second_marginal(), nu_p) <= 1e-9
+        assert check_martingale(out, tol=1e-9)[0]
+
+    def test_rearrangement_plan_entries_below_zero(self):
+        # the identity approximation of this min |y - x| MOT coupling (seed 151
+        # of convex_pair(default_rng([seed, 34]), 3-11 atoms, 5-17 atoms)) gets
+        # rearrangement plan entries of about -1e-11; a coupling built from that
+        # plan raised "negative kernel weight"
+        xs = [-0.801279395250317, -0.5128280946919725, -0.36598633797131774, -0.352830077796777,
+              -0.27866161740906636, -0.10522616263985207, -0.055940822837808435]
+        weights = [1 / 7] * 5 + [0.14285714285714268, 1 / 7]
+        ys = [-3.0385172974390526, -2.1058169069842565, -1.5990238342146355, -0.21344559653313444,
+              -0.20570465762215517, 0.7881512638772415, 0.8199673354168061, 0.9965916076717903, 1.3785448604882533]
+        K = np.zeros((7, 9))
+        for i, j, k in [(0, 2, 0.732081936385377), (0, 8, 0.267918063614623), (1, 1, 0.5037681404836943),
+                        (1, 2, 0.04569584139240082), (1, 8, 0.45053601812390487), (2, 0, 0.13262268876996114),
+                        (2, 1, 0.27400963729408356), (2, 7, 0.5340439778967082), (2, 8, 0.05932369603924714),
+                        (3, 0, 0.16114965037248644), (3, 4, 0.5791844495325127), (3, 6, 0.015932100213931044),
+                        (3, 7, 0.24373379988106997), (4, 0, 0.023628893976956653), (4, 3, 0.7777777777777778),
+                        (4, 4, 0.19859332824526557), (5, 0, 0.2397815686962775), (5, 6, 0.7602184313037225),
+                        (6, 0, 0.2205949759620963), (6, 5, 0.7777777777777781), (6, 6, 0.001627246260125531)]:
+            K[i, j] = k
+        pi = DiscreteCoupling(LiftedMeasure.from_measure(DiscreteMeasure(xs, weights)), ys, K)
+        out, _ = approximate_coupling(pi, pi.first_marginal, pi.second_marginal(), 0.1)
+        assert wasserstein_line(out.x_marginal(), pi.x_marginal()) <= 1e-9
+        assert wasserstein_line(out.second_marginal(), pi.second_marginal()) <= 1e-9
+        assert check_martingale(out, tol=1e-9)[0]
 
 
 def _criterion_08_bases():
@@ -387,26 +429,41 @@ def one_atom_cells(draw):
 
 
 @settings(max_examples=100)
-@given(one_atom_cells(), st.floats(0.1, 0.9))
-def test_one_atom_refit_is_the_lp_kernel_in_closed_form(cell, share):
+@given(one_atom_cells())
+def test_one_atom_refit_is_the_lp_kernel_in_closed_form(cell):
+    # the CDF-gap LP's nu rows fix the kernel of a one-atom cell, so the LP
+    # has nothing left to choose
     base, x, u, w, nu = cell
-    closed = approximation._refit_piece(base, LiftedMeasure([(x, u)], [w]), nu)
-    # the same cell as two atoms at x: the LP path, whose rows may split the
-    # kernel at equal cost, so their mass-weighted mix is compared
-    split = LiftedMeasure([(x, u), (x, u + 1.0)], [share * w, (1 - share) * w])
-    lp = approximation._refit_piece(base, split, nu)
-    mix = lp.first_marginal.weights @ lp.kernels / lp.mass
+    closed = approximation._refit_piece(LiftedMeasure([(x, u)], [w]), nu)
+    lp = solve_lp(reference.refit_lp(base, LiftedMeasure([(x, u)], [w]), nu))
     assert np.array_equal(closed.y_support, nu.atoms) and closed.kernels.shape == (1, len(nu))
-    assert np.allclose(closed.kernels[0], mix, rtol=0, atol=1e-12)
+    assert np.allclose(closed.kernels[0], lp.x[: len(nu)], rtol=0, atol=1e-12)
     assert np.allclose(closed.kernels[0], nu.weights / nu.mass, rtol=0, atol=1e-15)
 
 
 def test_one_atom_refit_off_its_mean_raises():
-    base, nu = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5]), DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
+    nu = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
     for x in (1e-6, -1e-6):
         with pytest.raises(RuntimeError, match="barycentre"):
-            approximation._refit_piece(base, LiftedMeasure([(x, 0.0)], [1.0]), nu)
-        # the LP calls the same cell, given as two atoms, infeasible
-        with pytest.raises(RuntimeError, match="infeasible"):
-            approximation._refit_piece(base, LiftedMeasure([(x, 0.0), (x, 1.0)], [0.5, 0.5]), nu)
-    assert approximation._refit_piece(base, LiftedMeasure([(5e-10, 0.0)], [1.0]), nu).kernels.shape == (1, 2)
+            approximation._refit_piece(LiftedMeasure([(x, 0.0)], [1.0]), nu)
+    assert approximation._refit_piece(LiftedMeasure([(5e-10, 0.0)], [1.0]), nu).kernels.shape == (1, 2)
+
+
+def test_split_base_atoms_keep_the_marginals_and_the_martingale():
+    # every base atom of the criterion-08 bases split into 2-3 perturbed
+    # atoms with Dirichlet shares of its weight: the W1 plan then splits
+    # every base atom, and each of its pairs is a cell of one atom
+    rng = np.random.default_rng(34)
+    for mb, nu, pi in _criterion_08_bases():
+        for d in (0.5, 0.125, 2.0**-6):
+            k = rng.integers(2, 4, len(mb))
+            xs = np.repeat(mb.xs, k) + d * rng.uniform(-1, 1, k.sum())
+            us = np.clip(np.repeat(mb.us, k) + d * rng.uniform(-0.3, 0.3, k.sum()), 0, 1)
+            weights = np.concatenate([w * rng.dirichlet(np.ones(n)) for w, n in zip(mb.weights, k)])
+            mu_p = LiftedMeasure(np.column_stack([xs, us]), weights)
+            nu_p = repaired(mu_p.x_marginal(), DiscreteMeasure(nu.atoms + d * rng.uniform(-1, 1, len(nu)), nu.weights))
+            out, _ = approximate_coupling(pi, mu_p, nu_p, d)
+            assert np.allclose(out.first_marginal.atoms, mu_p.atoms, rtol=0, atol=1e-9)
+            assert np.allclose(out.first_marginal.weights, mu_p.weights, rtol=0, atol=1e-9)
+            assert wasserstein_line(out.second_marginal(), nu_p) <= 1e-9
+            assert check_martingale(out, tol=1e-9)[0]

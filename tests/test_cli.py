@@ -219,6 +219,7 @@ def test_flag_at_its_bound_runs(tmp_path, command, flags):
         {"problem": "shadow", "barrier_threshold": -3},
         {"problem": "shadow", "barrier_threshold": float("inf")},
         {"problem": "shadow", "barrier_threshold": float("nan")},
+        {"mu": {"atoms": [0], "weights": [0]}},  # no mass, as `emot mot` reads it
     ],
 )
 def test_bad_stability_config_is_a_config_error(tmp_path, capsys, override):

@@ -16,7 +16,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 import reference
-from emot import approximation, couplings, lp_core, solvers
+from emot import couplings, lp_core, solvers
 from emot.convex_order import convex_order_projection
 from emot.measures import DiscreteMeasure, LiftedMeasure
 from emot.lp_core import (
@@ -252,7 +252,7 @@ def _layout_refit(rng, monkeypatch):
     base = DiscreteMeasure([-1.5, 0.5, 1.0], [0.25, 0.5, 0.25])
     mb = LiftedMeasure([(-0.5, 0.2), (0.5, 0.8)], [0.5, 0.5])
     nu = DiscreteMeasure([-2.0, 0.0, 2.0], [0.3, 0.4, 0.3])
-    lp = _captured(monkeypatch, approximation, lambda: approximation._refit_piece(base, mb, nu))
+    lp = reference.refit_lp(base, mb, nu)
     grid = np.unique(np.concatenate([base.atoms, nu.atoms]))[:-1]
     K, t = rng.uniform(size=(2, 3)), rng.uniform(size=(2, grid.size))
     eq = np.concatenate([np.column_stack([K.sum(1), _bary(K, mb.xs, nu.atoms)]).ravel(), mb.weights @ K])
@@ -285,19 +285,24 @@ def test_linear_program_holds_csr():
 
 
 def _random_blocks(rng):
-    """Blocks over shared rows with disjoint column ranges, listed out of
-    column order, with zero coefficients and non-default steps."""
-    blocks, col0, n_rows = [], 0, int(rng.integers(1, 12))
-    for _ in range(int(rng.integers(1, 5))):
-        r = int(rng.integers(1, min(5, n_rows) + 1))
-        k, m = int(rng.integers(1, n_rows // r + 1)), int(rng.integers(1, 6))
-        steps = None if rng.random() < 0.3 else (int(rng.integers(0, 4)) * m, int(rng.integers(1, 3)))
-        q_step, t_step = steps or (m, 1)
-        coef = rng.uniform(-2, 2, (k, r, m)) * (rng.random((k, r, m)) < 0.7)
-        blocks.append(Block(coef, int(rng.integers(0, n_rows - k * r + 1)), col0, steps))
-        col0 += (k - 1) * q_step + (m - 1) * t_step + 1
+    """Blocks with zero coefficients and non-default steps, listed out of
+    row order, in two layers of disjoint row ranges.  The layers share rows
+    and columns, and no cell is written more than twice, so a cell's sum
+    rounds the same in either order."""
+    n_rows, blocks, n_cols = int(rng.integers(1, 12)), [], 1
+    for _ in range(2):
+        row0 = int(rng.integers(0, n_rows))
+        while row0 < n_rows:
+            r = int(rng.integers(1, min(5, n_rows - row0) + 1))
+            k, m = int(rng.integers(1, (n_rows - row0) // r + 1)), int(rng.integers(1, 6))
+            steps = None if rng.random() < 0.3 else (int(rng.integers(0, 4)) * m, int(rng.integers(1, 3)))
+            q_step, t_step = steps or (m, 1)
+            coef = rng.uniform(-2, 2, (k, r, m)) * (rng.random((k, r, m)) < 0.7)
+            blocks.append(Block(coef, row0, steps))
+            n_cols = max(n_cols, (k - 1) * q_step + (m - 1) * t_step + 1)
+            row0 += k * r + int(rng.integers(0, 3))
     rng.shuffle(blocks)
-    return blocks, (n_rows, col0)
+    return blocks, (n_rows, n_cols)
 
 
 def test_block_rows_matches_coo_build():
@@ -310,7 +315,7 @@ def test_block_rows_matches_coo_build():
         assert A.shape == B.shape and A.has_canonical_format
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(A, name), getattr(B, name)), name
-    block = Block(rng.uniform(-1, 1, (2, 2, 3)), row0=1, col0=2, steps=(1, 2))
+    block = Block(rng.uniform(-1, 1, (2, 2, 3)), row0=1, steps=(1, 2))
     assert np.array_equal(block_rows([block, block], (5, 9)).toarray(), 2 * block_rows([block], (5, 9)).toarray())
 
 
@@ -514,13 +519,13 @@ def _drawn_polytope_large(rng, monkeypatch):
 
 
 def _drawn_refit(rng, monkeypatch):
-    """The refit LP (kernel and CDF-gap columns, A_eq and A_ub) with a drawn
-    nonnegative objective."""
-    lp = _captured(monkeypatch, approximation, lambda: approximation._refit_piece(
+    """The CDF-gap refit LP of ``reference`` (kernel and CDF-gap columns,
+    A_eq and A_ub) with a drawn nonnegative objective."""
+    lp = reference.refit_lp(
         DiscreteMeasure([-1.5, 0.5, 1.0], [0.25, 0.5, 0.25]),
         LiftedMeasure([(-0.5, 0.2), (0.5, 0.8)], [0.5, 0.5]),
         DiscreteMeasure([-2.0, 0.0, 2.0], [0.3, 0.4, 0.3]),
-    ))
+    )
     assert lp.A_eq is not None and lp.A_ub is not None
     return LinearProgram(c=rng.uniform(size=lp.n_vars), A_eq=lp.A_eq, b_eq=lp.b_eq, A_ub=lp.A_ub, b_ub=lp.b_ub)
 

@@ -5,6 +5,9 @@ or a public method of a module-level class, that no module calls is named
 in ``UNCALLED_PUBLIC`` with its reason.  Every defaulted parameter of such
 a function or method is passed, by position or by keyword, by some call in
 a module, unless the function is in ``UNCALLED_PUBLIC`` or ``UNSET_EXEMPT``.
+Every parameter of a named function or method, nested ones too, is read
+by its body; a method's self or cls is exempt, and so is a lambda, which
+implements a fixed callback signature such as the ``COSTS`` entries.
 No two functions or methods have the same body.  No module but
 ``lp_core.py`` imports HiGHS's binding, ``scipy.optimize._highspy``, the one
 place ``lp_core``'s docstring promises.
@@ -191,6 +194,30 @@ def unset_parameters(trees: dict) -> list:
     )
 
 
+def unread_parameters(trees: dict) -> list:
+    """"module: function(parameter)" for each parameter of a named function
+    or method, nested ones too, that its body never reads.  The first
+    parameter of a method that is not a ``staticmethod`` is skipped."""
+    found = []
+    for module, tree in trees.items():
+        methods = {
+            f for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for f in node.body
+            if isinstance(f, ast.FunctionDef)
+            and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in f.decorator_list)
+        }
+        for f in ast.walk(tree):
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = f.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+                params = params[1:] if f in methods else params
+                read = {
+                    n.id for stmt in f.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+                }
+                found += [f"{module}: {f.name}({p.arg})" for p in params if p.arg not in read]
+    return sorted(found)
+
+
 def duplicated_bodies(trees: dict) -> list:
     """The functions and methods, nested ones too, that share a body with
     another: one "module: name (line)" list per body, compared by
@@ -253,6 +280,19 @@ def test_unset_parameter_is_flagged():
     assert planted != text
     trees["measures.py"] = ast.parse(planted)
     assert unset_parameters(trees) == ["measures.py: mean(ddof)"]
+
+
+def test_no_unread_parameters():
+    assert unread_parameters({p.name: ast.parse(p.read_text()) for p in MODULES}) == []
+
+
+def test_unread_parameter_is_flagged():
+    trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
+    text = (SRC / "approximation.py").read_text()
+    planted = text.replace("def _refit_piece(mu_bar_piece", "def _refit_piece(base_kernel, mu_bar_piece")
+    assert planted != text
+    trees["approximation.py"] = ast.parse(planted)
+    assert unread_parameters(trees) == ["approximation.py: _refit_piece(base_kernel)"]
 
 
 def test_no_duplicated_bodies():
