@@ -6,10 +6,12 @@ Given a coupling with marginals (mu_bar, nu) and perturbed marginals
 perturbed marginals that is close in adapted Wasserstein distance:
 split the perturbed marginals along the irreducible components of the
 base pair, rebuild per-cell second marginals by a windowed trim /
-projection / redistribution scheme, and read each perturbed atom's kernel
-off the sum of its cells' rebuilt second marginals.  A cell is one pair
-(base atom, perturbed atom) of the W1 plan between the first marginals,
-so it holds one lifted atom, and every kernel is a closed form.
+translation / redistribution scheme, and read each perturbed atom's
+kernel off the sum of its cells' rebuilt second marginals.  A cell is one
+pair (base atom x, perturbed atom x') of the W1 plan between the first
+marginals, so it holds one lifted atom: its trimmed kernel is moved to
+mean x', which is the convex-order projection of delta_x' onto it, and
+every kernel is a closed form.
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ import numpy as np
 from .convex_order import (
     ConvexOrderError,
     convex_min,
-    convex_order_projection,
     irreducible_decomposition,
     require_convex_order,
     window_kernel,
 )
 from .couplings import DiscreteCoupling, _point_cost, adapted_wasserstein, disintegrate, martingale_polytope_lp
 from .lp_core import solve_lp, transport_plan
-from .measures import DiscreteMeasure, LiftedMeasure, check_convex_order, mean, wasserstein_line
+from .measures import DiscreteMeasure, LiftedMeasure, check_convex_order, wasserstein_line
 
 WINDOW_MAX_LEVEL = 50
 
@@ -37,7 +38,7 @@ WINDOW_MAX_LEVEL = 50
 class MarginalSplit:
     """Perturbed marginals split along the base irreducible components."""
 
-    pieces: list  # per component: dict with base/perturbed marginal pieces
+    pieces: list  # per component: dict of its interval, base indices, W1-plan rows and perturbed nu
     stationary_mu_bar: LiftedMeasure | None
     stationary_kernels: np.ndarray | None  # rows over nu' atoms, aligned with stationary_mu_bar
 
@@ -90,7 +91,6 @@ def split_marginals(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Discret
                 "interval": comp.interval,
                 "base_indices": idx,
                 "plan_rows": plan[idx],
-                "mu_bar": LiftedMeasure(mu_bar_p.atoms[keep], w_p[keep]),
                 "nu": DiscreteMeasure(nu_p.atoms, w_p[keep] @ G[keep]),
             }
         )
@@ -117,38 +117,35 @@ def _window_ladder(interval):
     return [(mid - w / 2.0, mid + w / 2.0) for w in widths]
 
 
-def _trim_cell(mu_j: DiscreteMeasure, nu_j: DiscreteMeasure, am, bm) -> DiscreteMeasure:
-    """Second marginal of a one-atom cell after capping its kernel by the
-    window kernel: inside the window its convex-order minimum with the
-    two-point window law, outside a Dirac."""
-    x = mu_j.atoms[0]
+def _trim_cell(x: float, nu_j: DiscreteMeasure, am, bm) -> DiscreteMeasure:
+    """Second marginal of the cell at base atom x after capping its kernel
+    by the window kernel: inside the window its convex-order minimum with
+    the two-point window law, outside a Dirac at x."""
     if am <= x <= bm:
-        return convex_min(nu_j, window_kernel(x, am, bm).scaled(mu_j.mass))
-    return mu_j
+        return convex_min(nu_j, window_kernel(x, am, bm).scaled(nu_j.mass))
+    return DiscreteMeasure([x], [nu_j.mass])
 
 
-def approximate_pairs(mu_js: list, nu_js: list, mu_p_js: list, interval, nu_p: DiscreteMeasure, eps: float):
+def approximate_pairs(xs, nu_js: list, xps, qs, interval, nu_p: DiscreteMeasure, eps: float):
     """Per-cell second marginals for perturbed cells of one component.
 
-    Given one-atom base cells mu_j = w_j delta_{x_j} with second marginals
-    nu_j (w_j times the kernel at x_j) summing to an irreducible pair on
-    ``interval``, perturbed first marginals mu'_j, and the component's
-    perturbed second marginal nu', produce nu'_j with mu'_j <= nu'_j in
-    convex order and sum nu'_j = nu' exactly.  Three stages: a windowed
-    trim of the base cell marginals, a convex-order projection mix for
-    the perturbed cells at the first window, widest first, whose sum
-    theta is dominated by nu', and an LP-minimal martingale redistribution
-    onto nu'.  One pass at the given eps suffices: theta's potential is
-    affine in eps and equals that of the piece's mu' <= nu' at eps = 1, so
-    a window that fails at eps fails at every smaller eps.
+    Cell j holds the base atom xs[j], with second marginal nu_j (its
+    weight times the kernel at xs[j]), and the perturbed atom xps[j] of
+    mass qs[j]; the nu_j sum to an irreducible pair on ``interval``, and
+    nu' is the component's perturbed second marginal.  Produce nu'_j with
+    qs[j] delta_{xps[j]} <= nu'_j in convex order and sum nu'_j = nu'
+    exactly.  Three stages: a windowed trim of the base cell marginals,
+    the trimmed kernel moved to the perturbed atom and blended with it,
+    at the first window, widest first, whose sum theta is dominated by
+    nu', and an LP-minimal martingale redistribution onto nu'.  One pass
+    at the given eps suffices: theta's potential is affine in eps and
+    equals that of the piece's mu' <= nu' at eps = 1, so a window that
+    fails at eps fails at every smaller eps.
     """
-    if any(len(mu_j) != 1 for mu_j in mu_js):
-        raise ValueError("approximate_pairs takes one-atom base cells")
-
     margin_trace = []
     for am, bm in _window_ladder(interval):
-        trimmed = [_trim_cell(mu_j, nu_j, am, bm) for mu_j, nu_j in zip(mu_js, nu_js)]
-        tilde = [_project_cell(mu_p_j, tn, am, bm, eps) for mu_p_j, tn in zip(mu_p_js, trimmed)]
+        trimmed = [_trim_cell(x, nu_j, am, bm) for x, nu_j in zip(xs, nu_js)]
+        tilde = [_project_cell(x, xp, q, t, am, bm, eps) for x, xp, q, t in zip(xs, xps, qs, trimmed)]
         atoms, weights = np.concatenate([t.atoms for t in tilde]), np.concatenate([t.weights for t in tilde])
         theta = DiscreteMeasure(atoms, weights)
         ok, witness = check_convex_order(theta, nu_p, tol=1e-9)
@@ -182,23 +179,22 @@ def approximate_pairs(mu_js: list, nu_js: list, mu_p_js: list, interval, nu_p: D
     return nu_out, diag
 
 
-def _project_cell(mu_p_j, tilde_nu_j, am, bm, eps):
-    """Stage-two mix for one cell: project the windowed perturbed mass
-    onto the trimmed base marginal, cap with the window kernel, and blend
-    with an eps share of the raw perturbed marginal."""
-    win_p = mu_p_j.restrict(am, bm)
-    if win_p.mass <= 0:
-        return mu_p_j
-    win = win_p.normalized()
-    x_cell = mean(win)
-    t_win = tilde_nu_j.restrict(am, bm)
-    if t_win.mass <= 0:
-        hat = DiscreteMeasure([x_cell], [1.0])
+def _project_cell(x, xp, q, t, am, bm, eps):
+    """Stage-two mix for one cell: move the trimmed base marginal t, which
+    lies in the window, to mean xp, cap it with the window kernel, and
+    blend with an eps share of q delta_xp.  Every law of mean xp dominates
+    delta_xp, so the moved kernel is the projection of delta_xp onto t.
+    A perturbed atom outside the window keeps q delta_xp, and a base atom
+    outside it leaves delta_xp to blend."""
+    cell = DiscreteMeasure([xp], [q])
+    if not am <= xp <= bm:
+        return cell
+    if am <= x <= bm:
+        moved = DiscreteMeasure(t.atoms + (xp - t.first_moment() / t.mass), t.weights / t.mass)
+        hat = convex_min(moved, window_kernel(xp, am, bm))
     else:
-        proj = convex_order_projection(win, t_win.normalized())
-        hat = convex_min(proj, window_kernel(x_cell, am, bm))
-    core = mu_p_j.restrict_outside(am, bm) + hat.scaled(win_p.mass)
-    return core.scaled(1.0 - eps) + mu_p_j.scaled(eps)
+        hat = DiscreteMeasure([xp], [1.0])
+    return hat.scaled(q).scaled(1.0 - eps) + cell.scaled(eps)
 
 
 def min_cost_martingale_rearrangement(theta: DiscreteMeasure, nu: DiscreteMeasure):
@@ -256,11 +252,11 @@ def approximate_coupling(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Di
         idx, plan = piece["base_indices"][rows], piece["plan_rows"][rows, cols]
         # a row of one pair keeps its base weight's bits: plan / plan is 1.0
         base_w = base_mu.weights[idx] * (plan / np.bincount(rows, plan)[rows])
-        mu_js = [DiscreteMeasure([base_mu.xs[i]], [w]) for i, w in zip(idx, base_w)]
         nu_js = [pi.kernel_measure(i).scaled(w) for i, w in zip(idx, base_w)]
-        mu_p_js = [DiscreteMeasure([mu_bar_p.xs[a]], [q]) for a, q in zip(cols, plan)]
         try:
-            nu_out, diag = approximate_pairs(mu_js, nu_js, mu_p_js, piece["interval"], piece["nu"], eps)
+            nu_out, diag = approximate_pairs(
+                base_mu.xs[idx], nu_js, mu_bar_p.xs[cols], plan, piece["interval"], piece["nu"], eps
+            )
         except (ConvexOrderError, RuntimeError) as exc:
             raise RuntimeError(f"component {piece['interval']}: {exc}") from exc
         stages.append(diag)

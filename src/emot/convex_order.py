@@ -160,7 +160,7 @@ def irreducible_decomposition(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Irred
     for start, stop, a, b in zip(starts, stops, nu.atoms[ia], nu.atoms[ib]):
         sel = (mu_pos >= start) & (mu_pos < stop)
         mu_n = DiscreteMeasure(mu.atoms[sel], mu.weights[sel])
-        interior = nu.restrict(a, b, closed=False)
+        interior = nu.restrict(a, b)
         # endpoint masses alpha (at a) and beta (at b) from mass and mean match
         dm = mu_n.mass - interior.mass
         ds = mu_n.first_moment() - interior.first_moment()

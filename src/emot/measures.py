@@ -7,11 +7,11 @@ one dict form, ``{"atoms": ..., "weights": ...}``, the form JSON inputs and
 outputs hold.  One rule, ``merge_atoms``, decides which input atoms are one
 atom, for both measure types, ``disintegrate`` and ``total_variation``; the
 order in which atoms are given changes no bit of any result.  The
-constructor validates and merges; ``scaled``, ``normalized``, ``restrict``
-and ``restrict_outside`` take a positive multiple or a subset of arrays it
-made canonical, which are canonical already, and skip that work.  Masses
-other than 1 are allowed so that the same types can carry subprobability
-pieces; metric operations for unequal-mass inputs raise.
+constructor validates and merges; ``scaled`` and ``restrict`` take a
+positive multiple or a subset of arrays it made canonical, which are
+canonical already, and skip that work.  Masses other than 1 are allowed
+so that the same types can carry subprobability pieces; metric
+operations for unequal-mass inputs raise.
 """
 
 from __future__ import annotations
@@ -172,21 +172,9 @@ class DiscreteMeasure(_Measure):
         """Unnormalized first moment (sum of atom * weight)."""
         return float(np.dot(self.atoms, self.weights))
 
-    def normalized(self) -> "DiscreteMeasure":
-        if self.mass <= 0:
-            raise EmptyMeasureError("empty measure")
-        return self.scaled(1.0 / self.mass)
-
-    def restrict(self, lo: float, hi: float, closed: bool = True) -> "DiscreteMeasure":
-        """Restriction to the interval [lo, hi] (or (lo, hi) when open)."""
-        if closed:
-            keep = (self.atoms >= lo) & (self.atoms <= hi)
-        else:
-            keep = (self.atoms > lo) & (self.atoms < hi)
-        return self._trusted(self.atoms[keep], self.weights[keep])
-
-    def restrict_outside(self, lo: float, hi: float) -> "DiscreteMeasure":
-        keep = (self.atoms < lo) | (self.atoms > hi)
+    def restrict(self, lo: float, hi: float) -> "DiscreteMeasure":
+        """Restriction to the open interval (lo, hi)."""
+        keep = (self.atoms > lo) & (self.atoms < hi)
         return self._trusted(self.atoms[keep], self.weights[keep])
 
     def __repr__(self) -> str:

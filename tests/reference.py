@@ -118,7 +118,7 @@ def adapted_wasserstein(c1: DiscreteCoupling, c2: DiscreteCoupling) -> float:
 
 
 def product_coupling(mu_bar: LiftedMeasure, nu: DiscreteMeasure) -> DiscreteCoupling:
-    nu = nu.normalized() if abs(nu.mass - 1.0) > 1e-12 else nu
+    nu = nu.scaled(1 / nu.mass) if abs(nu.mass - 1.0) > 1e-12 else nu
     K = np.tile(nu.weights / nu.mass, (len(mu_bar), 1))
     return DiscreteCoupling(mu_bar, nu.atoms, K)
 

@@ -45,6 +45,14 @@ def repaired(mu_p, nu_raw):
     return convex_order_projection(mu_p, shifted)
 
 
+def piece_mu_bar(piece, mu_bar_p):
+    """A piece's perturbed first marginal: its W1-plan rows' image on the
+    perturbed atoms, at the 1e-14 cut ``approximate_coupling`` applies."""
+    w = piece["plan_rows"].sum(axis=0)
+    keep = w > 1e-14
+    return LiftedMeasure(mu_bar_p.atoms[keep], w[keep])
+
+
 class TestSplitMarginals:
     def test_identity(self):
         pi = f1_base()
@@ -52,7 +60,7 @@ class TestSplitMarginals:
         assert len(s.pieces) == 1
         assert s.stationary_mu_bar is None
         p = s.pieces[0]
-        assert p["mu_bar"].mass == pytest.approx(1.0)
+        assert piece_mu_bar(p, pi.first_marginal).mass == pytest.approx(1.0)
         assert wasserstein_line(p["nu"], pi.second_marginal()) < 1e-9
 
     def test_pieces_in_convex_order(self):
@@ -62,7 +70,7 @@ class TestSplitMarginals:
         s = split_marginals(pi, mu_p, nu_p)
         total_nu = None
         for p in s.pieces:
-            ok, _ = check_convex_order(p["mu_bar"].x_marginal(), p["nu"], tol=1e-8)
+            ok, _ = check_convex_order(piece_mu_bar(p, mu_p).x_marginal(), p["nu"], tol=1e-8)
             assert ok
             total_nu = p["nu"] if total_nu is None else total_nu + p["nu"]
         assert wasserstein_line(total_nu, nu_p) < 1e-9
@@ -82,7 +90,7 @@ class TestSplitMarginals:
         s = split_marginals(pi, mu_p, nu_p)
         assert len(s.pieces) == 2
         for p in s.pieces:
-            assert p["mu_bar"].mass == pytest.approx(0.5, abs=0.02)
+            assert piece_mu_bar(p, mu_p).mass == pytest.approx(0.5, abs=0.02)
 
     def test_merged_base_atoms_keep_their_mass(self):
         # two base atoms 8e-13 apart share one x-marginal atom; both must land
@@ -93,9 +101,9 @@ class TestSplitMarginals:
         mu_p = LiftedMeasure(mb.atoms + [0.01, 0.0], mb.weights)
         nu_p = repaired(mu_p.x_marginal(), DiscreteMeasure([-1.51, 1.51], pi.second_marginal().weights))
         s = split_marginals(pi, mu_p, nu_p)
-        total = s.pieces[0]["mu_bar"]
+        total = piece_mu_bar(s.pieces[0], mu_p)
         for p in s.pieces[1:]:
-            total = total + p["mu_bar"]
+            total = total + piece_mu_bar(p, mu_p)
         if s.stationary_mu_bar is not None:
             total = total + s.stationary_mu_bar
         assert np.array_equal(total.atoms, mu_p.atoms)
@@ -112,30 +120,24 @@ class TestSplitMarginals:
 
 class TestApproximatePairs:
     def test_unperturbed_single_cell(self):
-        mu = DiscreteMeasure([0], [1.0])
         nu = DiscreteMeasure([-1, 1], [0.5, 0.5])
-        out, diag = approximate_pairs([mu], [nu], [mu], (-1.0, 1.0), nu, eps=0.05)
+        out, diag = approximate_pairs([0.0], [nu], [0.0], [1.0], (-1.0, 1.0), nu, eps=0.05)
         assert len(out) == 1
         total = out[0]
         assert wasserstein_line(total, nu) < 1e-9
-        ok, _ = check_convex_order(mu, total, tol=1e-8)
+        ok, _ = check_convex_order(DiscreteMeasure([0], [1.0]), total, tol=1e-8)
         assert ok
 
     def test_cells_sum_to_target(self):
-        mu1 = DiscreteMeasure([-1], [0.5])
-        mu2 = DiscreteMeasure([1], [0.5])
         nu1 = DiscreteMeasure([-2, 2], [0.375, 0.125])
         nu2 = DiscreteMeasure([-2, 2], [0.125, 0.375])
         nu_p = DiscreteMeasure([-2.1, 2.1], [0.5, 0.5])
-        mu_p1 = DiscreteMeasure([-1.05], [0.5])
-        mu_p2 = DiscreteMeasure([1.05], [0.5])
-        out, diag = approximate_pairs(
-            [mu1, mu2], [nu1, nu2], [mu_p1, mu_p2], (-2.1, 2.1), nu_p, eps=0.05
-        )
+        xps, qs = [-1.05, 1.05], [0.5, 0.5]
+        out, diag = approximate_pairs([-1.0, 1.0], [nu1, nu2], xps, qs, (-2.1, 2.1), nu_p, eps=0.05)
         total = out[0] + out[1]
         assert wasserstein_line(total, nu_p) < 1e-9
-        for mu_p, o in zip((mu_p1, mu_p2), out):
-            ok, _ = check_convex_order(mu_p, o, tol=1e-8)
+        for xp, q, o in zip(xps, qs, out):
+            ok, _ = check_convex_order(DiscreteMeasure([xp], [q]), o, tol=1e-8)
             assert ok
         assert diag["step3_cost"] <= diag["step3_bound"] + 1e-9
 
@@ -149,17 +151,10 @@ class TestApproximatePairs:
             return False, 0.0
 
         monkeypatch.setattr(approximation, "check_convex_order", never)
-        mu = DiscreteMeasure([0], [1.0])
         nu = DiscreteMeasure([-1, 1], [0.5, 0.5])
         with pytest.raises(ConvexOrderError, match="never dominated"):
-            approximate_pairs([mu], [nu], [mu], (-1.0, 1.0), nu, eps=0.05)
+            approximate_pairs([0.0], [nu], [0.0], [1.0], (-1.0, 1.0), nu, eps=0.05)
         assert len(calls) == len(_window_ladder((-1.0, 1.0)))
-
-    def test_rejects_multi_atom_cell(self):
-        mu = DiscreteMeasure([-1, 1], [0.5, 0.5])
-        nu = DiscreteMeasure([-2, 2], [0.5, 0.5])
-        with pytest.raises(ValueError, match="one-atom"):
-            approximate_pairs([mu], [nu], [mu], (-2.0, 2.0), nu, eps=0.05)
 
 
 # theta's stage-two sum in op 20 (mass_jitter+base3) of the benchmark's held-out
@@ -303,12 +298,12 @@ class TestApproximateCoupling:
 
     def test_split_base_atom_refits_two_atoms(self, monkeypatch):
         # mu' splits the base atom -1 in two, so the W1 plan gives it two
-        # cells, one per perturbed atom, and every cell holds one atom
+        # cells, one per perturbed atom, and the base atom 1 a third
         sizes, pairs = [], approximation.approximate_pairs
 
-        def counted(mu_js, nu_js, mu_p_js, *args):
-            sizes.append([len(m) for m in mu_p_js])
-            return pairs(mu_js, nu_js, mu_p_js, *args)
+        def counted(xs, nu_js, xps, qs, *args):
+            sizes.append((len(xs), len(nu_js), len(xps), len(qs)))
+            return pairs(xs, nu_js, xps, qs, *args)
 
         monkeypatch.setattr(approximation, "approximate_pairs", counted)
         pi, vals = f1_base(), []
@@ -321,7 +316,7 @@ class TestApproximateCoupling:
             assert wasserstein_line(out.second_marginal(), nu_p) <= 1e-9
             assert check_martingale(out, tol=1e-9)[0]
             vals.append(rep["aw1"])
-        assert sizes == [[1, 1, 1]] * 3
+        assert sizes == [(3, 3, 3, 3)] * 3
         assert vals == pytest.approx([0.4045, 0.1026, 0.0257], rel=0, abs=5e-5)
 
     def test_cell_lighter_than_the_lp_tolerance_joins_its_atoms_mix(self):
@@ -336,6 +331,22 @@ class TestApproximateCoupling:
         assert np.allclose(out.first_marginal.weights, mu_p.weights, rtol=0, atol=1e-12)
         assert wasserstein_line(out.second_marginal(), nu_p) <= 1e-9
         assert check_martingale(out, tol=1e-9)[0]
+
+    @pytest.mark.xfail(strict=True, raises=RuntimeError, reason="the W1 plan's -1e-9 entry stays in the piece's nu")
+    def test_first_marginal_mass_moved_by_a_billionth(self):
+        # split_marginals' W1 plan carries an entry of -1.0e-9, inside HiGHS's
+        # 1e-9 primal tolerance; the cells drop it (plan > 1e-14) but the
+        # piece's nu keeps it, so theta's mass is 1e-9 above nu' in every
+        # window.  Clipping the plan at 0 instead leaves the output's first
+        # marginal 1e-9 heavier than pi's, and AW1's transport raises at
+        # d = 0.2 and 0.05.
+        pi = f1_base()
+        for d in (0.2, 0.05, 0.01):
+            mu_p = LiftedMeasure.from_measure(DiscreteMeasure([-1 - d, 1 + d], [0.5 + 1e-9, 0.5 - 1e-9]))
+            nu_p = repaired(mu_p.x_marginal(), DiscreteMeasure([-2 - d, 2 + d], [0.5, 0.5]))
+            out, _ = approximate_coupling(pi, mu_p, nu_p, d)
+            assert wasserstein_line(out.second_marginal(), nu_p) <= 1e-9
+            assert check_martingale(out, tol=1e-9)[0]
 
     def test_rearrangement_plan_entries_below_zero(self):
         # the identity approximation of this min |y - x| MOT coupling (seed 151
@@ -399,12 +410,12 @@ def test_halving_eps_never_shrinks_a_windows_order_gap(monkeypatch):
     # theta's potential is affine in eps and equals mu'_piece's <= nu''s at
     # eps = 1, so its largest gap above nu' cannot fall as eps halves
     failed = 0
-    for mu_js, nu_js, mu_p_js, interval, nu_p, eps in _stage_two_inputs(np.random.default_rng(25), monkeypatch):
+    for xs, nu_js, xps, qs, interval, nu_p, eps in _stage_two_inputs(np.random.default_rng(25), monkeypatch):
         for am, bm in _window_ladder(interval):
-            trimmed = [_trim_cell(mu_j, nu_j, am, bm) for mu_j, nu_j in zip(mu_js, nu_js)]
+            trimmed = [_trim_cell(x, nu_j, am, bm) for x, nu_j in zip(xs, nu_js)]
             thetas = []
             for e in (eps, eps / 2):
-                tilde = [_project_cell(mu_p_j, t, am, bm, e) for mu_p_j, t in zip(mu_p_js, trimmed)]
+                tilde = [_project_cell(x, xp, q, t, am, bm, e) for x, xp, q, t in zip(xs, xps, qs, trimmed)]
                 thetas.append(DiscreteMeasure(np.concatenate([t.atoms for t in tilde]),
                                               np.concatenate([t.weights for t in tilde])))
             pts = np.unique(np.concatenate([nu_p.atoms] + [t.atoms for t in thetas]))
@@ -425,7 +436,8 @@ def one_atom_cells(draw):
     base, (ys, weights) = DiscreteMeasure(*measure(1)), measure(2)
     assume(len(ys) >= 2 and np.diff(ys).min() > 1e-6)
     x = float(weights @ ys / weights.sum())
-    return base.normalized(), x, draw(st.floats(0.0, 1.0)), draw(st.floats(0.05, 1.0)), DiscreteMeasure(ys, weights)
+    u, w = draw(st.floats(0.0, 1.0)), draw(st.floats(0.05, 1.0))
+    return base.scaled(1 / base.mass), x, u, w, DiscreteMeasure(ys, weights)
 
 
 @settings(max_examples=100)

@@ -324,6 +324,21 @@ class TestProjection:
         assert check_convex_order(mu, out)[0]
         assert abs(mean(out) - mean(mu)) <= 1e-12
 
+    def test_dirac_projection_is_the_translate(self):
+        # every law of mean x dominates delta_x, so the projection of delta_x
+        # onto nu is nu moved to mean x: its atoms to the bit, its weights to
+        # rounding (the potential-to-measure step rescales them)
+        rng = np.random.default_rng(35)
+        for _ in range(300):
+            n = rng.integers(1, 12)
+            w = rng.uniform(0.05, 1.0, n)
+            nu = DiscreteMeasure(rng.uniform(-3, 3, n), w / w.sum())
+            x = rng.uniform(-3, 3)
+            out = convex_order_projection(DiscreteMeasure([x], [1.0]), nu)
+            moved = DiscreteMeasure(nu.atoms + (x - nu.first_moment() / nu.mass), nu.weights)
+            assert np.array_equal(out.atoms, moved.atoms)
+            assert np.allclose(out.weights, moved.weights, rtol=0, atol=1e-15)
+
     @settings(max_examples=100)
     @given(float_measures(6), float_measures(8))
     def test_matches_reference(self, mu, nu):

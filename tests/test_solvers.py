@@ -209,7 +209,8 @@ def positive_pair(rng, stay: bool):
     """mu with 1-3 atoms in (0.85, 1.15); nu spreads each into a binary kernel and,
     given ``stay``, keeps part of its mass at the atom itself."""
     n = int(rng.integers(1, 4))
-    mu = DiscreteMeasure(rng.uniform(0.85, 1.15, n), rng.uniform(0.2, 1.0, n)).normalized()
+    mu = DiscreteMeasure(rng.uniform(0.85, 1.15, n), rng.uniform(0.2, 1.0, n))
+    mu = mu.scaled(1 / mu.mass)
     nu = DiscreteMeasure([], [])
     for x, w in zip(mu.atoms, mu.weights):
         kept = rng.uniform(0.1, 0.5) if stay else 0.0

@@ -8,6 +8,9 @@ for the tracer, which reads ``c``, ``A_eq`` and ``A_ub`` from its arguments
 and ``nit`` from its result.  A name that is gone is only recorded as
 absent, and the traced run then lacks that layer's metrics; these checks
 make such a rename, or a change of the hook's arguments, fail here instead.
+The tracer also reads ``retries`` from the diagnostics that
+``emot.approximation.approximate_pairs`` returns, so a change of that
+result fails here too.
 The tracer is loaded by path, since ``benchmarks`` is not a package.
 """
 
@@ -20,7 +23,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from emot import lp_core
+from emot import approximation, lp_core
+from emot.measures import DiscreteMeasure, LiftedMeasure
+from emot.solvers import CostSpec, solve_mot
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
 
@@ -75,3 +80,26 @@ def test_highs_hook_takes_the_tracers_arguments(monkeypatch):
     with pytest.raises(lp_core.LPError) as err:
         lp_core.solve_lp(lp_core.LinearProgram(c=[1.0], A_eq=[[1.0]], b_eq=[-1.0]))
     assert err.value.status == "infeasible"
+
+
+def test_stage_two_result_feeds_the_tracer(monkeypatch):
+    """``_pairs_after`` counts one stage per ``approximate_pairs`` call and
+    adds the ``retries`` of its diagnostics."""
+    results, pairs = [], approximation.approximate_pairs
+
+    def spy(*args):
+        out = pairs(*args)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(approximation, "approximate_pairs", spy)
+    cost = CostSpec(fn=lambda x, u, ys: np.abs(np.asarray(ys) - x))
+    pi = solve_mot(DiscreteMeasure([-1, 1], [0.5, 0.5]), DiscreteMeasure([-2, 2], [0.5, 0.5]), cost)["coupling"]
+    mu_p = LiftedMeasure.from_measure(DiscreteMeasure([-1.2, 1.1], [0.5, 0.5]))
+    nu_p = DiscreteMeasure([-1.9, 1.8], [0.5, 0.5])
+    approximation.approximate_coupling(pi, mu_p, nu_p, 0.2)
+    [out] = results
+    counts = collections.Counter()
+    load_tracing()._pairs_after(counts)(out)
+    assert counts["approximation.stages"] == 1
+    assert counts["approximation.retries"] == out[1]["retries"] > 0
