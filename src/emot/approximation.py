@@ -6,12 +6,12 @@ Given a coupling with marginals (mu_bar, nu) and perturbed marginals
 perturbed marginals that is close in adapted Wasserstein distance:
 split the perturbed marginals along the irreducible components of the
 base pair, rebuild per-cell second marginals by a windowed trim /
-translation / redistribution scheme, and read each perturbed atom's
-kernel off the sum of its cells' rebuilt second marginals.  A cell is one
-pair (base atom x, perturbed atom x') of the W1 plan between the first
-marginals, so it holds one lifted atom: its trimmed kernel is moved to
-mean x', which is the convex-order projection of delta_x' onto it, and
-every kernel is a closed form.
+translation / redistribution scheme, and read the kernels off one plan
+matrix whose row at a perturbed atom sums its cells' rebuilt second
+marginals.  A cell is one pair (base atom x, perturbed atom x') of the W1
+plan between the first marginals, so it holds one lifted atom: its
+trimmed kernel is moved to mean x', which is the convex-order projection
+of delta_x' onto it, and every kernel is a closed form.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .convex_order import (
     require_convex_order,
     window_kernel,
 )
-from .couplings import DiscreteCoupling, _point_cost, adapted_wasserstein, disintegrate, martingale_polytope_lp
+from .couplings import DiscreteCoupling, _point_cost, adapted_wasserstein, coupling_from_plan, martingale_polytope_lp
 from .lp_core import solve_lp, transport_plan
 from .measures import DiscreteMeasure, LiftedMeasure, check_convex_order, wasserstein_line
 
@@ -36,11 +36,11 @@ WINDOW_MAX_LEVEL = 50
 
 @dataclass
 class MarginalSplit:
-    """Perturbed marginals split along the base irreducible components."""
+    """Perturbed marginals split along the base irreducible components, and the stationary mass."""
 
     pieces: list  # per component: dict of its interval, base indices, W1-plan rows and perturbed nu
-    stationary_mu_bar: LiftedMeasure | None
-    stationary_kernels: np.ndarray | None  # rows over nu' atoms, aligned with stationary_mu_bar
+    stationary: np.ndarray  # stationary mass per perturbed atom, 0 at or below 1e-14
+    kernels: np.ndarray  # G: the feasible coupling's kernel per perturbed atom, rows over nu' atoms
 
 
 def _min_displacement(mu_bar: LiftedMeasure, nu: DiscreteMeasure):
@@ -70,7 +70,10 @@ def split_marginals(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Discret
     gamma, _ = _min_displacement(mu_bar_p, nu_p)
     rows = gamma.sum(axis=1, keepdims=True)
     G = np.divide(gamma, rows, out=np.zeros_like(gamma), where=rows > 1e-14)
-    for i in np.flatnonzero(rows <= 1e-14):  # zero-mass atom: any mean-x kernel works
+    # a row of at most 1e-14 gets a Dirac at the nearest nu' atom, not a mean-x
+    # kernel: its atom weighs at most 1e-14 in the W1 plan too, up to the plans'
+    # tolerance, so the Dirac moves the pieces' nu by no more than that much
+    for i in np.flatnonzero(rows <= 1e-14):
         G[i, np.argmin(np.abs(nu_p.atoms - mu_bar_p.xs[i]))] = 1.0
 
     # component labels of mu's atoms (the components hold bitwise copies of
@@ -95,10 +98,7 @@ def split_marginals(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Discret
             }
         )
     w_p = plan[base_labels == -1].sum(axis=0)
-    keep = w_p > 1e-14
-    if not keep.any():
-        return MarginalSplit(pieces, None, None)
-    return MarginalSplit(pieces, LiftedMeasure(mu_bar_p.atoms[keep], w_p[keep]), G[keep])
+    return MarginalSplit(pieces, np.where(w_p > 1e-14, w_p, 0.0), G)
 
 
 def _window_ladder(interval):
@@ -127,17 +127,19 @@ def _trim_cell(x: float, nu_j: DiscreteMeasure, am, bm) -> DiscreteMeasure:
 
 
 def approximate_pairs(xs, nu_js: list, xps, qs, interval, nu_p: DiscreteMeasure, eps: float):
-    """Per-cell second marginals for perturbed cells of one component.
+    """Per-cell second marginals for perturbed cells of one component, one
+    row per cell over nu''s atoms.
 
     Cell j holds the base atom xs[j], with second marginal nu_j (its
     weight times the kernel at xs[j]), and the perturbed atom xps[j] of
     mass qs[j]; the nu_j sum to an irreducible pair on ``interval``, and
-    nu' is the component's perturbed second marginal.  Produce nu'_j with
-    qs[j] delta_{xps[j]} <= nu'_j in convex order and sum nu'_j = nu'
-    exactly.  Three stages: a windowed trim of the base cell marginals,
-    the trimmed kernel moved to the perturbed atom and blended with it,
-    at the first window, widest first, whose sum theta is dominated by
-    nu', and an LP-minimal martingale redistribution onto nu'.  One pass
+    nu' is the component's perturbed second marginal.  Produce the weights
+    of nu'_j on nu''s atoms, with qs[j] delta_{xps[j]} <= nu'_j in convex
+    order and sum nu'_j = nu' exactly.  Three stages: a windowed trim of
+    the base cell marginals, the trimmed kernel moved to the perturbed
+    atom and blended with it, at the first window, widest first, whose sum
+    theta is dominated by nu', and an LP-minimal martingale redistribution
+    onto nu'.  One pass
     at the given eps suffices: theta's potential is affine in eps and
     equals that of the piece's mu' <= nu' at eps = 1, so a window that
     fails at eps fails at every smaller eps.
@@ -146,7 +148,7 @@ def approximate_pairs(xs, nu_js: list, xps, qs, interval, nu_p: DiscreteMeasure,
     for am, bm in _window_ladder(interval):
         trimmed = [_trim_cell(x, nu_j, am, bm) for x, nu_j in zip(xs, nu_js)]
         tilde = [_project_cell(x, xp, q, t, am, bm, eps) for x, xp, q, t in zip(xs, xps, qs, trimmed)]
-        atoms, weights = np.concatenate([t.atoms for t in tilde]), np.concatenate([t.weights for t in tilde])
+        atoms, weights = (np.concatenate(a) for a in zip(*tilde))
         theta = DiscreteMeasure(atoms, weights)
         ok, witness = check_convex_order(theta, nu_p, tol=1e-9)
         if ok:
@@ -163,10 +165,9 @@ def approximate_pairs(xs, nu_js: list, xps, qs, interval, nu_p: DiscreteMeasure,
     # the theta atom it merged into, the nearest one, as theta's atoms lie
     # more than MERGE_TOL apart
     row = np.searchsorted(0.5 * (theta.atoms[1:] + theta.atoms[:-1]), atoms)
-    cell = np.repeat(np.arange(len(tilde)), [len(t) for t in tilde])
+    cell = np.repeat(np.arange(len(tilde)), [len(a) for a, _ in tilde])
     masses = np.zeros((len(tilde), len(theta)))
     np.add.at(masses, (cell, row), weights)
-    nu_out = [DiscreteMeasure(nu_p.atoms, w) for w in masses / theta.weights @ step3["plan"]]
     diag = {
         "eps_used": eps,
         "window": (am, bm),
@@ -176,25 +177,24 @@ def approximate_pairs(xs, nu_js: list, xps, qs, interval, nu_p: DiscreteMeasure,
         "step3_cost": step3["cost"],
         "step3_bound": step3["bound"],
     }
-    return nu_out, diag
+    return masses / theta.weights @ step3["plan"], diag
 
 
 def _project_cell(x, xp, q, t, am, bm, eps):
-    """Stage-two mix for one cell: move the trimmed base marginal t, which
-    lies in the window, to mean xp, cap it with the window kernel, and
-    blend with an eps share of q delta_xp.  Every law of mean xp dominates
-    delta_xp, so the moved kernel is the projection of delta_xp onto t.
-    A perturbed atom outside the window keeps q delta_xp, and a base atom
-    outside it leaves delta_xp to blend."""
-    cell = DiscreteMeasure([xp], [q])
+    """Stage-two mix for one cell, as unmerged (atoms, weights): move the
+    trimmed base marginal t, which lies in the window, to mean xp, cap it
+    with the window kernel, and blend with an eps share of q delta_xp.
+    Every law of mean xp dominates delta_xp, so the moved kernel is the
+    projection of delta_xp onto t.  A perturbed atom outside the window
+    keeps q delta_xp, and a base atom outside it leaves delta_xp to blend."""
     if not am <= xp <= bm:
-        return cell
+        return [xp], [q]
     if am <= x <= bm:
         moved = DiscreteMeasure(t.atoms + (xp - t.first_moment() / t.mass), t.weights / t.mass)
         hat = convex_min(moved, window_kernel(xp, am, bm))
     else:
         hat = DiscreteMeasure([xp], [1.0])
-    return hat.scaled(q).scaled(1.0 - eps) + cell.scaled(eps)
+    return np.append(hat.atoms, xp), np.append(hat.weights * q * (1.0 - eps), q * eps)
 
 
 def min_cost_martingale_rearrangement(theta: DiscreteMeasure, nu: DiscreteMeasure):
@@ -216,17 +216,6 @@ def min_cost_martingale_rearrangement(theta: DiscreteMeasure, nu: DiscreteMeasur
     return {"cost": cost, "bound": bound, "plan": plan}
 
 
-def _refit_piece(mu_bar_piece: LiftedMeasure, nu_piece: DiscreteMeasure) -> DiscreteCoupling:
-    """The coupling of a cell of one lifted atom, whose kernel is nu_piece
-    over its mass, once that kernel's barycentre is within 1e-9 of x (the
-    LPs' primal tolerance); off it, ``RuntimeError``."""
-    kernel = nu_piece.weights / nu_piece.mass
-    x, bary = mu_bar_piece.xs[0], kernel @ nu_piece.atoms
-    if not abs(bary - x) <= 1e-9:  # a NaN barycentre fails too
-        raise RuntimeError(f"one-atom cell at x = {x!r}: its kernel's barycentre {bary!r} is more than 1e-9 off")
-    return DiscreteCoupling(mu_bar_piece, nu_piece.atoms, kernel[None, :])
-
-
 def approximate_coupling(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: DiscreteMeasure, eps: float):
     """Coupling with the perturbed marginals close to ``pi`` in AW1.
 
@@ -235,17 +224,23 @@ def approximate_coupling(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Di
     marginals that carries more than 1e-14, holding base mass
     w_i plan[i, a] / sum_a plan[i, a] with the base kernel K_i and
     perturbed mass plan[i, a] at the lifted atom a; rebuild the per-cell
-    second marginals with :func:`approximate_pairs`; and read the kernel
-    of each perturbed atom off the sum of its cells' second marginals,
-    which mixes their kernels by their plan weights.
+    second marginals with :func:`approximate_pairs`; and read the kernels
+    off one plan with ``coupling_from_plan``, whose row at a perturbed atom
+    is its stationary mass times the feasible coupling's kernel plus its
+    cells' second marginals scaled to their mass.  That mix must have its
+    barycentre within 1e-9 of x (the LPs' primal tolerance), or
+    ``RuntimeError``; an eps outside [0, 1] is a ``ValueError``.
     Returns the coupling together with stage diagnostics including the
     achieved AW1 distance to the input.  Equal marginals take this same
     path, with no shortcut, so the output always carries the marginals
     asked for.
     """
+    if not 0.0 <= eps <= 1.0:  # a NaN eps fails too
+        raise ValueError(f"eps must lie in [0, 1], got {eps!r}")
     base_mu = pi.first_marginal
     split = split_marginals(pi, mu_bar_p, nu_p)
-    at_atom = {}  # perturbed atom index -> (its mass from the cells, the sum of their second marginals)
+    mass = np.zeros(len(mu_bar_p))  # per perturbed atom: its mass from the cells
+    fed = np.zeros((len(mu_bar_p), len(nu_p)))  # and the sum of their second marginals
     stages = []
     for piece in split.pieces:
         rows, cols = np.nonzero(piece["plan_rows"] > 1e-14)
@@ -254,24 +249,24 @@ def approximate_coupling(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Di
         base_w = base_mu.weights[idx] * (plan / np.bincount(rows, plan)[rows])
         nu_js = [pi.kernel_measure(i).scaled(w) for i, w in zip(idx, base_w)]
         try:
-            nu_out, diag = approximate_pairs(
+            nu_rows, diag = approximate_pairs(
                 base_mu.xs[idx], nu_js, mu_bar_p.xs[cols], plan, piece["interval"], piece["nu"], eps
             )
         except (ConvexOrderError, RuntimeError) as exc:
             raise RuntimeError(f"component {piece['interval']}: {exc}") from exc
         stages.append(diag)
-        for a, q, nu_j in zip(cols, plan, nu_out):
-            w, nu_a = at_atom.get(a, (0.0, None))
-            at_atom[a] = (w + q, nu_j if nu_a is None else nu_a + nu_j)
+        np.add.at(mass, cols, plan)
+        # the piece's nu holds bitwise copies of nu''s atoms
+        np.add.at(fed, (cols[:, None], np.searchsorted(nu_p.atoms, piece["nu"].atoms)), nu_rows)
     # the cells at one perturbed atom share its kernel, the plan-weighted mix
     # of theirs: a cell lighter than the rearrangement's tolerance keeps no
     # barycentre of its own, but adds only its weight times that miss to the mix
-    tables = [_refit_piece(LiftedMeasure(mu_bar_p.atoms[[a]], [q]), nu_a).joint() for a, (q, nu_a) in at_atom.items()]
-    if split.stationary_mu_bar is not None:
-        # stationary mass rides the feasible coupling's kernels directly
-        sm, K = split.stationary_mu_bar, split.stationary_kernels
-        i, j = np.nonzero(K > 0)
-        tables.append(np.column_stack([sm.xs[i], sm.us[i], nu_p.atoms[j], sm.weights[i] * K[i, j]]))
-    out, _ = disintegrate(np.concatenate(tables))
-    aw = adapted_wasserstein(out, pi)
-    return out, {"aw1": aw, "stages": stages}
+    a = np.flatnonzero(mass)
+    kernels = fed[a] / fed[a].sum(axis=1, keepdims=True)
+    miss = np.abs(kernels @ nu_p.atoms - mu_bar_p.xs[a])
+    if not np.all(miss <= 1e-9):  # a NaN barycentre fails too
+        raise RuntimeError(f"a perturbed atom's kernel has its barycentre {miss.max()!r} off its x, more than 1e-9")
+    plan = split.stationary[:, None] * split.kernels
+    plan[a] += mass[a, None] * kernels
+    out = coupling_from_plan(mu_bar_p, nu_p, plan)
+    return out, {"aw1": adapted_wasserstein(out, pi), "stages": stages}

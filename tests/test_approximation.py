@@ -58,7 +58,7 @@ class TestSplitMarginals:
         pi = f1_base()
         s = split_marginals(pi, pi.first_marginal, pi.second_marginal())
         assert len(s.pieces) == 1
-        assert s.stationary_mu_bar is None
+        assert not s.stationary.any()
         p = s.pieces[0]
         assert piece_mu_bar(p, pi.first_marginal).mass == pytest.approx(1.0)
         assert wasserstein_line(p["nu"], pi.second_marginal()) < 1e-9
@@ -101,13 +101,11 @@ class TestSplitMarginals:
         mu_p = LiftedMeasure(mb.atoms + [0.01, 0.0], mb.weights)
         nu_p = repaired(mu_p.x_marginal(), DiscreteMeasure([-1.51, 1.51], pi.second_marginal().weights))
         s = split_marginals(pi, mu_p, nu_p)
-        total = piece_mu_bar(s.pieces[0], mu_p)
-        for p in s.pieces[1:]:
-            total = total + piece_mu_bar(p, mu_p)
-        if s.stationary_mu_bar is not None:
-            total = total + s.stationary_mu_bar
-        assert np.array_equal(total.atoms, mu_p.atoms)
-        assert np.allclose(total.weights, mu_p.weights, atol=1e-12)
+        total = s.stationary.copy()
+        for p in s.pieces:
+            w = p["plan_rows"].sum(axis=0)
+            total += np.where(w > 1e-14, w, 0.0)
+        assert np.allclose(total, mu_p.weights, rtol=0, atol=1e-12)
         out, _ = approximate_coupling(pi, mu_p, nu_p, 0.05)
         assert wasserstein_line(out.second_marginal(), nu_p) < 1e-9
 
@@ -122,8 +120,8 @@ class TestApproximatePairs:
     def test_unperturbed_single_cell(self):
         nu = DiscreteMeasure([-1, 1], [0.5, 0.5])
         out, diag = approximate_pairs([0.0], [nu], [0.0], [1.0], (-1.0, 1.0), nu, eps=0.05)
-        assert len(out) == 1
-        total = out[0]
+        assert out.shape == (1, len(nu))
+        total = DiscreteMeasure(nu.atoms, out[0])
         assert wasserstein_line(total, nu) < 1e-9
         ok, _ = check_convex_order(DiscreteMeasure([0], [1.0]), total, tol=1e-8)
         assert ok
@@ -134,10 +132,10 @@ class TestApproximatePairs:
         nu_p = DiscreteMeasure([-2.1, 2.1], [0.5, 0.5])
         xps, qs = [-1.05, 1.05], [0.5, 0.5]
         out, diag = approximate_pairs([-1.0, 1.0], [nu1, nu2], xps, qs, (-2.1, 2.1), nu_p, eps=0.05)
-        total = out[0] + out[1]
-        assert wasserstein_line(total, nu_p) < 1e-9
+        assert out.shape == (2, len(nu_p))
+        assert wasserstein_line(DiscreteMeasure(nu_p.atoms, out.sum(axis=0)), nu_p) < 1e-9
         for xp, q, o in zip(xps, qs, out):
-            ok, _ = check_convex_order(DiscreteMeasure([xp], [q]), o, tol=1e-8)
+            ok, _ = check_convex_order(DiscreteMeasure([xp], [q]), DiscreteMeasure(nu_p.atoms, o), tol=1e-8)
             assert ok
         assert diag["step3_cost"] <= diag["step3_bound"] + 1e-9
 
@@ -233,8 +231,8 @@ class TestApproximateCoupling:
         pi = f1_base()
         out, rep = approximate_coupling(pi, pi.first_marginal, pi.second_marginal(), 0.05)
         assert rep["aw1"] == 0.0
-        # one-atom cells take their kernel in closed form, nu_piece over its
-        # mass, which rounds apart from the base kernel's bits (1.1e-16 here)
+        # one-atom cells take their kernel in closed form, their row over its
+        # sum, which rounds apart from the base kernel's bits (1.1e-16 here)
         assert np.allclose(out.kernels, pi.kernels, rtol=0, atol=1e-15)
 
     def test_tiny_perturbation_gets_its_own_marginals(self):
@@ -348,6 +346,37 @@ class TestApproximateCoupling:
             assert wasserstein_line(out.second_marginal(), nu_p) <= 1e-9
             assert check_martingale(out, tol=1e-9)[0]
 
+    @pytest.mark.parametrize("eps", [-1e-15, -0.1, 1.5, np.nan])
+    def test_eps_outside_the_unit_interval_raises(self, eps):
+        pi = f1_base()
+        with pytest.raises(ValueError, match="eps"):
+            approximate_coupling(pi, pi.first_marginal, pi.second_marginal(), eps)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_eps_at_the_ends_of_the_unit_interval(self, eps):
+        pi, d = f1_base(), 0.05
+        mu_p = LiftedMeasure.from_measure(DiscreteMeasure([-1 - d, 1 + d], [0.5, 0.5]))
+        nu_p = repaired(mu_p.x_marginal(), DiscreteMeasure([-2 - d, 2 + d], [0.5, 0.5]))
+        out, _ = approximate_coupling(pi, mu_p, nu_p, eps)
+        assert wasserstein_line(out.second_marginal(), nu_p) <= 1e-9
+        assert check_martingale(out, tol=1e-9)[0]
+
+    def test_stationary_mass_shares_atoms_with_cells(self):
+        # the base atom 0 is stationary (both potentials are 0.5 there), and the
+        # W1 plan sends half of it to each perturbed atom, which a cell feeds too
+        mu = DiscreteMeasure([-1, 0, 1], [0.25, 0.5, 0.25])
+        nu = DiscreteMeasure([-2, 0, 2], [0.125, 0.75, 0.125])
+        pi = solve_mot(mu, nu, CostSpec(fn=lambda x, u, ys: np.abs(np.asarray(ys) - x)))["coupling"]
+        mu_p = LiftedMeasure.from_measure(DiscreteMeasure([-0.5, 0.5], [0.5, 0.5]))
+        assert np.array_equal(split_marginals(pi, mu_p, nu).stationary, [0.25, 0.25])
+        out, rep = approximate_coupling(pi, mu_p, nu, 0.1)
+        assert np.array_equal(out.first_marginal.atoms, mu_p.atoms)
+        assert np.allclose(out.first_marginal.weights, [0.5, 0.5], rtol=0, atol=1e-15)
+        assert np.array_equal(out.y_support, nu.atoms)
+        assert np.allclose(out.kernels, [[0.25, 0.75, 0.0], [0.0, 0.75, 0.25]], rtol=0, atol=1e-15)
+        assert check_martingale(out, tol=1e-12)[0]
+        assert rep["aw1"] == pytest.approx(1.0, rel=0, abs=1e-12)
+
     def test_rearrangement_plan_entries_below_zero(self):
         # the identity approximation of this min |y - x| MOT coupling (seed 151
         # of convex_pair(default_rng([seed, 34]), 3-11 atoms, 5-17 atoms)) gets
@@ -416,8 +445,7 @@ def test_halving_eps_never_shrinks_a_windows_order_gap(monkeypatch):
             thetas = []
             for e in (eps, eps / 2):
                 tilde = [_project_cell(x, xp, q, t, am, bm, e) for x, xp, q, t in zip(xs, xps, qs, trimmed)]
-                thetas.append(DiscreteMeasure(np.concatenate([t.atoms for t in tilde]),
-                                              np.concatenate([t.weights for t in tilde])))
+                thetas.append(DiscreteMeasure(*(np.concatenate(a) for a in zip(*tilde))))
             pts = np.unique(np.concatenate([nu_p.atoms] + [t.atoms for t in thetas]))
             gap, gap_half = (np.max(potential_values(t, pts) - potential_values(nu_p, pts)) for t in thetas)
             assert gap_half >= gap - 1e-12, (interval, (am, bm), eps, gap, gap_half)
@@ -446,19 +474,32 @@ def test_one_atom_refit_is_the_lp_kernel_in_closed_form(cell):
     # the CDF-gap LP's nu rows fix the kernel of a one-atom cell, so the LP
     # has nothing left to choose
     base, x, u, w, nu = cell
-    closed = approximation._refit_piece(LiftedMeasure([(x, u)], [w]), nu)
     lp = solve_lp(reference.refit_lp(base, LiftedMeasure([(x, u)], [w]), nu))
-    assert np.array_equal(closed.y_support, nu.atoms) and closed.kernels.shape == (1, len(nu))
-    assert np.allclose(closed.kernels[0], lp.x[: len(nu)], rtol=0, atol=1e-12)
-    assert np.allclose(closed.kernels[0], nu.weights / nu.mass, rtol=0, atol=1e-15)
+    assert np.allclose(nu.weights / nu.mass, lp.x[: len(nu)], rtol=0, atol=1e-12)
 
 
-def test_one_atom_refit_off_its_mean_raises():
-    nu = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
-    for x in (1e-6, -1e-6):
+def test_one_atom_refit_off_its_mean_raises(monkeypatch):
+    # the cell at x = -1 of the identity approximation of f1_base gets its
+    # second marginal's mean moved by delta, with its mass kept: moving
+    # t = delta mass / 4 from y = -2 to y = 2 moves the mean by 4 t / mass
+    pi, pairs = f1_base(), approximation.approximate_pairs
+
+    def moved(delta):
+        def run(xs, *args):
+            rows, diag = pairs(xs, *args)
+            j = int(np.argmin(xs))
+            rows[j] += np.array([-1.0, 1.0]) * delta * rows[j].sum() / 4.0
+            return rows, diag
+
+        return run
+
+    for delta in (1e-6, -1e-6):
+        monkeypatch.setattr(approximation, "approximate_pairs", moved(delta))
         with pytest.raises(RuntimeError, match="barycentre"):
-            approximation._refit_piece(LiftedMeasure([(x, 0.0)], [1.0]), nu)
-    assert approximation._refit_piece(LiftedMeasure([(5e-10, 0.0)], [1.0]), nu).kernels.shape == (1, 2)
+            approximate_coupling(pi, pi.first_marginal, pi.second_marginal(), 0.05)
+    monkeypatch.setattr(approximation, "approximate_pairs", moved(5e-10))
+    out, _ = approximate_coupling(pi, pi.first_marginal, pi.second_marginal(), 0.05)
+    assert check_martingale(out, tol=1e-9)[0] and not check_martingale(out, tol=1e-10)[0]
 
 
 def test_split_base_atoms_keep_the_marginals_and_the_martingale():

@@ -622,3 +622,17 @@ def test_mot_value_scales_with_the_atoms():
                       DiscreteMeasure(s * SMALL_SCALE_NU.atoms, SMALL_SCALE_NU.weights), CostSpec(fn=COSTS["abs"]))
     assert abs(small["value"] - s * value) <= 1e-9 * s * value
     assert check_martingale(small["coupling"], 1e-9 * s)[0]
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="ROADMAP item 8")
+def test_plan_entry_below_zero_within_the_lp_tolerance():
+    """HiGHS returns the plan entry (0 -> -1.0000000001) as -5.0e-11, inside
+    its 1e-9 primal tolerance, and ``DiscreteCoupling`` refuses entries below
+    -1e-12 with "negative kernel weight"."""
+    mu = DiscreteMeasure([-1.0, 0.0], [0.5, 0.5])
+    nu = DiscreteMeasure([-1.0000000001, 0.0], [0.49999999995, 0.50000000005])
+    assert check_convex_order(mu, nu)[0]
+    c = solve_mot(mu, nu, CostSpec(fn=COSTS["abs"]))["coupling"]
+    assert np.allclose(c.x_marginal().weights, mu.weights, rtol=0, atol=1e-9)
+    assert np.allclose(c.second_marginal().weights, nu.weights, rtol=0, atol=1e-9)
+    assert check_martingale(c, 1e-9)[0]

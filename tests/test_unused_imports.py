@@ -289,10 +289,10 @@ def test_no_unread_parameters():
 def test_unread_parameter_is_flagged():
     trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
     text = (SRC / "approximation.py").read_text()
-    planted = text.replace("def _refit_piece(mu_bar_piece", "def _refit_piece(base_kernel, mu_bar_piece")
+    planted = text.replace("def _trim_cell(x: float", "def _trim_cell(scale, x: float")
     assert planted != text
     trees["approximation.py"] = ast.parse(planted)
-    assert unread_parameters(trees) == ["approximation.py: _refit_piece(base_kernel)"]
+    assert unread_parameters(trees) == ["approximation.py: _trim_cell(scale)"]
 
 
 def test_no_duplicated_bodies():
