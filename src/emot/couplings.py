@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .lp_core import DimensionGuardError, LinearProgram, enumerate_vertices, plan_rows, solve_lp, transport_plan
-from .measures import DiscreteMeasure, LiftedMeasure, NonFiniteError, merge_atoms, wasserstein_line, wasserstein_rows
+from .measures import DiscreteMeasure, LiftedMeasure, NonFiniteError, merge_atoms, wasserstein_line
 
 
 @dataclass(frozen=True)
@@ -126,10 +126,25 @@ def _point_cost(a_points, b_points) -> np.ndarray:
     return np.abs(a - b).sum(axis=2)
 
 
+def _kernel_cdfs(c: DiscreteCoupling, grid: np.ndarray) -> np.ndarray:
+    """Each kernel's mass at or left of each point of ``grid``."""
+    cum = np.zeros((len(c.kernels), c.y_support.size + 1))
+    np.cumsum(c.kernels, axis=1, out=cum[:, 1:])
+    return cum[:, np.searchsorted(c.y_support, grid, side="right")]
+
+
 def adapted_wasserstein(c1: DiscreteCoupling, c2: DiscreteCoupling) -> float:
-    """Adapted W1: outer transport on (x, u) atoms with nested kernel cost."""
+    """Adapted W1: outer transport on (x, u) atoms with nested kernel cost.
+
+    The kernel cost is W1 on the line in its CDF form: on the union grid g
+    of both y supports, with F1 and F2 the kernels' cumulative masses at g,
+    inner[i] = |F1[i] - F2| @ diff(g), one row of F1 at a time, so no array
+    exceeds n2 x |g|."""
     fm1, fm2 = c1.first_marginal, c2.first_marginal
-    inner = np.array([wasserstein_rows(c1.y_support, k, c2.y_support, c2.kernels) for k in c1.kernels])
+    g = np.union1d(c1.y_support, c2.y_support)
+    F1, F2 = (_kernel_cdfs(c, g[:-1]) for c in (c1, c2))
+    dg = np.diff(g)
+    inner = np.array([np.abs(f - F2) @ dg for f in F1])
     dx = np.abs(fm1.xs[:, None] - fm2.xs[None, :])
     du = np.abs(fm1.us[:, None] - fm2.us[None, :])
     _, value = transport_plan(dx + du + inner, fm1.weights, fm2.weights)

@@ -40,6 +40,22 @@ LPs that presolve solves, moved by 9e-16 at most.  The dual tolerance
 stays: at 1e-10, crossover left one 10 440-column American LP 3.6e-8 dual
 infeasible and HiGHS reported status Unknown.
 
+A solve can start from the optimal basis of another LP of the same shape:
+every ``LPSolution`` carries HiGHS's ``basis``, and ``solve_lp(p, start)``
+hands it to ``setBasis``.  If HiGHS takes it, dual simplex restarts from it
+(Huangfu & Hall 2018) whatever the LP's size, since IPX ignores a basis; if
+``setBasis`` returns an error status, as it does for a basis of another
+shape, the LP is solved cold under the rules above.  ``run_stability``
+starts each perturbed mot LP from its base's basis.  On the 144
+perturbed ``atom_jitter``/``mass_jitter`` solves (2 320 columns) of
+benchmark seeds 0, 1 and held-out 2, warm against cold on a 2-core host:
+``atom_jitter`` 36 593 -> 8 821 simplex iterations (0.83 -> 0.28 s),
+``mass_jitter`` 35 109 -> 2 254 (0.76 -> 0.16 s), values within 9.3e-15
+relative.  At 100x145 (14 500 columns) a warm dual simplex took 0.014-0.033 s
+against cold IPX's 0.11-0.12 s, and at 200x290 0.11-0.29 s against
+0.66-0.74 s, values within 9.7e-16 relative; 200 warm 12x20 LPs, which
+presolve when cold, came within 3.7e-15.
+
 HiGHS is called through scipy's bundled binding
 (``scipy.optimize._highspy._core``) in one place, ``linprog``: it hands
 HiGHS the ``LinearProgram``'s CSR rows as they were built, as numpy buffers
@@ -47,10 +63,11 @@ through ``_Highs.passModel``'s array overload, with the options
 ``scipy.optimize.linprog`` passes, and returns the ``LPSolution`` or raises
 ``LPError``.  Passing the buffers took 17 us on an 8-column LP and 0.14 ms
 on a 2 320-column one, where filling a ``HighsLp`` field by field took 26 us
-and 0.95 ms.  Every x, value, dual and iteration count is bitwise what
-``scipy.optimize.linprog`` returns, which copies the rows to columns first:
-on the 2 931 LPs of seed-0 passes of both benchmark workloads the buffers
-gave bitwise the x, value, duals and ``stats`` of that copy.
+and 0.95 ms.  Every x, value, dual and iteration count of a cold solve is
+bitwise what ``scipy.optimize.linprog`` returns, which copies the rows to
+columns first: on the 2 931 LPs of seed-0 passes of both benchmark
+workloads the buffers gave bitwise the x, value, duals and ``stats`` of
+that copy.
 ``scipy.optimize.linprog`` itself, whose input validation and result
 assembly cost more than HiGHS on LPs of a few hundred columns, is used only
 by the tests, as the oracle.  The binding is private to scipy, hence the
@@ -73,6 +90,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy import sparse
 from scipy.optimize._highspy._core import (
+    HighsBasis,
     HighsModelStatus,
     HighsOptions,
     HighsStatus,
@@ -198,16 +216,19 @@ class LinearProgram:
 @dataclass
 class LPSolution:
     """An optimal vertex of an LP, with the multipliers of its equality and
-    inequality rows (None where the LP has no such rows) and HiGHS's
+    inequality rows (None where the LP has no such rows), HiGHS's
     ``stats``: "method", "simplex_iterations", "ipm_iterations",
     "crossover_iterations", "max_primal_infeasibility",
-    "max_dual_infeasibility", and the matrix's "rows", "cols" and "nnz"."""
+    "max_dual_infeasibility", and the matrix's "rows", "cols" and "nnz",
+    and HiGHS's ``basis`` at the vertex, which ``solve_lp`` takes as the
+    start of an LP of the same shape."""
 
     x: np.ndarray
     duals_eq: Optional[np.ndarray]
     duals_ub: Optional[np.ndarray]
     value: float
     stats: dict
+    basis: HighsBasis
 
     @property
     def nit(self) -> int:
@@ -215,20 +236,23 @@ class LPSolution:
         return self.stats["simplex_iterations"] or self.stats["ipm_iterations"]
 
 
-def solve_lp(p: LinearProgram) -> LPSolution:
+def solve_lp(p: LinearProgram, start: Optional[HighsBasis] = None) -> LPSolution:
     """Solve with HiGHS: an optimal vertex with duals attached, or ``LPError``.
 
     The method follows the LP: interior point with crossover when it has at
     least ``IPM_MIN_COLS`` columns and a constraint coefficient other than
     0/+-1, dual simplex otherwise; HiGHS runs with presolve at a primal
     feasibility tolerance of 1e-9, and from ``LARGE_COLS`` columns on without
-    presolve at 1e-10 (see the module docstring for the measurements behind
-    each rule)."""
+    presolve at 1e-10.  ``start``, the ``basis`` of an earlier solution, is
+    handed to HiGHS, and when HiGHS takes it the LP runs dual simplex from it
+    whatever its size; a start HiGHS refuses, such as one of another shape,
+    gives the cold solve (see the module docstring for the measurements
+    behind each rule)."""
     ipm = p.n_vars >= IPM_MIN_COLS and not all(
         np.isin(A.data, (-1.0, 0.0, 1.0)).all() for A in (p.A_eq, p.A_ub) if A is not None
     )
     return linprog(p.c, A_ub=p.A_ub, b_ub=p.b_ub, A_eq=p.A_eq, b_eq=p.b_eq, bounds=p.bounds, sense=p.sense,
-                   method="highs-ipm" if ipm else "highs-ds")
+                   method="highs-ipm" if ipm else "highs-ds", start=start)
 
 
 def _highs_options(solver: str, large: bool) -> HighsOptions:
@@ -251,7 +275,7 @@ _POINT_TOL = 10 * np.sqrt(1e-9)  # linprog's check of an optimal point against i
 
 
 def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, sense="min",
-            method="highs-ds") -> LPSolution:
+            method="highs-ds", start=None) -> LPSolution:
     """HiGHS on the LP that ``LinearProgram``'s fields describe: an optimal
     vertex, or ``LPError``.
 
@@ -266,6 +290,12 @@ def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, sense
     of +inf), raise "infeasible", an unbounded one "unbounded", and every
     other status but optimal "failed", as does an "optimal" point off a row
     or bound by more than 10*sqrt(1e-9) (``linprog``'s check).
+
+    ``start``, a ``HighsBasis``, goes to ``setBasis``; when HiGHS takes it,
+    the LP runs dual simplex from it, since IPX would ignore it, and
+    ``stats`` report "highs-ds".  A start that ``setBasis`` refuses with an
+    error status, which it does for one of another shape, leaves ``method``
+    and the cold solve as they were.
 
     Name and keywords are ``linprog``'s because ``benchmarks/tracing.py``
     wraps ``emot.lp_core.linprog``, reads ``c``, ``A_eq`` and ``A_ub`` from
@@ -282,12 +312,15 @@ def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, sense
     lb, ub = np.broadcast_to(np.array((0, None) if bounds is None else bounds, dtype=float), (n, 2)).T
     lb, ub = np.where(np.isnan(lb), -kHighsInf, lb), np.where(np.isnan(ub), kHighsInf, ub)
 
-    highs = _Highs()
-    highs.passOptions(_OPTIONS[method, n >= LARGE_COLS])
+    highs, large = _Highs(), n >= LARGE_COLS
+    highs.passOptions(_OPTIONS[method, large])
     model_status = HighsModelStatus.kModelError
     if highs.passModel(n, A.shape[0], A.nnz, MatrixFormat.kRowwise, ObjSense.kMinimize, 0.0, c, lb, ub, lhs, rhs,
                        A.indptr.astype(np.int32, copy=False), A.indices.astype(np.int32, copy=False), A.data,
                        np.zeros(n, dtype=np.int32)) != HighsStatus.kError:
+        if start is not None and highs.setBasis(start) != HighsStatus.kError:
+            method = "highs-ds"
+            highs.passOptions(_OPTIONS[method, large])
         highs.run()
         model_status = highs.getModelStatus()
     message = f"HiGHS model status {highs.modelStatusToString(model_status)}"
@@ -310,7 +343,7 @@ def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, sense
             }
             duals_eq = None if A_eq is None else sign * row_dual[m_ub:]
             duals_ub = None if A_ub is None else sign * row_dual[:m_ub]
-            return LPSolution(x, duals_eq, duals_ub, sign * float(value), stats)
+            return LPSolution(x, duals_eq, duals_ub, sign * float(value), stats, highs.getBasis())
         message += f", but its point is off a row or bound by more than {_POINT_TOL:.2e}"
     status = _STATUS.get(model_status, "failed")
     raise LPError(status, f"LP ({A.shape[0]} rows, {n} columns) {status}: {message}")

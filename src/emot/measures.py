@@ -216,40 +216,28 @@ def mean(m: DiscreteMeasure) -> float:
     return m.first_moment() / m.mass
 
 
-def wasserstein_rows(ya, a, yb, B) -> np.ndarray:
-    """W1 from the weight row ``a`` on sorted atoms ``ya`` to every row of
-    ``B`` on sorted atoms ``yb``, by the quantile formula over [0, mass].
-
-    Per row, the quantile levels are the union of both cumulative sums; at a
-    tie ``a``'s level comes first, so each side's quantile index is the count
-    of its own levels before the level, exactly.  Beyond the smaller total
-    mass the segments have zero width.
-    """
-    B = np.atleast_2d(B)
-    ca = np.broadcast_to(np.cumsum(a), (B.shape[0], len(a)))
-    cb = np.cumsum(B, axis=1)
-    levels = np.concatenate([ca, cb], axis=1)
-    order = np.argsort(levels, axis=1, kind="stable")
-    levels = np.minimum(np.take_along_axis(levels, order, axis=1), np.minimum(ca[:, -1:], cb[:, -1:]))
-    from_a = order < len(a)
-    ia = np.minimum(np.cumsum(from_a, axis=1) - from_a, len(a) - 1)
-    ib = np.minimum(np.cumsum(~from_a, axis=1) - ~from_a, len(yb) - 1)
-    seg = np.diff(levels, axis=1, prepend=0.0)
-    return (np.abs(ya[ia] - yb[ib]) * seg).sum(axis=1)
-
-
 def wasserstein_line(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
-    """W1 distance on the line via the quantile formula.
+    """W1 distance on the line via the quantile formula over [0, mass].
 
-    For equal-mass inputs with mass different from 1 this computes mass
-    times the W1 of the normalized measures, which equals the quantile
-    integral over [0, mass].
+    The quantile levels are the union of both cumulative sums; at a tie m1's
+    level comes first, so each side's quantile index is the count of its own
+    levels before the level, exactly.  For equal-mass inputs with mass
+    different from 1 this computes mass times the W1 of the normalized
+    measures; beyond the smaller total mass the segments have zero width.
     """
     if m1.mass <= 0 or m2.mass <= 0:
         raise EmptyMeasureError("empty measure")
     if abs(m1.mass - m2.mass) > MASS_TOL * max(1.0, m1.mass):
         raise MassMismatchError(f"masses differ: {m1.mass} vs {m2.mass}")
-    return float(wasserstein_rows(m1.atoms, m1.weights, m2.atoms, m2.weights)[0])
+    ca, cb = np.cumsum(m1.weights), np.cumsum(m2.weights)
+    levels = np.concatenate([ca, cb])
+    order = np.argsort(levels, kind="stable")
+    levels = np.minimum(levels[order], min(ca[-1], cb[-1]))
+    from_a = order < len(ca)
+    ia = np.minimum(np.cumsum(from_a) - from_a, len(ca) - 1)
+    ib = np.minimum(np.cumsum(~from_a) - ~from_a, len(cb) - 1)
+    seg = np.diff(levels, prepend=0.0)
+    return float((np.abs(m1.atoms[ia] - m2.atoms[ib]) * seg).sum())
 
 
 def cdf(m: DiscreteMeasure, ys) -> np.ndarray:

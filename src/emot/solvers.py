@@ -69,19 +69,24 @@ class BarrierMaps:
     t2: np.ndarray
 
 
-def solve_extended_mot(mu_bar: LiftedMeasure, nu: DiscreteMeasure, cost: CostSpec, sense: str = "min"):
-    """Linear martingale transport over the lifted polytope Pi_M(mu_bar, nu)."""
+def solve_extended_mot(mu_bar: LiftedMeasure, nu: DiscreteMeasure, cost: CostSpec, sense: str = "min",
+                       start=None):
+    """Linear martingale transport over the lifted polytope Pi_M(mu_bar, nu).
+
+    The result carries the LP's "basis"; given as ``start`` to the solve of
+    a pair of the same sizes, it starts HiGHS's dual simplex there (see
+    ``solve_lp``)."""
     require_convex_order(mu_bar.x_marginal(), nu)
     C = np.array([cost.fn(x, u, nu.atoms) for x, u in mu_bar.atoms], dtype=float).reshape(len(mu_bar), len(nu))
     lp = martingale_polytope_lp(mu_bar, nu, cost=C)
     lp.sense = sense
-    sol = solve_lp(lp)
-    return {"value": sol.value, "coupling": coupling_from_plan(mu_bar, nu, sol.x)}
+    sol = solve_lp(lp, start)
+    return {"value": sol.value, "coupling": coupling_from_plan(mu_bar, nu, sol.x), "basis": sol.basis}
 
 
-def solve_mot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec, sense: str = "min"):
+def solve_mot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec, sense: str = "min", start=None):
     """Martingale optimal transport between plain measures on the line."""
-    return solve_extended_mot(LiftedMeasure.from_measure(mu), nu, cost, sense)
+    return solve_extended_mot(LiftedMeasure.from_measure(mu), nu, cost, sense, start)
 
 
 def _golden_section(f) -> float:

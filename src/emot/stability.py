@@ -1,6 +1,14 @@
 """Stability experiment harness: perturb marginals at decreasing scales,
 repair convex order, re-solve, and report value and coupling gaps.
 
+The base problem is solved first.  For mot its LP's basis then starts each
+perturbed LP of the same shape (``solve_lp``'s start), so HiGHS's dual
+simplex restarts from the base optimum instead of pivoting from scratch:
+``atom_jitter`` and ``mass_jitter`` keep the shape; ``quantile_discretize``
+changes nu's size, and a pair of another shape is solved cold.  A row
+still depends only on the config, because its start is the base solve's,
+which every run repeats.
+
 Reports are deterministic for a fixed config and seed: the random
 generator is a seeded 64-bit PCG and serialization uses sorted keys with
 round-trip-exact floats.  Wall-clock timings are therefore excluded from
@@ -193,25 +201,28 @@ def _barrier_exceedance(c_base, c_pert, threshold: float) -> tuple:
     return exceed, tv
 
 
-def _solve(problem: str, mu, nu, cfg: ExperimentConfig):
+def _solve(problem: str, mu, nu, cfg: ExperimentConfig, start=None):
+    """The problem's value, its coupling (None for amer) and, for mot, its
+    LP's basis (None otherwise), which ``start`` passes to a perturbed
+    pair's solve."""
     if problem == "mot":
-        r = solve_mot(mu, nu, CostSpec(fn=COSTS["abs"]))
-        return r["value"], r["coupling"]
+        r = solve_mot(mu, nu, CostSpec(fn=COSTS["abs"]), start=start)
+        return r["value"], r["coupling"], r["basis"]
     if problem == "wmot":
         r = solve_wmot_fw(LiftedMeasure.from_measure(mu), nu, KERNEL_COSTS["meanabs_sq"], tol=1e-8)
         if r["fw_gap"] > 1e-6:
             raise RuntimeError(f"Frank-Wolfe gap {r['fw_gap']:.2e} above certificate")
-        return r["value"], r["coupling"]
+        return r["value"], r["coupling"], None
     if problem == "amer":
         r = price_american(mu, nu, lambda x: max(x, 0.0), lambda x, y: max(y, 0.0))
-        return r["value"], None
+        return r["value"], None, None
     if problem == "vix":
         r = vix_dual_lp(mu, nu, cfg.tau)
-        return r["value"], r["coupling"]
+        return r["value"], r["coupling"], None
     if problem == "shadow":
         mb = copula_lift(mu, "hoeffding_frechet", cfg.copula_m)
         r = shadow_coupling(mb, nu)
-        return r["value"], r["coupling"]
+        return r["value"], r["coupling"], None
     raise ConfigError(f"unknown problem {problem!r}")
 
 
@@ -222,7 +233,7 @@ def run_stability(config: ExperimentConfig) -> StabilityReport:
     remaining scales still run.
     """
     rng = np.random.default_rng(config.seed)
-    base_value, base_coupling = _solve(config.problem, config.mu, config.nu, config)
+    base_value, base_coupling, base_basis = _solve(config.problem, config.mu, config.nu, config)
     rows = []
     for scale in config.scales:
         row = {f: None for f in ROW_FIELDS}
@@ -234,7 +245,7 @@ def run_stability(config: ExperimentConfig) -> StabilityReport:
             )
             row["w1_mu"] = wasserstein_line(config.mu, mu_p)
             row["w1_nu"] = wasserstein_line(config.nu, nu_p)
-            value_p, coupling_p = _solve(config.problem, mu_p, nu_p, config)
+            value_p, coupling_p, _ = _solve(config.problem, mu_p, nu_p, config, base_basis)
             row["value_base"] = base_value
             row["value_pert"] = value_p
             row["value_gap"] = abs(value_p - base_value)

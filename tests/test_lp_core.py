@@ -1,12 +1,14 @@
 # the names emot.lp_core imports from the binding it calls HiGHS through; private to scipy, hence the scipy>=1.17 floor
 try:
     from scipy.optimize._highspy._core import (  # noqa: F401
-        HighsModelStatus, HighsOptions, HighsStatus, MatrixFormat, ObjSense, _Highs, kHighsInf, simplex_constants,
+        HighsBasis, HighsModelStatus, HighsOptions, HighsStatus, MatrixFormat, ObjSense, _Highs, kHighsInf,
+        simplex_constants,
     )
 except ImportError as exc:
     raise ImportError(
-        "emot.lp_core needs HiGHS's binding as scipy>=1.17 bundles it: _Highs, HighsOptions, HighsModelStatus, "
-        "HighsStatus, MatrixFormat, ObjSense, kHighsInf and simplex_constants in scipy.optimize._highspy._core; "
+        "emot.lp_core needs HiGHS's binding as scipy>=1.17 bundles it: _Highs, HighsBasis, HighsOptions, "
+        "HighsModelStatus, HighsStatus, MatrixFormat, ObjSense, kHighsInf and simplex_constants in "
+        "scipy.optimize._highspy._core; "
         "this scipy does not provide them"
     ) from exc
 
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsBasisStatus
 
 import reference
 from emot import couplings, lp_core, solvers
@@ -440,6 +443,65 @@ def test_stats_method_follows_the_column_rule():
         stats = solve_lp(LinearProgram(c=c, A_eq=np.full((1, n), 2.0), b_eq=[1.0])).stats
         assert stats["method"] == method
         assert (stats["rows"], stats["cols"], stats["nnz"]) == (1, n, n)
+
+
+# -- warm start --------------------------------------------------------------
+
+
+def _assert_same_solution(a, b):
+    for name in ("x", "duals_eq", "duals_ub"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.value == b.value and a.stats == b.stats
+
+
+def _one_row_more(lp):
+    return LinearProgram(c=lp.c, A_eq=sparse.vstack([lp.A_eq, lp.A_eq[:1]]), b_eq=np.append(lp.b_eq, lp.b_eq[0]))
+
+
+@pytest.mark.parametrize("shape", ["fewer columns", "more columns", "fewer rows", "more rows"])
+def test_start_of_another_shape_gives_the_cold_solve(shape):
+    """HiGHS refuses a basis of another shape, so the LP is solved cold."""
+    rng = np.random.default_rng(3)
+    mb = LiftedMeasure.from_measure(DiscreteMeasure(rng.uniform(-1, 1, 10), np.full(10, 0.1)))
+    _, small = _mot_lp(rng, mb, 15)
+    _, lp = _mot_lp(rng, mb, 25)
+    source, target = {"fewer columns": (small, lp), "more columns": (lp, small),
+                      "fewer rows": (lp, _one_row_more(lp)), "more rows": (_one_row_more(lp), lp)}[shape]
+    _assert_same_solution(solve_lp(target, solve_lp(source).basis), solve_lp(target))
+
+
+def _large_mot_lp():
+    rng = np.random.default_rng(0)
+    mu = DiscreteMeasure(rng.uniform(-1, 1, 100), np.full(100, 0.01))
+    _, lp = _mot_lp(rng, LiftedMeasure.from_measure(mu), 145)
+    assert lp.n_vars >= lp_core.IPM_MIN_COLS
+    return lp
+
+
+def test_start_highs_refuses_gives_the_cold_solve():
+    """Every status nonbasic, given as a basis HiGHS must not complete
+    (``alien`` off): ``setBasis`` returns an error, and the LP keeps the
+    interior point of a cold solve."""
+    lp = _large_mot_lp()
+    start = HighsBasis()
+    start.col_status = [HighsBasisStatus.kLower] * lp.n_vars
+    start.row_status = [HighsBasisStatus.kLower] * lp.A_eq.shape[0]
+    start.alien = False
+    cold = solve_lp(lp)
+    assert cold.stats["method"] == "highs-ipm"
+    _assert_same_solution(solve_lp(lp, start), cold)
+
+
+def test_start_runs_dual_simplex_past_ipm_min_cols():
+    """The optimal basis of a cold interior-point solve starts dual simplex on
+    the LP with its costs moved by up to 10%."""
+    lp = _large_mot_lp()
+    start = solve_lp(lp).basis
+    c = lp.c * (1 + 0.1 * np.random.default_rng(1).uniform(-1, 1, lp.n_vars))
+    moved = LinearProgram(c=c, A_eq=lp.A_eq, b_eq=lp.b_eq)
+    cold, warm = solve_lp(moved), solve_lp(moved, start)
+    assert cold.stats["method"] == "highs-ipm" and warm.stats["method"] == "highs-ds"
+    assert abs(warm.value - cold.value) <= 1e-9 * abs(cold.value)
 
 
 # -- HiGHS through the binding, against scipy's linprog -----------------------

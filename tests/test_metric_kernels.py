@@ -1,12 +1,15 @@
 """Array metric kernels against their pairwise reference forms."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from emot.convex_order import convex_min
+from emot.convex_order import convex_min, convex_order_projection
 from emot.couplings import DiscreteCoupling, adapted_wasserstein
 from emot.measures import DiscreteMeasure, LiftedMeasure, cell_masses, mean, potential_values, wasserstein_line
+from emot.solvers import COSTS, CostSpec, solve_mot
+from emot.stability import PERTURBATIONS, perturb_marginals
 
 # atoms on a coarse grid and small integer weights, so that atoms and
 # cumulative weights tie often
@@ -38,6 +41,21 @@ def couplings(draw):
 @given(couplings(), couplings())
 def test_adapted_wasserstein_matches_pairwise(c1, c2):
     assert abs(adapted_wasserstein(c1, c2) - reference.adapted_wasserstein(c1, c2)) <= 1e-12
+
+
+@pytest.mark.parametrize("family", PERTURBATIONS)
+def test_adapted_wasserstein_matches_pairwise_at_workload_scale(family):
+    """mot couplings of a seeded 40 x 58 pair against those of its perturbed
+    pairs, whose y supports hold 5 to 58 atoms."""
+    rng = np.random.default_rng([37, PERTURBATIONS.index(family)])
+    mu = DiscreteMeasure(rng.uniform(-1, 1, 40), np.full(40, 1 / 40))
+    raw = rng.uniform(-2.5, 2.5, 58)
+    nu = convex_order_projection(mu, DiscreteMeasure(raw - raw.mean() + mean(mu), np.full(58, 1 / 58)))
+    cost = CostSpec(fn=COSTS["abs"])
+    base = solve_mot(mu, nu, cost)["coupling"]
+    for scale in (0.2, 0.05):
+        pert = solve_mot(*perturb_marginals(mu, nu, family, scale, rng), cost)["coupling"]
+        assert abs(adapted_wasserstein(base, pert) - reference.adapted_wasserstein(base, pert)) <= 1e-12
 
 
 @given(st.sampled_from([0.3, 1.0, 2.5]).flatmap(lambda m: st.tuples(measures(m), measures(m))))

@@ -281,8 +281,8 @@ class TestRunAndEmit:
         # failed with "negative kernel weight"
         plans, solve = [], solvers.solve_lp
 
-        def spy(p):
-            sol = solve(p)
+        def spy(p, start=None):
+            sol = solve(p, start)
             plans.append(sol.x)
             return sol
 
@@ -300,8 +300,8 @@ class TestRunAndEmit:
         # "negative kernel weight"
         plans, solve = [], solvers.solve_lp
 
-        def spy(p):
-            sol = solve(p)
+        def spy(p, start=None):
+            sol = solve(p, start)
             plans.append(sol.x)
             return sol
 
@@ -311,6 +311,31 @@ class TestRunAndEmit:
         solvers.solve_mot(mu, nu, solvers.CostSpec(fn=solvers.COSTS["abs"]))
         (x,) = plans
         assert x.size == 800 < lp_core.LARGE_COLS and x.min() >= 0.0
+
+    @pytest.mark.parametrize("family", ["mass_jitter", "atom_jitter"])
+    def test_perturbed_mot_solves_start_from_the_base_basis(self, family, monkeypatch):
+        # each perturbed LP, solved again cold: the same value, from at least
+        # twice the simplex iterations, so a start HiGHS ignored fails here
+        solves, solve = [], solvers.solve_lp
+
+        def spy(p, start=None):
+            sol = solve(p, start)
+            solves.append((p, start, sol))
+            return sol
+
+        monkeypatch.setattr(solvers, "solve_lp", spy)
+        mu = DiscreteMeasure(HELDOUT_MU_ATOMS, np.full(40, 1 / 40))
+        nu = DiscreteMeasure(HELDOUT_NU_ATOMS, HELDOUT_NU_WEIGHTS)
+        cfg = ExperimentConfig(mu=mu, nu=nu, problem="mot", perturbation=family, scales=(0.2, 0.1, 0.05), seed=1220963932)
+        rows = run_stability(cfg).rows
+        (_, base_start, base), *perturbed = solves
+        assert base_start is None and len(perturbed) == len(rows) == 3
+        for row, (p, start, warm) in zip(rows, perturbed):
+            assert row["status"] == "ok", row["reason"]
+            assert start is base.basis and warm.stats["method"] == "highs-ds"
+            cold = solve(p)
+            assert abs(row["value_pert"] - cold.value) <= 1e-12 * abs(cold.value)
+            assert warm.stats["simplex_iterations"] < cold.stats["simplex_iterations"] / 2
 
     def test_error_rows_are_tagged(self):
         # a jitter wide enough to push a VIX marginal below zero fails at
