@@ -11,7 +11,11 @@ matrix whose row at a perturbed atom sums its cells' rebuilt second
 marginals.  A cell is one pair (base atom x, perturbed atom x') of the W1
 plan between the first marginals, so it holds one lifted atom: its
 trimmed kernel is moved to mean x', which is the convex-order projection
-of delta_x' onto it, and every kernel is a closed form.
+of delta_x' onto it, and every kernel is a closed form.  The feasible
+coupling that splits nu' and the redistribution onto each piece's nu' are
+no LPs but Jourdain & Margheriti's inverse-transform martingale coupling,
+built from the two quantile functions; only the W1 plan between lifted
+first marginals of several labels is the transport LP's.
 """
 
 from __future__ import annotations
@@ -27,9 +31,16 @@ from .convex_order import (
     require_convex_order,
     window_kernel,
 )
-from .couplings import DiscreteCoupling, _point_cost, adapted_wasserstein, coupling_from_plan, martingale_polytope_lp
-from .lp_core import solve_lp, transport_plan
-from .measures import DiscreteMeasure, LiftedMeasure, check_convex_order, wasserstein_line
+from .couplings import DiscreteCoupling, _point_cost, adapted_wasserstein, coupling_from_plan
+from .lp_core import transport_plan
+from .measures import (
+    DiscreteMeasure,
+    LiftedMeasure,
+    check_convex_order,
+    comonotone_plan,
+    quantile_pieces,
+    wasserstein_line,
+)
 
 WINDOW_MAX_LEVEL = 50
 
@@ -40,41 +51,80 @@ class MarginalSplit:
 
     pieces: list  # per component: dict of its interval, base indices, W1-plan rows and perturbed nu
     stationary: np.ndarray  # stationary mass per perturbed atom, 0 at or below 1e-14
-    kernels: np.ndarray  # G: the feasible coupling's kernel per perturbed atom, rows over nu' atoms
+    kernels: np.ndarray  # G: the inverse-transform coupling's kernel per perturbed atom, rows over nu' atoms
 
 
-def _min_displacement(mu_bar: LiftedMeasure, nu: DiscreteMeasure):
-    """Plan, with rows aligned to mu_bar's atoms, and value of the minimal
-    mean-displacement member of Pi_M(mu_bar, nu)."""
-    cost = np.abs(nu.atoms[None, :] - mu_bar.xs[:, None])
-    sol = solve_lp(martingale_polytope_lp(mu_bar, nu, cost=cost.ravel()))
-    return sol.x.reshape(cost.shape), sol.value
+def _inverse_transform_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
+    """Jourdain & Margheriti's inverse-transform martingale coupling of
+    mu <=cx nu, as a plan with one row per atom of mu and one per atom of nu.
+
+    mu is scaled to nu's mass, which the order check lets differ by 1e-9.
+    On each ``quantile_pieces`` piece, of length l, mu's quantile x lies
+    above nu's y (an up piece), below it (a down piece) or at it.  Psi+
+    and Psi- cumulate l |x - y| over the up and the down pieces; convex
+    order ends both at one total, so Psi- is rescaled to Psi+'s, which
+    they miss by rounding.  The up piece at Psi+ = p and the down piece at
+    Psi- = p share a stretch dp of Psi: each sends dp / (y_down - y_up) to
+    the other's nu level, which moves both barycentres to x, and keeps the
+    rest of its length at its own level, which keeps both marginals exact.
+    A stretch's mass is read as its share of the lighter piece's
+    displacement, so that the pieces of an atom lighter than Psi's rounding
+    keep their barycentre.  Where the two nu levels coincide (an atom of mu
+    can lie 1e-12 below nu's lowest within the order check's tolerance)
+    nothing crosses.  The cost is at most 2 W1(mu, nu) (Jourdain &
+    Margheriti, Bernoulli 2022).
+    """
+    plan, (ia, ib, length) = comonotone_plan(mu.weights * (nu.mass / mu.mass), nu.weights)
+    y = nu.atoms[ib]
+    disp = (mu.atoms[ia] - y) * length
+    up, down = np.flatnonzero(disp > 0), np.flatnonzero(disp < 0)
+    if not (up.size and down.size):
+        return plan
+    rise, fall = disp[up], -disp[down]
+    p, q, dpsi = quantile_pieces(rise, fall * (rise.sum() / fall.sum()))
+    # each stretch's share of its up and of its down piece; a piece whose
+    # stretches have no length (a tie of rounding size) sends nothing
+    shares = []
+    for k, moved in ((p, rise), (q, fall)):
+        total = np.bincount(k, dpsi, minlength=moved.size)[k]
+        shares.append(np.divide(dpsi * moved[k], total, out=np.zeros_like(dpsi), where=total > 0))
+    s, t = up[p], down[q]
+    gap = y[t] - y[s]
+    cross = np.divide(np.where(length[s] <= length[t], *shares), gap, out=np.zeros_like(gap), where=gap > 0)
+    np.add.at(plan, (np.tile(np.concatenate([ia[s], ia[t]]), 2), np.concatenate([ib[t], ib[s], ib[s], ib[t]])),
+              np.concatenate([cross, cross, -cross, -cross]))
+    return plan
 
 
 def split_marginals(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: DiscreteMeasure) -> MarginalSplit:
     """Split perturbed marginals along the base coupling's components.
 
     The base first marginal is matched to the perturbed one by a
-    W1-optimal transport plan on lifted atoms; each component's share of
-    the perturbed mass is the image of its base atoms under that plan.
-    Second-marginal pieces are images of the first-marginal pieces under
-    the kernels of a feasible martingale coupling, so every piece is in
-    convex order and the pieces reassemble both marginals exactly.
+    W1-optimal transport plan on lifted atoms, the north-west corner plan
+    when both carry one common label and the transport LP's otherwise;
+    each component's share of the perturbed mass is the image of its base
+    atoms under that plan.  Second-marginal pieces are images of the
+    first-marginal pieces under the kernels of the inverse-transform
+    martingale coupling of mu' and nu', so every piece is in convex order
+    and the pieces reassemble both marginals exactly.
     """
     mu_bar = pi.first_marginal
     mu = pi.x_marginal()
-    require_convex_order(mu_bar_p.x_marginal(), nu_p, "perturbed marginals are not in convex order")
+    mu_p = mu_bar_p.x_marginal()
+    require_convex_order(mu_p, nu_p, "perturbed marginals are not in convex order")
     decomp = irreducible_decomposition(mu, pi.second_marginal())
-    plan, _ = transport_plan(_point_cost(mu_bar.atoms, mu_bar_p.atoms), mu_bar.weights, mu_bar_p.weights)
+    if np.unique(np.concatenate([mu_bar.us, mu_bar_p.us])).size == 1:
+        # one common label: the north-west corner plan is W1-optimal on the
+        # line, and no entry of it is negative
+        plan, _ = comonotone_plan(mu_bar.weights, mu_bar_p.weights)
+    else:
+        plan, _ = transport_plan(_point_cost(mu_bar.atoms, mu_bar_p.atoms), mu_bar.weights, mu_bar_p.weights)
 
-    gamma, _ = _min_displacement(mu_bar_p, nu_p)
+    gamma = _inverse_transform_coupling(mu_p, nu_p)
     rows = gamma.sum(axis=1, keepdims=True)
-    G = np.divide(gamma, rows, out=np.zeros_like(gamma), where=rows > 1e-14)
-    # a row of at most 1e-14 gets a Dirac at the nearest nu' atom, not a mean-x
-    # kernel: its atom weighs at most 1e-14 in the W1 plan too, up to the plans'
-    # tolerance, so the Dirac moves the pieces' nu by no more than that much
-    for i in np.flatnonzero(rows <= 1e-14):
-        G[i, np.argmin(np.abs(nu_p.atoms - mu_bar_p.xs[i]))] = 1.0
+    # each lifted atom takes the kernel at its x, bitwise an atom of mu_p, as
+    # merge_atoms merges by x first; a row is its atom's weight to rounding
+    G = np.divide(gamma, rows, out=np.zeros_like(gamma), where=rows > 0)[np.searchsorted(mu_p.atoms, mu_bar_p.xs)]
 
     # component labels of mu's atoms (the components hold bitwise copies of
     # them, -1 is stationary); a base atom takes the label of the mu atom its
@@ -138,11 +188,11 @@ def approximate_pairs(xs, nu_js: list, xps, qs, interval, nu_p: DiscreteMeasure,
     order and sum nu'_j = nu' exactly.  Three stages: a windowed trim of
     the base cell marginals, the trimmed kernel moved to the perturbed
     atom and blended with it, at the first window, widest first, whose sum
-    theta is dominated by nu', and an LP-minimal martingale redistribution
-    onto nu'.  One pass
-    at the given eps suffices: theta's potential is affine in eps and
-    equals that of the piece's mu' <= nu' at eps = 1, so a window that
-    fails at eps fails at every smaller eps.
+    theta is dominated by nu', and theta's inverse-transform martingale
+    coupling with nu', through whose rows each cell's share of theta is
+    redistributed onto nu'.  One pass at the given eps suffices: theta's
+    potential is affine in eps and equals that of the piece's mu' <= nu'
+    at eps = 1, so a window that fails at eps fails at every smaller eps.
     """
     margin_trace = []
     for am, bm in _window_ladder(interval):
@@ -177,7 +227,11 @@ def approximate_pairs(xs, nu_js: list, xps, qs, interval, nu_p: DiscreteMeasure,
         "step3_cost": step3["cost"],
         "step3_bound": step3["bound"],
     }
-    return masses / theta.weights @ step3["plan"], diag
+    # a theta atom lighter than the rounding of the quantile levels has a plan
+    # row that misses its weight, so each cell takes its share of the row
+    plan = step3["plan"]
+    rows = plan.sum(axis=1)
+    return np.divide(masses, rows, out=np.zeros_like(masses), where=rows > 0) @ plan, diag
 
 
 def _project_cell(x, xp, q, t, am, bm, eps):
@@ -198,17 +252,16 @@ def _project_cell(x, xp, q, t, am, bm, eps):
 
 
 def min_cost_martingale_rearrangement(theta: DiscreteMeasure, nu: DiscreteMeasure):
-    """Report of the LP-minimal mean-displacement martingale coupling of
-    theta and nu: its cost, the bound and its plan, one row per atom of
-    theta.
+    """Report of the inverse-transform martingale coupling of theta and nu:
+    its mean displacement ``cost``, the ``bound`` 2 W1(theta, nu) and its
+    ``plan``, one row per atom of theta.
 
-    The cost is asserted to be at most 2 W1(theta, nu); the minimal
-    coupling is dominated by any feasible one, so the classical
-    rearrangement bound carries over.
+    The coupling carries the bound by theorem, and the cost is asserted to
+    be at most it.
     """
     require_convex_order(theta, nu, "rearrangement requires convex order")
-    mb = LiftedMeasure.from_measure(theta)
-    plan, cost = _min_displacement(mb, nu)
+    plan = _inverse_transform_coupling(theta, nu)
+    cost = float(plan.ravel() @ np.abs(nu.atoms[None, :] - theta.atoms[:, None]).ravel())
     # the order check allows a mass gap of 1e-9; W1 needs equal masses
     bound = 2.0 * wasserstein_line(theta.scaled(nu.mass / theta.mass), nu)
     if cost > bound + 1e-9:
@@ -228,7 +281,7 @@ def approximate_coupling(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Di
     off one plan with ``coupling_from_plan``, whose row at a perturbed atom
     is its stationary mass times the feasible coupling's kernel plus its
     cells' second marginals scaled to their mass.  That mix must have its
-    barycentre within 1e-9 of x (the LPs' primal tolerance), or
+    barycentre within 1e-9 of x, the convex-order check's tolerance, or
     ``RuntimeError``; an eps outside [0, 1] is a ``ValueError``.
     Returns the coupling together with stage diagnostics including the
     achieved AW1 distance to the input.  Equal marginals take this same
@@ -259,8 +312,7 @@ def approximate_coupling(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Di
         # the piece's nu holds bitwise copies of nu''s atoms
         np.add.at(fed, (cols[:, None], np.searchsorted(nu_p.atoms, piece["nu"].atoms)), nu_rows)
     # the cells at one perturbed atom share its kernel, the plan-weighted mix
-    # of theirs: a cell lighter than the rearrangement's tolerance keeps no
-    # barycentre of its own, but adds only its weight times that miss to the mix
+    # of theirs, so a cell's miss enters it times the cell's weight only
     a = np.flatnonzero(mass)
     kernels = fed[a] / fed[a].sum(axis=1, keepdims=True)
     miss = np.abs(kernels @ nu_p.atoms - mu_bar_p.xs[a])

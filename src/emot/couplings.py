@@ -31,6 +31,9 @@ class DiscreteCoupling:
         y_support = np.asarray(y_support, dtype=float).ravel()
         kernels = np.asarray(kernels, dtype=float)
         kernels = kernels.reshape(len(first_marginal), y_support.size)
+        # the support is sorted, and the kernel columns move with it
+        order = np.argsort(y_support, kind="stable")
+        y_support, kernels = y_support[order], kernels[:, order]
         if np.any(kernels < -1e-12):
             raise ValueError("negative kernel weight")
         kernels = np.maximum(kernels, 0.0)

@@ -216,27 +216,54 @@ def mean(m: DiscreteMeasure) -> float:
     return m.first_moment() / m.mass
 
 
-def wasserstein_line(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
-    """W1 distance on the line via the quantile formula over [0, mass].
+def quantile_pieces(w1: np.ndarray, w2: np.ndarray):
+    """The pieces of [0, mass] on which both quantile functions are constant,
+    for two nonempty weight vectors in atom order: per piece, the index of
+    its atom in w1, the index in w2 and its length.
 
-    The quantile levels are the union of both cumulative sums; at a tie m1's
-    level comes first, so each side's quantile index is the count of its own
-    levels before the level, exactly.  For equal-mass inputs with mass
-    different from 1 this computes mass times the W1 of the normalized
-    measures; beyond the smaller total mass the segments have zero width.
+    The levels are the union of both cumulative sums; at a tie w1's level
+    comes first, so each side's index is the count of its own levels before
+    the level, exactly.  Beyond the smaller total the pieces have zero
+    length, and a tie gives a piece of zero length.
     """
-    if m1.mass <= 0 or m2.mass <= 0:
-        raise EmptyMeasureError("empty measure")
-    if abs(m1.mass - m2.mass) > MASS_TOL * max(1.0, m1.mass):
-        raise MassMismatchError(f"masses differ: {m1.mass} vs {m2.mass}")
-    ca, cb = np.cumsum(m1.weights), np.cumsum(m2.weights)
+    ca, cb = np.cumsum(w1), np.cumsum(w2)
     levels = np.concatenate([ca, cb])
     order = np.argsort(levels, kind="stable")
     levels = np.minimum(levels[order], min(ca[-1], cb[-1]))
     from_a = order < len(ca)
     ia = np.minimum(np.cumsum(from_a) - from_a, len(ca) - 1)
     ib = np.minimum(np.cumsum(~from_a) - ~from_a, len(cb) - 1)
-    seg = np.diff(levels, prepend=0.0)
+    return ia, ib, np.diff(levels, prepend=0.0)
+
+
+def comonotone_plan(w1: np.ndarray, w2: np.ndarray):
+    """The north-west corner plan between two weight vectors in atom order,
+    one row per entry of w1, with the ``quantile_pieces`` it is built from.
+
+    Masses must agree up to 1e-9 relative, as for the transport LP; beyond
+    that ``MassMismatchError``, since the plan would stop at the smaller
+    total.  No entry is negative, and on the line the plan is W1-optimal.
+    """
+    if abs(w1.sum() - w2.sum()) > 1e-9 * max(1.0, w1.sum()):
+        raise MassMismatchError(f"transport requires equal masses: {w1.sum()} vs {w2.sum()}")
+    pieces = quantile_pieces(w1, w2)
+    plan = np.zeros((len(w1), len(w2)))
+    np.add.at(plan, pieces[:2], pieces[2])
+    return plan, pieces
+
+
+def wasserstein_line(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
+    """W1 distance on the line via the quantile formula over [0, mass], one
+    term per ``quantile_pieces`` piece.
+
+    For equal-mass inputs with mass different from 1 this computes mass
+    times the W1 of the normalized measures.
+    """
+    if m1.mass <= 0 or m2.mass <= 0:
+        raise EmptyMeasureError("empty measure")
+    if abs(m1.mass - m2.mass) > MASS_TOL * max(1.0, m1.mass):
+        raise MassMismatchError(f"masses differ: {m1.mass} vs {m2.mass}")
+    ia, ib, seg = quantile_pieces(m1.weights, m2.weights)
     return float((np.abs(m1.atoms[ia] - m2.atoms[ib]) * seg).sum())
 
 

@@ -179,9 +179,9 @@ def _check_gradient(cost: CostSpec, mu_bar: LiftedMeasure, ys: np.ndarray, K: np
 def price_american(mu: DiscreteMeasure, nu: DiscreteMeasure, phi1, phi2):
     """Robust price of a two-exercise-date American option.
 
-    ``phi1`` maps x to the early-exercise payoff, ``phi2`` maps (x, y) to
-    the late payoff; either may instead be an array of payoffs at the sorted
-    atoms, of shape (len(mu),) and (len(mu), len(nu)).  The optimal-stopping cost max(phi1(x), E[phi2(x, Y)])
+    ``phi1`` holds the early-exercise payoff at each sorted atom x of mu,
+    shape (len(mu),), and ``phi2`` the late payoff at each (x, y), shape
+    (len(mu), len(nu)).  The optimal-stopping cost max(phi1(x), E[phi2(x, Y)])
     is a max of two linear functionals of the kernel, so the price is the
     LP over two martingale branches per x atom: branch 1 collects the
     exercised mass (paid phi1), branch 2 the continued mass (paid phi2).
@@ -189,8 +189,7 @@ def price_american(mu: DiscreteMeasure, nu: DiscreteMeasure, phi1, phi2):
     require_convex_order(mu, nu)
     n, m = len(mu), len(nu)
     xs, ys = mu.atoms, nu.atoms
-    p1 = np.array([float(phi1(x)) for x in xs]) if callable(phi1) else np.asarray(phi1, dtype=float)
-    p2 = np.array([[float(phi2(x, y)) for y in ys] for x in xs]) if callable(phi2) else np.asarray(phi2, dtype=float)
+    p1, p2 = np.asarray(phi1, dtype=float), np.asarray(phi2, dtype=float)
     if p1.shape != (n,) or p2.shape != (n, m):
         raise ValueError("payoff arrays must have shapes (len(mu),) and (len(mu), len(nu))")
     # variables (i, branch, j): shared marginals, one barycentre row per (i, branch)

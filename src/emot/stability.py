@@ -214,7 +214,7 @@ def _solve(problem: str, mu, nu, cfg: ExperimentConfig, start=None):
             raise RuntimeError(f"Frank-Wolfe gap {r['fw_gap']:.2e} above certificate")
         return r["value"], r["coupling"], None
     if problem == "amer":
-        r = price_american(mu, nu, lambda x: max(x, 0.0), lambda x, y: max(y, 0.0))
+        r = price_american(mu, nu, np.maximum(mu.atoms, 0.0), np.tile(np.maximum(nu.atoms, 0.0), (len(mu), 1)))
         return r["value"], None, None
     if problem == "vix":
         r = vix_dual_lp(mu, nu, cfg.tau)

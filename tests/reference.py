@@ -20,7 +20,10 @@ bracket oracle: ``vix_bracket`` gives d_lo <= D_sub <= d_hi with gap one bin
 width times mu(R), and ``vix_bin_primal_lp`` its portfolio LP.
 ``refit_lp`` is the CDF-gap LP that refit a cell's kernels before every
 approximation cell held one lifted atom; the LP tests keep it as an LP with
-both equality and inequality rows.
+both equality and inequality rows.  ``min_displacement`` is the LP over
+the martingale polytope that gave the approximation its feasible coupling
+and its rearrangement before the inverse-transform coupling; it is the
+oracle that coupling's cost is checked against.
 
 The tests' own checks follow: the quantile function, closed-form W1
 between binary kernels, flat W1 between couplings (the lower bound on
@@ -38,7 +41,7 @@ import numpy as np
 from scipy import sparse
 
 from emot.convex_order import _lower_convex_hull, binary_kernel, require_convex_order
-from emot.couplings import DiscreteCoupling, _point_cost, disintegrate
+from emot.couplings import DiscreteCoupling, _point_cost, disintegrate, martingale_polytope_lp
 from emot.lp_core import Block, CertificateError, LinearProgram, block_rows, plan_rows, solve_lp, transport_plan
 from emot.measures import MERGE_TOL, DiscreteMeasure, LiftedMeasure, cdf, potential_values
 from emot.solvers import BarrierMaps, _log_contract, _support_ends
@@ -307,6 +310,14 @@ def refit_lp(base_kernel: DiscreteMeasure, mu_bar_piece: LiftedMeasure, nu_piece
         A_ub=A_ub,
         b_ub=np.tile((cdf(base_kernel, grid)[:L, None] * sgn).ravel(), n),
     )
+
+
+def min_displacement(mu_bar: LiftedMeasure, nu: DiscreteMeasure):
+    """Plan, with rows aligned to mu_bar's atoms, and value of the minimal
+    mean-displacement member of Pi_M(mu_bar, nu)."""
+    cost = np.abs(nu.atoms[None, :] - mu_bar.xs[:, None])
+    sol = solve_lp(martingale_polytope_lp(mu_bar, nu, cost=cost.ravel()))
+    return sol.x.reshape(cost.shape), sol.value
 
 
 # -- the VIX bin LP: a bracket [d_lo, d_hi] around the exact VIX value ------

@@ -162,20 +162,15 @@ def test_criterion_05_convex_min():
 def test_criterion_06_american_fixtures():
     mu = DiscreteMeasure([-1, 0, 1], [0.25, 0.5, 0.25])
     nu = DiscreteMeasure([-2, 0, 2], [0.25, 0.5, 0.25])
-    r0 = price_american(mu, nu, lambda x: x + 0.1, lambda x, y: 0.0)
+    r0 = price_american(mu, nu, mu.atoms + 0.1, np.zeros((3, 3)))
     ok0 = abs(r0["value"] - mu.weights @ np.maximum(mu.atoms + 0.1, 0.0)) <= 1e-9
 
-    r1 = price_american(
-        DiscreteMeasure([0], [1.0]),
-        DiscreteMeasure([-1, 1], [0.5, 0.5]),
-        lambda x: 0.2,
-        lambda x, y: max(y, 0.0),
-    )
+    r1 = price_american(DiscreteMeasure([0], [1.0]), DiscreteMeasure([-1, 1], [0.5, 0.5]), [0.2], [[0.0, 1.0]])
     ok1 = abs(r1["value"] - 0.5) <= 1e-8
 
     mu2 = DiscreteMeasure([0], [1.0])
     nu2 = DiscreteMeasure([-2, 0, 2], [0.25, 0.5, 0.25])
-    r2 = price_american(mu2, nu2, lambda x: 0.6, lambda x, y: abs(y) / 2)
+    r2 = price_american(mu2, nu2, [0.6], [np.abs(nu2.atoms) / 2])
     unlifted = max(
         0.6,
         solve_mot(mu2, nu2, CostSpec(fn=lambda x, u, ys: np.abs(ys) / 2), "max")["value"],

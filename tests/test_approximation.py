@@ -1,9 +1,14 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from emot import approximation
 from emot.approximation import (
+    _inverse_transform_coupling,
     _project_cell,
     _trim_cell,
     _window_ladder,
@@ -28,7 +33,7 @@ from emot.measures import (
     potential_values,
     wasserstein_line,
 )
-from emot.lp_core import solve_lp
+from emot.lp_core import LPError, solve_lp
 from emot.solvers import CostSpec, solve_extended_mot, solve_mot
 
 
@@ -109,6 +114,18 @@ class TestSplitMarginals:
         out, _ = approximate_coupling(pi, mu_p, nu_p, 0.05)
         assert wasserstein_line(out.second_marginal(), nu_p) < 1e-9
 
+    @pytest.mark.parametrize("mass", [2.0, 0.5])
+    @pytest.mark.parametrize("us", [[0.0], [0.0, 0.5]], ids=["one-label", "two-labels"])
+    def test_rejects_a_first_marginal_of_another_mass(self, mass, us):
+        # mu_bar' and nu' in convex order, but of another mass than pi's first
+        # marginal: the north-west corner plan would stop at the smaller total
+        # and the output carry only part of the marginals asked for
+        pi = DiscreteCoupling(LiftedMeasure([[0.0, 0.0]], [1.0]), [-1.0, 1.0], [[0.5, 0.5]])
+        mu_p = LiftedMeasure([[0.01, u] for u in us], np.full(len(us), mass / len(us)))
+        nu_p = DiscreteMeasure([-1.0, 1.02], [mass / 2, mass / 2])
+        with pytest.raises(ValueError, match="equal masses"):
+            approximate_coupling(pi, mu_p, nu_p, 0.05)
+
     def test_rejects_bad_order(self):
         pi = f1_base()
         mu_p = LiftedMeasure.from_measure(DiscreteMeasure([-3, 3], [0.5, 0.5]))
@@ -181,10 +198,10 @@ class TestRearrangement:
         rep = min_cost_martingale_rearrangement(*LIGHT_ATOMS)
         assert rep["cost"] <= rep["bound"]
 
-    @pytest.mark.xfail(strict=True, reason="HiGHS leaves the 1.5e-11 atoms' plan rows at zero")
     def test_atoms_lighter_than_the_lp_tolerance_keep_the_martingale(self):
-        # coupling_from_plan drops the empty rows, and a kept kernel's
-        # barycentre is 9.6e-9 off its x at every primal tolerance down to 2e-10
+        # the rearrangement LP left the 1.5e-11 atoms' plan rows at zero, and
+        # coupling_from_plan dropped them, so a kept kernel's barycentre was
+        # 9.6e-9 off its x; the inverse-transform coupling keeps every atom
         theta, nu = LIGHT_ATOMS
         rep = min_cost_martingale_rearrangement(theta, nu)
         assert check_martingale(coupling_from_plan(LiftedMeasure.from_measure(theta), nu, rep["plan"]), 1e-9)[0]
@@ -211,6 +228,18 @@ class TestRearrangement:
             min_cost_martingale_rearrangement(
                 DiscreteMeasure([-1, 1], [0.5, 0.5]), DiscreteMeasure([0], [1.0])
             )
+
+    def test_means_apart_within_the_order_tolerance_keep_the_light_atom(self):
+        # nu moved by 5e-11 passes the order check; the two Psi totals then
+        # differ by more than the displacement of the 1e-11 atom at 1.5, so
+        # without rescaling Psi- that atom sent nothing across and kept its
+        # mass at nu's level 2, 1.0 off its x
+        mu = DiscreteMeasure([-1, 1, 1.5], [0.5, 0.5 - 1e-11, 1e-11])
+        for shift in (-5e-11, 5e-11):
+            nu = DiscreteMeasure(np.array([-2, 0, 2, 3]) + shift, [0.25, 0.5, 0.25 - 0.5e-11, 0.5e-11])
+            plan = min_cost_martingale_rearrangement(mu, nu)["plan"]
+            assert plan.min() >= -1e-12 * nu.mass
+            assert np.allclose(plan @ nu.atoms / plan.sum(axis=1), mu.atoms, rtol=0, atol=2e-10)
 
     def test_random_bound_holds(self):
         rng = np.random.default_rng(19)
@@ -317,27 +346,34 @@ class TestApproximateCoupling:
         assert sizes == [(3, 3, 3, 3)] * 3
         assert vals == pytest.approx([0.4045, 0.1026, 0.0257], rel=0, abs=5e-5)
 
-    def test_cell_lighter_than_the_lp_tolerance_joins_its_atoms_mix(self):
+    def test_cell_lighter_than_the_lp_tolerance_joins_its_atoms_mix(self, monkeypatch):
         # the W1 plan sends 1.9e-12 of the base atom -1 to mu''s atom near 1:
-        # that cell's own kernel is 0.42 off its x, as the rearrangement LP
-        # works to 1e-9, but it enters that atom's kernel with its weight only
-        pi = f1_base()
+        # the rearrangement LP, working to 1e-9, left that cell's own kernel
+        # 0.42 off its x, and a cell share read against theta's weight rather
+        # than its plan row, which misses a 4.9e-13 atom's weight by 2e-5
+        # relative, 2.7e-6; it enters that atom's kernel with its weight only
+        pi, pairs, misses = f1_base(), approximation.approximate_pairs, []
+
+        def cell_misses(xs, nu_js, xps, qs, interval, nu_p, eps):
+            rows, diag = pairs(xs, nu_js, xps, qs, interval, nu_p, eps)
+            misses.extend(np.abs(rows @ nu_p.atoms / rows.sum(axis=1) - xps))
+            return rows, diag
+
+        monkeypatch.setattr(approximation, "approximate_pairs", cell_misses)
         mu_p = LiftedMeasure.from_measure(
             DiscreteMeasure([-0.5510563250622347, 0.9600451393090961], [0.4999999999981256, 0.5000000000018744]))
         nu_p = DiscreteMeasure([-1.6653525179634006, 2.0743413322159268], [0.5, 0.5])
         out, _ = approximate_coupling(pi, mu_p, nu_p, 0.5)
+        assert len(misses) == 3 and max(misses) <= 1e-12
         assert np.allclose(out.first_marginal.weights, mu_p.weights, rtol=0, atol=1e-12)
         assert wasserstein_line(out.second_marginal(), nu_p) <= 1e-9
         assert check_martingale(out, tol=1e-9)[0]
 
-    @pytest.mark.xfail(strict=True, raises=RuntimeError, reason="the W1 plan's -1e-9 entry stays in the piece's nu")
     def test_first_marginal_mass_moved_by_a_billionth(self):
-        # split_marginals' W1 plan carries an entry of -1.0e-9, inside HiGHS's
-        # 1e-9 primal tolerance; the cells drop it (plan > 1e-14) but the
-        # piece's nu keeps it, so theta's mass is 1e-9 above nu' in every
-        # window.  Clipping the plan at 0 instead leaves the output's first
-        # marginal 1e-9 heavier than pi's, and AW1's transport raises at
-        # d = 0.2 and 0.05.
+        # the W1 transport LP gave split_marginals a plan entry of -1.0e-9,
+        # inside HiGHS's 1e-9 primal tolerance, which the piece's nu kept and
+        # the cells dropped, so no window passed the order check; the north-
+        # west corner plan of one common label has no negative entry
         pi = f1_base()
         for d in (0.2, 0.05, 0.01):
             mu_p = LiftedMeasure.from_measure(DiscreteMeasure([-1 - d, 1 + d], [0.5 + 1e-9, 0.5 - 1e-9]))
@@ -520,3 +556,98 @@ def test_split_base_atoms_keep_the_marginals_and_the_martingale():
             assert np.allclose(out.first_marginal.weights, mu_p.weights, rtol=0, atol=1e-9)
             assert wasserstein_line(out.second_marginal(), nu_p) <= 1e-9
             assert check_martingale(out, tol=1e-9)[0]
+
+
+@st.composite
+def convex_pairs(draw):
+    """mu of 1-8 atoms and nu, its image under one binary martingale kernel
+    per atom, on a scaled grid, so that kernels share atoms; weights of
+    1e-11 and tenths, whose cumulative sums tie to rounding."""
+    n = draw(st.integers(1, 8))
+    xs = np.array(draw(st.lists(st.integers(-16, 16), min_size=n, max_size=n, unique=True)), dtype=float)
+    ws = np.array(draw(st.lists(st.sampled_from([1e-11, 0.1, 0.2, 0.3, 0.7, 1 / 3]), min_size=n, max_size=n)))
+    down, up = (np.array(draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)), dtype=float) for _ in "du")
+    spread = (down > 0) & (up > 0)
+    lo, hi = np.where(spread, xs - down, xs), np.where(spread, xs + up, xs)
+    p_lo = np.where(spread, up / np.where(spread, down + up, 1.0), 1.0)
+    scale = draw(st.floats(0.01, 100.0))
+    mu = DiscreteMeasure(xs * scale, ws)
+    nu = DiscreteMeasure(np.concatenate([lo, hi]) * scale, np.concatenate([ws * p_lo, ws * (1.0 - p_lo)]))
+    return mu, nu
+
+
+@settings(max_examples=200)
+@given(convex_pairs())
+@example(LIGHT_ATOMS)
+def test_inverse_transform_coupling_is_a_martingale_coupling_within_twice_w1(pair):
+    # exact marginals and barycentres, atoms of 1e-11 included, at a cost
+    # between the LP minimum and the 2 W1 of Jourdain & Margheriti; HiGHS
+    # calls some of these feasible LPs infeasible (its tolerance is 1e-9),
+    # and there W1 is the lower bound
+    mu, nu = pair
+    plan = _inverse_transform_coupling(mu, nu)
+    assert plan.min() >= -1e-12 * nu.mass
+    assert np.abs(plan.sum(axis=1) - mu.weights * (nu.mass / mu.mass)).max() <= 1e-15 * nu.mass
+    assert np.abs(plan.sum(axis=0) - nu.weights).max() <= 1e-15 * nu.mass
+    span = nu.atoms[-1] - nu.atoms[0]
+    assert np.abs(plan @ nu.atoms - plan.sum(axis=1) * mu.atoms).max() <= 1e-14 * max(1.0, span)
+    cost = float((plan * np.abs(nu.atoms[None, :] - mu.atoms[:, None])).sum())
+    w1, rounding = wasserstein_line(mu.scaled(nu.mass / mu.mass), nu), 1e-14 * max(1.0, span) * nu.mass
+    assert w1 - rounding <= cost <= 2.0 * w1 + rounding
+    try:
+        assert cost >= reference.min_displacement(LiftedMeasure.from_measure(mu), nu)[1] - 1e-9
+    except LPError:
+        pass
+
+
+@settings(max_examples=200)
+@given(convex_pairs(), st.sampled_from([-5e-10, -5e-11, -1e-12, 1e-12, 5e-11, 5e-10]))
+def test_inverse_transform_coupling_of_means_apart_within_the_order_tolerance(pair, shift):
+    # nu moved by a shift the order check passes: an atom of mu can then lie
+    # just outside nu's hull, and the two Psi totals differ by the shift; the
+    # marginals stay exact, no entry is negative, and each row's barycentre
+    # is off its x by no more than twice the shift
+    mu, nu = pair
+    nu = DiscreteMeasure(nu.atoms + shift, nu.weights)
+    assume(check_convex_order(mu, nu)[0])
+    plan = _inverse_transform_coupling(mu, nu)
+    assert plan.min() >= -1e-12 * nu.mass
+    assert np.abs(plan.sum(axis=1) - mu.weights * (nu.mass / mu.mass)).max() <= 1e-15 * nu.mass
+    assert np.abs(plan.sum(axis=0) - nu.weights).max() <= 1e-15 * nu.mass
+    span = nu.atoms[-1] - nu.atoms[0]
+    miss = np.abs(plan @ nu.atoms - plan.sum(axis=1) * mu.atoms).max()
+    assert miss <= 2.0 * abs(shift) * nu.mass + 1e-14 * max(1.0, span)
+
+
+def load_workloads(monkeypatch):
+    """The benchmark's input generators, loaded by path, as ``benchmarks`` is
+    not a package; its dataclasses need the module in ``sys.modules``."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_workloads", Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_weight_jitter_sweep_never_raises(monkeypatch):
+    # abs-cost MOT couplings of 3-11 x 5-17 atoms, approximated onto mu' with
+    # its atoms moved by 0.01 and its weights by a relative r, and nu' moved
+    # by 0.01 and repaired; the LPs deciding masses to 1e-9 raised on 36 of
+    # 40 seeds at r = 1e-7
+    workloads = load_workloads(monkeypatch)
+    cost = CostSpec(fn=lambda x, u, ys: np.abs(np.asarray(ys) - x))
+    for seed in range(10):
+        rng = np.random.default_rng([seed, 34])
+        mu, nu = workloads.convex_pair(rng, rng.integers(3, 12), rng.integers(5, 18))
+        pi = solve_mot(mu, nu, cost)["coupling"]
+        dx, dw, dy = (rng.uniform(-1, 1, k) for k in (len(mu), len(mu), len(nu)))
+        for r in (1e-11, 1e-9, 1e-7, 1e-5, 1e-3):
+            w = mu.weights * (1 + r * dw)
+            mu_p = LiftedMeasure.from_measure(DiscreteMeasure(mu.atoms + 0.01 * dx, w / w.sum()))
+            nu_p = workloads._repaired(mu_p, DiscreteMeasure(nu.atoms + 0.01 * dy, nu.weights))
+            out, _ = approximate_coupling(pi, mu_p, nu_p, 0.1)
+            fm, ys, K = out.first_marginal, out.y_support, out.kernels
+            assert workloads.measure_residual(fm.xs, fm.weights, mu_p.xs, mu_p.weights) <= 1e-9, (seed, r)
+            assert workloads.measure_residual(ys, fm.weights @ K, nu_p.atoms, nu_p.weights) <= 1e-9, (seed, r)
+            assert np.abs(fm.weights * (K @ ys - fm.xs)).max() <= 1e-9, (seed, r)

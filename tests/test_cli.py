@@ -35,7 +35,8 @@ def test_amer_price_ignores_atom_order(tmp_path, capsys, xs, ys):
     assert main(["amer", "--input", _amer_input(tmp_path, xs, ys)]) == 0
     value = json.loads(capsys.readouterr().out)["value"]
     mu, nu = DiscreteMeasure(list(MU), list(MU.values())), DiscreteMeasure(list(NU), list(NU.values()))
-    expected = price_american(mu, nu, lambda x: PHI1[x], lambda x, y: PHI2.get((x, y), 0.0))["value"]
+    phi2 = [[PHI2.get((x, y), 0.0) for y in nu.atoms] for x in mu.atoms]
+    expected = price_american(mu, nu, [PHI1[x] for x in mu.atoms], phi2)["value"]
     assert value == pytest.approx(expected, abs=1e-12)
     assert value == pytest.approx(23 / 12, abs=1e-9)
 
@@ -143,6 +144,17 @@ def _input(tmp_path, data, name="input.json"):
 def test_bad_marginal_is_a_config_error(tmp_path, capsys, command, data):
     assert main([command, "--input", _input(tmp_path, data)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_approx_refuses_a_first_marginal_heavier_than_the_couplings(tmp_path, capsys):
+    data = {
+        "coupling": {"first_marginal": {"atoms": [[0.0, 0.0]], "weights": [1.0]},
+                     "y_support": [-1.0, 1.0], "kernels": [[0.5, 0.5]]},
+        "mu_bar": {"atoms": [[0.01, 0.0]], "weights": [2.0]},
+        "nu": {"atoms": [-1.0, 1.02], "weights": [1.0, 1.0]},
+    }
+    assert main(["approx", "--input", _input(tmp_path, data)]) == 3
+    assert "equal masses" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -47,6 +47,15 @@ class TestDiscreteCoupling:
         with pytest.raises(NonFiniteError):
             disintegrate([(0.0, 0.0, 0.0, np.nan), (1.0, 0.0, 1.0, 1.0)])
 
+    def test_unsorted_support_is_sorted_with_its_columns(self):
+        # adapted_wasserstein reads the support as sorted: given [1, -1] as it
+        # came, this law was 0.5 away from itself on [-1, 1]
+        mb = LiftedMeasure([(0.5, 0.0)], [1.0])
+        c = DiscreteCoupling(mb, [1.0, -1.0], [[0.25, 0.75]])
+        same = DiscreteCoupling(mb, [-1.0, 1.0], [[0.75, 0.25]])
+        assert np.array_equal(c.y_support, same.y_support) and np.array_equal(c.kernels, same.kernels)
+        assert adapted_wasserstein(c, same) == 0.0
+
     def test_json_round_trip(self):
         c = f1_coupling()
         c2 = DiscreteCoupling.from_dict(json.loads(json.dumps(c.to_dict())))

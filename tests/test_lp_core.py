@@ -176,7 +176,7 @@ def _layout_polytope(rng, monkeypatch):
 
 def _layout_american(rng, monkeypatch):
     mu, nu = DiscreteMeasure([-1, 1], [0.5, 0.5]), DiscreteMeasure([-2, 0, 2], [0.25, 0.5, 0.25])
-    lp = _captured(monkeypatch, solvers, lambda: solvers.price_american(mu, nu, lambda x: x, lambda x, y: y))
+    lp = _captured(monkeypatch, solvers, lambda: solvers.price_american(mu, nu, mu.atoms, np.tile(nu.atoms, (2, 1))))
     P = rng.uniform(size=(2, 2, 3))  # (x atom, branch, y atom)
     expected = np.concatenate([P.sum((1, 2)), P.sum((0, 1)), _bary(P, mu.atoms[:, None], nu.atoms).ravel()])
     return [(lp.A_eq, P.ravel(), expected)]

@@ -153,22 +153,17 @@ class TestAmerican:
     def test_pointwise_exercise(self):
         mu = DiscreteMeasure([-1, 1], [0.5, 0.5])
         nu = DiscreteMeasure([-2, 2], [0.5, 0.5])
-        r = price_american(mu, nu, lambda x: x, lambda x, y: 0.0)
+        r = price_american(mu, nu, mu.atoms, np.zeros((2, 2)))
         assert r["value"] == pytest.approx(mu.weights @ np.maximum(mu.atoms, 0.0), abs=1e-9)
 
     def test_dirac_fixture(self):
-        r = price_american(
-            DiscreteMeasure([0], [1.0]),
-            DiscreteMeasure([-1, 1], [0.5, 0.5]),
-            lambda x: 0.2,
-            lambda x, y: max(y, 0.0),
-        )
+        r = price_american(DiscreteMeasure([0], [1.0]), DiscreteMeasure([-1, 1], [0.5, 0.5]), [0.2], [[0.0, 1.0]])
         assert r["value"] == pytest.approx(0.5, abs=1e-8)
 
     def test_splitting_fixture(self):
         mu = DiscreteMeasure([0], [1.0])
         nu = DiscreteMeasure([-2, 0, 2], [0.25, 0.5, 0.25])
-        r = price_american(mu, nu, lambda x: 0.6, lambda x, y: abs(y) / 2)
+        r = price_american(mu, nu, [0.6], [np.abs(nu.atoms) / 2])
         assert r["value"] == pytest.approx(0.8, abs=1e-8)
         assert r["exercise_mass"] == pytest.approx(0.5, abs=1e-8)
         # strictly above the no-split value max(0.6, E|Y|/2) = 0.6
@@ -177,13 +172,11 @@ class TestAmerican:
         )["value"]
         assert r["value"] > max(0.6, continuation) + 0.1
 
-    def test_payoff_arrays_match_callables(self):
+    def test_payoff_arrays_and_their_shapes(self):
         mu = DiscreteMeasure([-1, 2], [2 / 3, 1 / 3])
         nu = DiscreteMeasure([-3, 0, 3], [0.25, 0.5, 0.25])
         p1, p2 = np.array([0.0, 5.0]), np.array([[1.0, 0, 0], [0, 0, 4.0]])
-        by_array = price_american(mu, nu, p1, p2)
-        by_call = price_american(mu, nu, lambda x: p1[int(x > 0)], lambda x, y: p2[int(x > 0), int(np.sign(y)) + 1])
-        assert by_array["value"] == by_call["value"]
+        assert price_american(mu, nu, p1, p2)["value"] == pytest.approx(23 / 12, abs=1e-9)
         with pytest.raises(ValueError, match="shapes"):
             price_american(mu, nu, p1[:1], p2)
 
@@ -191,17 +184,14 @@ class TestAmerican:
         rng = np.random.default_rng(15)
         for _ in range(10):
             mu, nu = random_in_order_pair(rng, n_max=3)
-            phi1 = lambda x: max(x, 0.0)
-            phi2 = lambda x, y: max(y - 0.2, 0.0)
+            phi1 = np.maximum(mu.atoms, 0.0)
+            phi2 = np.tile(np.maximum(nu.atoms - 0.2, 0.0), (len(mu), 1))
             r = price_american(mu, nu, phi1, phi2)
             cont = solve_mot(
                 mu, nu, CostSpec(fn=lambda x, u, ys: np.maximum(ys - 0.2, 0.0)), sense="max"
             )["value"]
             lower = max(cont, mu.weights @ np.maximum(mu.atoms, 0.0))
-            upper = sum(
-                wy * max(max(phi1(x) for x in mu.atoms), phi2(0, y))
-                for y, wy in zip(nu.atoms, nu.weights)
-            )
+            upper = nu.weights @ np.maximum(phi1.max(), phi2[0])
             assert lower - 1e-8 <= r["value"] <= upper + 1e-8
 
 
