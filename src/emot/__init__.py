@@ -19,11 +19,9 @@ from .measures import (
 from .convex_order import (
     ConvexOrderError,
     IrreducibleComponent,
-    binary_kernel,
     convex_min,
     convex_order_projection,
     irreducible_decomposition,
-    window_kernel,
 )
 from .lp_core import (
     CertificateError,

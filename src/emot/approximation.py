@@ -11,7 +11,11 @@ matrix whose row at a perturbed atom sums its cells' rebuilt second
 marginals.  A cell is one pair (base atom x, perturbed atom x') of the W1
 plan between the first marginals, so it holds one lifted atom: its
 trimmed kernel is moved to mean x', which is the convex-order projection
-of delta_x' onto it, and every kernel is a closed form.  The feasible
+of delta_x' onto it, and every kernel is a closed form.  The trim, a
+kernel's convex-order minimum with its window law B(x, a, b), is taken by
+quantile slices: the tangent from the window law's potential at a touches
+the kernel's where the mass to its left has barycentre a, so that slice
+collapses onto a, and the mirror slice onto b.  The feasible
 coupling that splits nu' and the redistribution onto each piece's nu' are
 no LPs but Jourdain & Margheriti's inverse-transform martingale coupling,
 built from the two quantile functions; only the W1 plan between lifted
@@ -24,14 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_order import (
-    ConvexOrderError,
-    convex_min,
-    irreducible_decomposition,
-    require_convex_order,
-    window_kernel,
-)
-from .couplings import DiscreteCoupling, _point_cost, adapted_wasserstein, coupling_from_plan
+from .convex_order import ConvexOrderError, irreducible_decomposition, require_convex_order
+from .couplings import DiscreteCoupling, _kernel_cdfs, _point_cost, adapted_wasserstein, coupling_from_plan
 from .lp_core import transport_plan
 from .measures import (
     DiscreteMeasure,
@@ -128,11 +126,12 @@ def split_marginals(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Discret
 
     # component labels of mu's atoms (the components hold bitwise copies of
     # them, -1 is stationary); a base atom takes the label of the mu atom its
-    # x merged into
+    # x merged into, the nearest one, as mu's atoms lie more than MERGE_TOL
+    # apart
     labels = np.full(len(mu), -1)
     for c, comp in enumerate(decomp.components):
         labels[np.isin(mu.atoms, comp.mu.atoms)] = c
-    base_labels = labels[np.abs(mu_bar.xs[:, None] - mu.atoms[None, :]).argmin(axis=1)]
+    base_labels = labels[np.searchsorted(0.5 * (mu.atoms[1:] + mu.atoms[:-1]), mu_bar.xs)]
 
     pieces = []
     for c, comp in enumerate(decomp.components):
@@ -167,38 +166,80 @@ def _window_ladder(interval):
     return [(mid - w / 2.0, mid + w / 2.0) for w in widths]
 
 
-def _trim_cell(x: float, nu_j: DiscreteMeasure, am, bm) -> DiscreteMeasure:
-    """Second marginal of the cell at base atom x after capping its kernel
-    by the window kernel: inside the window its convex-order minimum with
-    the two-point window law, outside a Dirac at x."""
-    if am <= x <= bm:
-        return convex_min(nu_j, window_kernel(x, am, bm).scaled(nu_j.mass))
-    return DiscreteMeasure([x], [nu_j.mass])
+def _window_min(ys, w, x, a, b):
+    """Convex-order minimum of each row of w, a measure rho on the sorted
+    atoms ys (one row for all rows, or one per row) whose mean x lies in
+    (a, b), with its window law m B(x, a, b), m its mass.
+
+    The tangent from (a, m (x - a)) to the potential u_rho touches it where
+    the mass to its left has barycentre a, and the tangent from
+    (b, m (b - x)) where the mass to its right has barycentre b; between
+    them the minimum's potential is u_rho.  So the left quantile slice of
+    rho with mean a collapses onto a, the right slice with mean b onto b,
+    and the middle is kept: an atom y > a keeps clip(c / (y - a), 0, w_y)
+    of its weight w_y from the left, with c the prefix sum of w (y - a)
+    through it, an atom at or below a nothing, and the right is the mirror
+    image.  If the two slices together hold the mass, rho dominates
+    m B(x, a, b), which is then the minimum; so is a row whose mean rounds
+    onto a window end, whose slice there never closes.  Returns the atoms
+    [a, clip(ys, a, b), b], of ys's rows, and the weights on them.
+    """
+    clipped = np.clip(ys, a, b)
+    ends = np.ones_like(clipped[..., :1])
+    atoms = np.concatenate([a * ends, clipped, b * ends], axis=-1)
+    left = np.cumsum(w * (ys - a), axis=1)
+    right = np.cumsum((w * (b - ys))[:, ::-1], axis=1)[:, ::-1]
+    to_a = w - np.clip(np.divide(left, ys - a, out=np.zeros_like(w), where=ys > a), 0.0, w)
+    to_b = w - np.clip(np.divide(right, b - ys, out=np.zeros_like(w), where=ys < b), 0.0, w)
+    m, phi, psi = w.sum(axis=1), to_a.sum(axis=1), to_b.sum(axis=1)
+    rows = np.column_stack([phi, np.maximum(w - to_a - to_b, 0.0), psi])
+    whole = phi + psi >= m
+    rows[whole] = 0.0
+    rows[whole, 0] = m[whole] * (b - x[whole]) / (b - a)
+    rows[whole, -1] = m[whole] * (x[whole] - a) / (b - a)
+    return atoms, rows
 
 
-def approximate_pairs(xs, nu_js: list, xps, qs, interval, nu_p: DiscreteMeasure, eps: float):
+def approximate_pairs(xs, ys, base, xps, qs, interval, nu_p: DiscreteMeasure, eps: float):
     """Per-cell second marginals for perturbed cells of one component, one
     row per cell over nu''s atoms.
 
-    Cell j holds the base atom xs[j], with second marginal nu_j (its
-    weight times the kernel at xs[j]), and the perturbed atom xps[j] of
-    mass qs[j]; the nu_j sum to an irreducible pair on ``interval``, and
-    nu' is the component's perturbed second marginal.  Produce the weights
-    of nu'_j on nu''s atoms, with qs[j] delta_{xps[j]} <= nu'_j in convex
-    order and sum nu'_j = nu' exactly.  Three stages: a windowed trim of
-    the base cell marginals, the trimmed kernel moved to the perturbed
-    atom and blended with it, at the first window, widest first, whose sum
-    theta is dominated by nu', and theta's inverse-transform martingale
-    coupling with nu', through whose rows each cell's share of theta is
-    redistributed onto nu'.  One pass at the given eps suffices: theta's
-    potential is affine in eps and equals that of the piece's mu' <= nu'
-    at eps = 1, so a window that fails at eps fails at every smaller eps.
+    Cell j holds the base atom xs[j], with second marginal base[j] over the
+    sorted atoms ys (its weight times the kernel at xs[j]), and the
+    perturbed atom xps[j] of mass qs[j]; the rows of base sum to an
+    irreducible pair on ``interval``, and nu' is the component's perturbed
+    second marginal.  Produce the weights of nu'_j on nu''s atoms, with
+    qs[j] delta_{xps[j]} <= nu'_j in convex order and sum nu'_j = nu'
+    exactly.  Three stages, on arrays, with one measure per window:
+
+    1. at a window (a, b) of the ladder, widest first, trim the kernel of
+       each cell whose x lies in (a, b) to its convex-order minimum with
+       B(x, a, b), by quantile slices (``_window_min``: the tangents from
+       the window law's potential touch the kernel's where the mass beyond
+       them has barycentre a or b);
+    2. move each trimmed kernel to mean x', the convex-order projection of
+       delta_x' onto it, trim it again with B(x', a, b) and blend it with
+       an eps share of q delta_x'; a cell with x or x' outside (a, b) gives
+       q delta_x' alone.  The first window whose sum theta is dominated by
+       nu' is kept;
+    3. theta's inverse-transform martingale coupling with nu', through
+       whose rows each cell's share of theta is redistributed onto nu'.
+
+    One pass at the given eps suffices: theta's potential is affine in eps
+    and equals that of the piece's mu' <= nu' at eps = 1, so a window that
+    fails at eps fails at every smaller eps.
     """
+    xs, ys, base, xps, qs = (np.asarray(v, dtype=float) for v in (xs, ys, base, xps, qs))
     margin_trace = []
     for am, bm in _window_ladder(interval):
-        trimmed = [_trim_cell(x, nu_j, am, bm) for x, nu_j in zip(xs, nu_js)]
-        tilde = [_project_cell(x, xp, q, t, am, bm, eps) for x, xp, q, t in zip(xs, xps, qs, trimmed)]
-        atoms, weights = (np.concatenate(a) for a in zip(*tilde))
+        inside = (am < xs) & (xs < bm)
+        grid, trimmed = _window_min(ys, base[inside], xs[inside], am, bm)
+        both = inside & (am < xps) & (xps < bm)
+        t = trimmed[both[inside]]
+        t = t / t.sum(axis=1, keepdims=True)
+        hat_atoms, hat = _window_min(grid + (xps[both] - t @ grid)[:, None], t, xps[both], am, bm)
+        atoms = np.concatenate([hat_atoms.ravel(), xps])
+        weights = np.concatenate([(hat * (qs[both] * (1.0 - eps))[:, None]).ravel(), np.where(both, qs * eps, qs)])
         theta = DiscreteMeasure(atoms, weights)
         ok, witness = check_convex_order(theta, nu_p, tol=1e-9)
         if ok:
@@ -208,15 +249,21 @@ def approximate_pairs(xs, nu_js: list, xps, qs, interval, nu_p: DiscreteMeasure,
         raise ConvexOrderError(
             f"projected cell marginals never dominated the target; trace {margin_trace[-3:]}"
         )
-    trim_err = max(wasserstein_line(nu_j, t) for nu_j, t in zip(nu_js, trimmed))
+    # W1 of each cell's kernel to its trimmed one, in CDF form; a cell
+    # outside the window is trimmed to a Dirac at its x
+    trim_err = (np.abs(ys - xs[:, None]) * base).sum(axis=1)
+    pts = np.union1d(ys, grid)
+    gaps = _kernel_cdfs(ys, base[inside], pts[:-1]) - _kernel_cdfs(grid, trimmed, pts[:-1])
+    trim_err[inside] = np.abs(gaps) @ np.diff(pts)
+    trim_err = float(trim_err.max())
 
     step3 = min_cost_martingale_rearrangement(theta, nu_p)
     # redistribute each cell through the plan's rows: a cell atom belongs to
     # the theta atom it merged into, the nearest one, as theta's atoms lie
     # more than MERGE_TOL apart
     row = np.searchsorted(0.5 * (theta.atoms[1:] + theta.atoms[:-1]), atoms)
-    cell = np.repeat(np.arange(len(tilde)), [len(a) for a, _ in tilde])
-    masses = np.zeros((len(tilde), len(theta)))
+    cell = np.concatenate([np.repeat(np.flatnonzero(both), hat.shape[1]), np.arange(len(xs))])
+    masses = np.zeros((len(xs), len(theta)))
     np.add.at(masses, (cell, row), weights)
     diag = {
         "eps_used": eps,
@@ -232,23 +279,6 @@ def approximate_pairs(xs, nu_js: list, xps, qs, interval, nu_p: DiscreteMeasure,
     plan = step3["plan"]
     rows = plan.sum(axis=1)
     return np.divide(masses, rows, out=np.zeros_like(masses), where=rows > 0) @ plan, diag
-
-
-def _project_cell(x, xp, q, t, am, bm, eps):
-    """Stage-two mix for one cell, as unmerged (atoms, weights): move the
-    trimmed base marginal t, which lies in the window, to mean xp, cap it
-    with the window kernel, and blend with an eps share of q delta_xp.
-    Every law of mean xp dominates delta_xp, so the moved kernel is the
-    projection of delta_xp onto t.  A perturbed atom outside the window
-    keeps q delta_xp, and a base atom outside it leaves delta_xp to blend."""
-    if not am <= xp <= bm:
-        return [xp], [q]
-    if am <= x <= bm:
-        moved = DiscreteMeasure(t.atoms + (xp - t.first_moment() / t.mass), t.weights / t.mass)
-        hat = convex_min(moved, window_kernel(xp, am, bm))
-    else:
-        hat = DiscreteMeasure([xp], [1.0])
-    return np.append(hat.atoms, xp), np.append(hat.weights * q * (1.0 - eps), q * eps)
 
 
 def min_cost_martingale_rearrangement(theta: DiscreteMeasure, nu: DiscreteMeasure):
@@ -300,10 +330,10 @@ def approximate_coupling(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Di
         idx, plan = piece["base_indices"][rows], piece["plan_rows"][rows, cols]
         # a row of one pair keeps its base weight's bits: plan / plan is 1.0
         base_w = base_mu.weights[idx] * (plan / np.bincount(rows, plan)[rows])
-        nu_js = [pi.kernel_measure(i).scaled(w) for i, w in zip(idx, base_w)]
         try:
             nu_rows, diag = approximate_pairs(
-                base_mu.xs[idx], nu_js, mu_bar_p.xs[cols], plan, piece["interval"], piece["nu"], eps
+                base_mu.xs[idx], pi.y_support, base_w[:, None] * pi.kernels[idx], mu_bar_p.xs[cols], plan,
+                piece["interval"], piece["nu"], eps,
             )
         except (ConvexOrderError, RuntimeError) as exc:
             raise RuntimeError(f"component {piece['interval']}: {exc}") from exc

@@ -1,5 +1,5 @@
-"""Potential functions, irreducible decomposition, convex-order minimum,
-Wasserstein projection in the convex order, and binary martingale kernels.
+"""Potential functions, irreducible decomposition, convex-order minimum and
+Wasserstein projection in the convex order.
 
 A potential u_m(y) = integral |y - x| m(dx) is piecewise linear and convex
 with kinks exactly at the atoms of m.  Its slope right of y is 2F(y) - mass,
@@ -41,15 +41,6 @@ def require_convex_order(
     ordered, witness = check_convex_order(mu, nu, tol)
     if not ordered:
         raise ConvexOrderError(message, witness)
-
-
-def binary_kernel(x: float, l: float, r: float) -> DiscreteMeasure:
-    """The unique probability on {l, r} with barycentre x; Dirac when degenerate."""
-    if not (l <= x <= r):
-        raise ValueError(f"need l <= x <= r, got l={l}, x={x}, r={r}")
-    if l < x < r:
-        return DiscreteMeasure([l, r], [(r - x) / (r - l), (x - l) / (r - l)])
-    return DiscreteMeasure([x], [1.0])
 
 
 # -- convex-order minimum ------------------------------------------------
@@ -249,9 +240,3 @@ def convex_order_projection(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Discret
     theta[follow] = (gap[i + 1] - gap[i]) / (diff[i + 1] - diff[i])
     return _measure_from_cdf(np.append(left, ex[-1]), (1.0 - theta) * cdf(nu, left) + theta * cdf(mu, left), m)
 
-
-def window_kernel(x: float, a: float, b: float) -> DiscreteMeasure:
-    """Binary window measure q^m_x: B(x, a, b) when x is inside, else a Dirac."""
-    if a < x < b:
-        return binary_kernel(x, a, b)
-    return DiscreteMeasure([x], [1.0])

@@ -52,9 +52,6 @@ class DiscreteCoupling:
     def second_marginal(self) -> DiscreteMeasure:
         return DiscreteMeasure(self.y_support, self.first_marginal.weights @ self.kernels)
 
-    def kernel_measure(self, i: int) -> DiscreteMeasure:
-        return DiscreteMeasure(self.y_support, self.kernels[i])
-
     def x_marginal(self) -> DiscreteMeasure:
         return self.first_marginal.x_marginal()
 
@@ -129,11 +126,12 @@ def _point_cost(a_points, b_points) -> np.ndarray:
     return np.abs(a - b).sum(axis=2)
 
 
-def _kernel_cdfs(c: DiscreteCoupling, grid: np.ndarray) -> np.ndarray:
-    """Each kernel's mass at or left of each point of ``grid``."""
-    cum = np.zeros((len(c.kernels), c.y_support.size + 1))
-    np.cumsum(c.kernels, axis=1, out=cum[:, 1:])
-    return cum[:, np.searchsorted(c.y_support, grid, side="right")]
+def _kernel_cdfs(ys: np.ndarray, rows: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Each row's mass at or left of each point of ``grid``, for rows of
+    weights on the sorted atoms ys."""
+    cum = np.zeros((len(rows), ys.size + 1))
+    np.cumsum(rows, axis=1, out=cum[:, 1:])
+    return cum[:, np.searchsorted(ys, grid, side="right")]
 
 
 def adapted_wasserstein(c1: DiscreteCoupling, c2: DiscreteCoupling) -> float:
@@ -145,7 +143,7 @@ def adapted_wasserstein(c1: DiscreteCoupling, c2: DiscreteCoupling) -> float:
     exceeds n2 x |g|."""
     fm1, fm2 = c1.first_marginal, c2.first_marginal
     g = np.union1d(c1.y_support, c2.y_support)
-    F1, F2 = (_kernel_cdfs(c, g[:-1]) for c in (c1, c2))
+    F1, F2 = (_kernel_cdfs(c.y_support, c.kernels, g[:-1]) for c in (c1, c2))
     dg = np.diff(g)
     inner = np.array([np.abs(f - F2) @ dg for f in F1])
     dx = np.abs(fm1.xs[:, None] - fm2.xs[None, :])

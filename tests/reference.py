@@ -23,7 +23,13 @@ approximation cell held one lifted atom; the LP tests keep it as an LP with
 both equality and inequality rows.  ``min_displacement`` is the LP over
 the martingale polytope that gave the approximation its feasible coupling
 and its rearrangement before the inverse-transform coupling; it is the
-oracle that coupling's cost is checked against.
+oracle that coupling's cost is checked against.  ``trim_cell`` and
+``project_cell`` are the approximation's stage two one cell at a time,
+through the hull-based ``convex_min`` and the window law ``window_kernel``,
+as they were before the quantile-slice form; ``window_min`` is the
+convex-order minimum of a measure with its window law in exact rational
+arithmetic, the answer where the two disagree.  ``binary_kernel`` is the
+two-point law the tests build martingale images from.
 
 The tests' own checks follow: the quantile function, closed-form W1
 between binary kernels, flat W1 between couplings (the lower bound on
@@ -40,7 +46,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import sparse
 
-from emot.convex_order import _lower_convex_hull, binary_kernel, require_convex_order
+from emot import convex_order
+from emot.convex_order import _lower_convex_hull, require_convex_order
 from emot.couplings import DiscreteCoupling, _point_cost, disintegrate, martingale_polytope_lp
 from emot.lp_core import Block, CertificateError, LinearProgram, block_rows, plan_rows, solve_lp, transport_plan
 from emot.measures import MERGE_TOL, DiscreteMeasure, LiftedMeasure, cdf, potential_values
@@ -110,9 +117,9 @@ def adapted_wasserstein(c1: DiscreteCoupling, c2: DiscreteCoupling) -> float:
     n1, n2 = len(c1.first_marginal), len(c2.first_marginal)
     cost = np.zeros((n1, n2))
     for i in range(n1):
-        ki = c1.kernel_measure(i)
+        ki = DiscreteMeasure(c1.y_support, c1.kernels[i])
         for j in range(n2):
-            inner = wasserstein_line(ki, c2.kernel_measure(j))
+            inner = wasserstein_line(ki, DiscreteMeasure(c2.y_support, c2.kernels[j]))
             dx = abs(c1.first_marginal.xs[i] - c2.first_marginal.xs[j])
             du = abs(c1.first_marginal.us[i] - c2.first_marginal.us[j])
             cost[i, j] = dx + du + inner
@@ -175,6 +182,71 @@ def convex_min(rho: DiscreteMeasure, q: DiscreteMeasure) -> DiscreteMeasure:
     seg = np.diff(hy) / np.diff(hx) if len(hx) > 1 else np.array([])
     weights = np.diff(np.concatenate([[-m], seg, [m]])) / 2.0
     return DiscreteMeasure(hx, np.maximum(weights, 0.0))
+
+
+def binary_kernel(x: float, l: float, r: float) -> DiscreteMeasure:
+    """The unique probability on {l, r} with barycentre x; Dirac when degenerate."""
+    if not (l <= x <= r):
+        raise ValueError(f"need l <= x <= r, got l={l}, x={x}, r={r}")
+    if l < x < r:
+        return DiscreteMeasure([l, r], [(r - x) / (r - l), (x - l) / (r - l)])
+    return DiscreteMeasure([x], [1.0])
+
+
+def window_kernel(x: float, a: float, b: float) -> DiscreteMeasure:
+    """Binary window measure q^m_x: B(x, a, b) when x is inside, else a Dirac."""
+    if a < x < b:
+        return binary_kernel(x, a, b)
+    return DiscreteMeasure([x], [1.0])
+
+
+def trim_cell(x: float, nu_j: DiscreteMeasure, am, bm) -> DiscreteMeasure:
+    """Second marginal of the cell at base atom x after capping its kernel
+    by the window kernel: inside the window its convex-order minimum with
+    the two-point window law, outside a Dirac at x."""
+    if am <= x <= bm:
+        return convex_order.convex_min(nu_j, window_kernel(x, am, bm).scaled(nu_j.mass))
+    return DiscreteMeasure([x], [nu_j.mass])
+
+
+def project_cell(x, xp, q, t, am, bm, eps):
+    """Stage-two mix for one cell, as unmerged (atoms, weights): move the
+    trimmed base marginal t, which lies in the window, to mean xp, cap it
+    with the window kernel, and blend with an eps share of q delta_xp.
+    Every law of mean xp dominates delta_xp, so the moved kernel is the
+    projection of delta_xp onto t.  A perturbed atom outside the window
+    keeps q delta_xp, and a base atom outside it leaves delta_xp to blend."""
+    if not am <= xp <= bm:
+        return [xp], [q]
+    if am <= x <= bm:
+        moved = DiscreteMeasure(t.atoms + (xp - t.first_moment() / t.mass), t.weights / t.mass)
+        hat = convex_order.convex_min(moved, window_kernel(xp, am, bm))
+    else:
+        hat = DiscreteMeasure([xp], [1.0])
+    return np.append(hat.atoms, xp), np.append(hat.weights * q * (1.0 - eps), q * eps)
+
+
+def window_min(rho: DiscreteMeasure, a: float, b: float) -> DiscreteMeasure:
+    """Convex-order minimum of rho and m B(x, a, b), m and x rho's mass and
+    mean, in exact rational arithmetic from the float inputs: the lower
+    convex hull of min(u_rho, u_B) over rho's atoms and a, b, where its kinks
+    lie, and half its slope jumps as the weights; only the returned atoms
+    and weights are rounded."""
+    ys, ws = [Fraction(y) for y in rho.atoms], [Fraction(w) for w in rho.weights]
+    lo, hi = Fraction(a), Fraction(b)
+    m = sum(ws)
+    x = sum(y * w for y, w in zip(ys, ws)) / m
+    grid = sorted(set(ys) | {lo, hi})
+    law = _exact_potential([lo, hi], [m * (hi - x) / (hi - lo), m * (x - lo) / (hi - lo)], grid)
+    pts = list(zip(grid, map(min, _exact_potential(ys, ws, grid), law)))
+    hull = []
+    for p in pts:
+        while len(hull) >= 2 and (hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1]) <= (
+                p[0] - hull[-2][0]) * (hull[-1][1] - hull[-2][1]):
+            hull.pop()
+        hull.append(p)
+    slopes = [-m] + [(v1 - v0) / (g1 - g0) for (g0, v0), (g1, v1) in zip(hull, hull[1:])] + [m]
+    return DiscreteMeasure([float(g) for g, _ in hull], [float(s1 - s0) / 2 for s0, s1 in zip(slopes, slopes[1:])])
 
 
 def _running_max_points(xs, gs) -> list:

@@ -10,11 +10,7 @@ import numpy as np
 import pytest
 
 from emot.approximation import approximate_coupling, min_cost_martingale_rearrangement
-from emot.convex_order import (
-    binary_kernel,
-    convex_min,
-    convex_order_projection,
-)
+from emot.convex_order import convex_min, convex_order_projection
 from emot.couplings import (
     adapted_wasserstein,
     hausdorff_mot,
@@ -42,6 +38,7 @@ from emot.solvers import (
 from emot.stability import _barrier_exceedance
 from reference import (
     barrier_monotonicity_violation,
+    binary_kernel,
     left_monotone_violation,
     vix_bin_primal_lp,
     vix_bracket,

@@ -8,14 +8,12 @@ import reference
 from emot.convex_order import (
     ConvexOrderError,
     _measure_from_cdf,
-    binary_kernel,
     convex_min,
     convex_order_projection,
     irreducible_decomposition,
-    window_kernel,
 )
 from emot.measures import DiscreteMeasure, cdf, check_convex_order, mean, potential_values, wasserstein_line
-from reference import w1_binary
+from reference import binary_kernel, w1_binary, window_kernel
 
 
 def centred_random_pair(rng, n_max=5):
@@ -182,6 +180,19 @@ class TestConvexMin:
         q = DiscreteMeasure([-1.99951171875, 1.99951171875], [0.25712930105402637, 0.7428706989459736])
         out = convex_min(rho, q)
         assert out.atoms.tolist() == [-1.99951171875, 1.970757336116955]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="hull slopes read from value differences")
+    def test_dirac_at_the_mean_of_a_heavy_atom_and_a_far_light_one(self):
+        # rho's mean x lies 2.1e-11 below its heavy atom, and its light atom
+        # weighs 1.7e-10 of the mass; the minimum with delta_x is delta_x,
+        # but the slopes read from value differences across the 2.1e-11 gap
+        # between x and the heavy atom give a negative weight, and
+        # convex_min raises "potential has a concave kink"
+        rho = DiscreteMeasure([-0.006763994957596502, 0.12150265989732388], [1.8457266071913082e-10, 1.11623606991719])
+        x = 0.12150265987611465
+        assert mean(rho) == x
+        out = convex_min(rho, DiscreteMeasure([x], [rho.mass]))
+        assert out.atoms.tolist() == [x] and out.weights == pytest.approx([rho.mass], rel=1e-15)
 
     def test_window_shrinks_trim_error(self):
         rho = DiscreteMeasure([-2, -0.5, 1, 2.5], [0.25, 0.25, 0.25, 0.25])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from emot.convex_order import ConvexOrderError, binary_kernel, convex_order_projection
+from emot.convex_order import ConvexOrderError, convex_order_projection
 from emot import solvers
 from emot.couplings import check_martingale, martingale_polytope_lp
 from emot.lp_core import solve_lp
@@ -22,7 +22,13 @@ from emot.solvers import (
     vix_primal_lp,
 )
 import reference
-from reference import barrier_monotonicity_violation, left_monotone_violation, vix_bin_primal_lp, vix_bracket
+from reference import (
+    barrier_monotonicity_violation,
+    binary_kernel,
+    left_monotone_violation,
+    vix_bin_primal_lp,
+    vix_bracket,
+)
 
 ABS_COST = CostSpec(fn=lambda x, u, ys: np.abs(np.asarray(ys) - x))
 

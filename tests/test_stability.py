@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from emot import lp_core, solvers
 from emot.cli import main
-from emot.convex_order import binary_kernel
 from emot.measures import DiscreteMeasure, check_convex_order, mean
 from emot.solvers import vix_dual_lp
 from emot.stability import (
@@ -19,7 +18,7 @@ from emot.stability import (
     perturb_marginals,
     run_stability,
 )
-from reference import report_from_csv
+from reference import binary_kernel, report_from_csv
 from test_solvers import FOUND_MU, FOUND_NU
 
 

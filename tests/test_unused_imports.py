@@ -31,6 +31,8 @@ UNCALLED_PUBLIC = {
     "LPSolution.nit": "the iteration count `benchmarks/tracing.py` reads",
     "vix_primal_lp": "exact portfolio LP, oracle for the repaired duals",
     "check_martingale": "a coupling's martingale residual, for callers and the tests of every solver",
+    "convex_min": "the general convex-order minimum: acceptance criterion 05 and the oracle of the approximation's "
+    "window minimum",
 }
 
 # functions whose defaulted parameters no module passes, each with the reason they stay
@@ -289,10 +291,10 @@ def test_no_unread_parameters():
 def test_unread_parameter_is_flagged():
     trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
     text = (SRC / "approximation.py").read_text()
-    planted = text.replace("def _trim_cell(x: float", "def _trim_cell(scale, x: float")
+    planted = text.replace("def _window_min(ys, w,", "def _window_min(ys, scale, w,")
     assert planted != text
     trees["approximation.py"] = ast.parse(planted)
-    assert unread_parameters(trees) == ["approximation.py: _trim_cell(scale)"]
+    assert unread_parameters(trees) == ["approximation.py: _window_min(scale)"]
 
 
 def test_no_duplicated_bodies():
