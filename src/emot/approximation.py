@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_order import ConvexOrderError, irreducible_decomposition, require_convex_order
+from .convex_order import ConvexOrderError, require_convex_order
 from .couplings import DiscreteCoupling, _kernel_cdfs, _point_cost, adapted_wasserstein, coupling_from_plan
 from .lp_core import transport_plan
 from .measures import (
@@ -104,13 +104,14 @@ def split_marginals(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Discret
     atoms under that plan.  Second-marginal pieces are images of the
     first-marginal pieces under the kernels of the inverse-transform
     martingale coupling of mu' and nu', so every piece is in convex order
-    and the pieces reassemble both marginals exactly.
+    and the pieces reassemble both marginals exactly.  The components and
+    each base atom's component are ``pi.decomposition``, which a coupling
+    computes once, so a trend of calls on one base decomposes it once.
     """
     mu_bar = pi.first_marginal
-    mu = pi.x_marginal()
     mu_p = mu_bar_p.x_marginal()
     require_convex_order(mu_p, nu_p, "perturbed marginals are not in convex order")
-    decomp = irreducible_decomposition(mu, pi.second_marginal())
+    decomp, base_labels = pi.decomposition
     if np.unique(np.concatenate([mu_bar.us, mu_bar_p.us])).size == 1:
         # one common label: the north-west corner plan is W1-optimal on the
         # line, and no entry of it is negative
@@ -123,15 +124,6 @@ def split_marginals(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Discret
     # each lifted atom takes the kernel at its x, bitwise an atom of mu_p, as
     # merge_atoms merges by x first; a row is its atom's weight to rounding
     G = np.divide(gamma, rows, out=np.zeros_like(gamma), where=rows > 0)[np.searchsorted(mu_p.atoms, mu_bar_p.xs)]
-
-    # component labels of mu's atoms (the components hold bitwise copies of
-    # them, -1 is stationary); a base atom takes the label of the mu atom its
-    # x merged into, the nearest one, as mu's atoms lie more than MERGE_TOL
-    # apart
-    labels = np.full(len(mu), -1)
-    for c, comp in enumerate(decomp.components):
-        labels[np.isin(mu.atoms, comp.mu.atoms)] = c
-    base_labels = labels[np.searchsorted(0.5 * (mu.atoms[1:] + mu.atoms[:-1]), mu_bar.xs)]
 
     pieces = []
     for c, comp in enumerate(decomp.components):

@@ -12,17 +12,23 @@ exactly with ``disintegrate``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
+from .convex_order import IrreducibleDecomposition, irreducible_decomposition
 from .lp_core import DimensionGuardError, LinearProgram, enumerate_vertices, plan_rows, solve_lp, transport_plan
 from .measures import DiscreteMeasure, LiftedMeasure, NonFiniteError, merge_atoms, wasserstein_line
 
 
 @dataclass(frozen=True)
 class DiscreteCoupling:
+    """A coupling in kernel view, fixed at construction: its arrays are
+    treated as immutable, so what is derived from them alone, such as
+    ``decomposition``, is computed once and kept."""
+
     first_marginal: LiftedMeasure
     y_support: np.ndarray  # sorted, shared across kernels
     kernels: np.ndarray  # (n_atoms, n_y), rows sum to 1
@@ -54,6 +60,23 @@ class DiscreteCoupling:
 
     def x_marginal(self) -> DiscreteMeasure:
         return self.first_marginal.x_marginal()
+
+    @cached_property
+    def decomposition(self) -> tuple[IrreducibleDecomposition, np.ndarray]:
+        """The irreducible decomposition of (x marginal, second marginal),
+        and the component index of each first-marginal atom, -1 where it is
+        stationary, read-only; computed on first use and kept."""
+        mu = self.x_marginal()
+        decomp = irreducible_decomposition(mu, self.second_marginal())
+        # the components hold bitwise copies of mu's atoms; a first-marginal
+        # atom takes the label of the mu atom its x merged into, the nearest
+        # one, as mu's atoms lie more than MERGE_TOL apart
+        labels = np.full(len(mu), -1)
+        for c, comp in enumerate(decomp.components):
+            labels[np.isin(mu.atoms, comp.mu.atoms)] = c
+        labels = labels[np.searchsorted(0.5 * (mu.atoms[1:] + mu.atoms[:-1]), self.first_marginal.xs)]
+        labels.flags.writeable = False
+        return decomp, labels
 
     def joint(self) -> np.ndarray:
         """(k, 4) table of (x, u, y, weight) over the joint measure's support,

@@ -61,7 +61,17 @@ HiGHS is called through scipy's bundled binding
 HiGHS the ``LinearProgram``'s CSR rows as they were built, as numpy buffers
 through ``_Highs.passModel``'s array overload, with the options
 ``scipy.optimize.linprog`` passes, and returns the ``LPSolution`` or raises
-``LPError``.  Passing the buffers took 17 us on an 8-column LP and 0.14 ms
+``LPError``.  Each thread keeps one ``_Highs`` instance for every LP it
+solves, and before each model ``clearModel`` drops the last model with its
+solution and basis and the options are passed anew, so nothing of one
+solve reaches the next: the tests hold every result, iteration counts and
+basis included, to a fresh instance's.  On a 3x3 transport LP a fresh
+instance took 0.26 ms from construction through ``run`` and a reused one
+0.16 ms; on the 1 088 LPs of seed-0 passes of both benchmark workloads and
+the 2 304 of a seed-0 ``fw_convex`` pass, a reused instance gave bitwise a
+fresh one's x, value, duals and ``stats``.  Transport rows (``plan_rows``
+without ``mart``) are built once per shape and shared read-only, with
+int32 index arrays.  Passing the buffers took 17 us on an 8-column LP and 0.14 ms
 on a 2 320-column one, where filling a ``HighsLp`` field by field took 26 us
 and 0.95 ms.  Every x, value, dual and iteration count of a cold solve is
 bitwise what ``scipy.optimize.linprog`` returns, which copies the rows to
@@ -83,7 +93,9 @@ backbone of the Hausdorff estimates.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -167,11 +179,28 @@ def block_rows(blocks, shape) -> sparse.csr_array:
 def plan_rows(n: int, m: int, branches: int = 1, mart: Optional[np.ndarray] = None) -> sparse.csr_array:
     """Rows over a plan indexed (i, branch, j): one mass row per i (summed over
     branches), one per j, and given ``mart`` (n x m) one barycentre row per
-    (i, branch) carrying mart[i]."""
-    blocks = [Block(np.ones((n, 1, branches * m))), Block(np.ones((m, 1, n * branches)), row0=n, steps=(1, m))]
-    if mart is not None:
-        blocks.append(Block(np.repeat(mart, branches, axis=0)[:, None, :], row0=n + m))
-    return block_rows(blocks, (n + m + (0 if mart is None else n * branches), n * branches * m))
+    (i, branch) carrying mart[i].
+
+    Without ``mart`` (the transport rows) the matrix depends on the shape
+    alone, and one read-only matrix per shape, with int32 index arrays as
+    HiGHS takes them, is built and shared by every call."""
+    if mart is None:
+        return _transport_rows(n, m, branches)
+    blocks = _transport_blocks(n, m, branches) + [Block(np.repeat(mart, branches, axis=0)[:, None, :], row0=n + m)]
+    return block_rows(blocks, (n + m + n * branches, n * branches * m))
+
+
+def _transport_blocks(n: int, m: int, branches: int) -> list:
+    return [Block(np.ones((n, 1, branches * m))), Block(np.ones((m, 1, n * branches)), row0=n, steps=(1, m))]
+
+
+@functools.lru_cache(maxsize=64)  # bounded, as each matrix is kept; a stability_approx pass uses 3 shapes
+def _transport_rows(n: int, m: int, branches: int) -> sparse.csr_array:
+    A = block_rows(_transport_blocks(n, m, branches), (n + m, n * branches * m))
+    A.indices, A.indptr = A.indices.astype(np.int32), A.indptr.astype(np.int32)
+    for v in (A.data, A.indices, A.indptr):
+        v.flags.writeable = False
+    return A
 
 
 @dataclass
@@ -272,6 +301,13 @@ _OPTIONS = {(method, large): _highs_options(solver, large)
 _STATUS = {HighsModelStatus.kInfeasible: "infeasible", HighsModelStatus.kModelError: "infeasible",
            HighsModelStatus.kUnbounded: "unbounded"}
 _POINT_TOL = 10 * np.sqrt(1e-9)  # linprog's check of an optimal point against its rows and bounds
+_THREAD = threading.local()  # .highs: the thread's one HiGHS instance, reset before each model
+
+
+def _highs() -> _Highs:
+    if not hasattr(_THREAD, "highs"):
+        _THREAD.highs = _Highs()
+    return _THREAD.highs
 
 
 def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, sense="min",
@@ -290,6 +326,10 @@ def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, sense
     of +inf), raise "infeasible", an unbounded one "unbounded", and every
     other status but optimal "failed", as does an "optimal" point off a row
     or bound by more than 10*sqrt(1e-9) (``linprog``'s check).
+
+    The model goes to the calling thread's one ``_Highs`` instance, cleared
+    of the last model and given the options anew, so no state of an
+    earlier solve reaches this one.
 
     ``start``, a ``HighsBasis``, goes to ``setBasis``; when HiGHS takes it,
     the LP runs dual simplex from it, since IPX would ignore it, and
@@ -312,7 +352,8 @@ def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, sense
     lb, ub = np.broadcast_to(np.array((0, None) if bounds is None else bounds, dtype=float), (n, 2)).T
     lb, ub = np.where(np.isnan(lb), -kHighsInf, lb), np.where(np.isnan(ub), kHighsInf, ub)
 
-    highs, large = _Highs(), n >= LARGE_COLS
+    highs, large = _highs(), n >= LARGE_COLS
+    highs.clearModel()
     highs.passOptions(_OPTIONS[method, large])
     model_status = HighsModelStatus.kModelError
     if highs.passModel(n, A.shape[0], A.nnz, MatrixFormat.kRowwise, ObjSense.kMinimize, 0.0, c, lb, ub, lhs, rhs,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from emot import approximation
+from emot import approximation, couplings
 from emot.approximation import (
     _inverse_transform_coupling,
     _window_ladder,
@@ -130,6 +130,29 @@ class TestSplitMarginals:
         mu_p = LiftedMeasure.from_measure(DiscreteMeasure([-3, 3], [0.5, 0.5]))
         with pytest.raises(ConvexOrderError):
             split_marginals(pi, mu_p, DiscreteMeasure([-2, 2], [0.5, 0.5]))
+
+    def test_base_is_decomposed_once(self, monkeypatch):
+        """A coupling keeps its decomposition and component labels, read-only:
+        a trend of splits on one base decomposes it once."""
+        mu = DiscreteMeasure([-2, 2], [0.5, 0.5])
+        nu = DiscreteMeasure([-3, -1, 1, 3], [0.25] * 4)
+        pi = solve_mot(mu, nu, CostSpec(fn=lambda x, u, ys: np.abs(np.asarray(ys) - x)))["coupling"]
+        calls, decompose = [], couplings.irreducible_decomposition
+
+        def spy(*args):
+            calls.append(args)
+            return decompose(*args)
+
+        monkeypatch.setattr(couplings, "irreducible_decomposition", spy)
+        for d in (0.01, 0.02):
+            mu_p = LiftedMeasure.from_measure(DiscreteMeasure([-2 - d, 2 - d], [0.5, 0.5]))
+            nu_p = repaired(mu_p.x_marginal(), DiscreteMeasure(nu.atoms - d, nu.weights))
+            assert [p["interval"] for p in split_marginals(pi, mu_p, nu_p).pieces] == [(-3.0, -1.0), (1.0, 3.0)]
+        assert len(calls) == 1
+        decomp, labels = pi.decomposition
+        assert labels.tolist() == [0, 1] and len(decomp.components) == 2
+        with pytest.raises(ValueError):
+            labels[0] = 1
 
 
 class TestApproximatePairs:

@@ -12,11 +12,14 @@ except ImportError as exc:
         "this scipy does not provide them"
     ) from exc
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
-from scipy.optimize._highspy._core import HighsBasisStatus
+from scipy.optimize._highspy._core import HighsBasisStatus, _Highs
 
 import reference
 from emot import couplings, lp_core, solvers
@@ -664,3 +667,99 @@ def test_optimal_point_off_its_rows_is_a_failed_lp(monkeypatch):
     with pytest.raises(LPError) as err:
         solve_lp(LinearProgram(c=[1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0]))
     assert err.value.status == "failed"
+
+
+# -- one HiGHS instance per thread, transport rows once per shape ------------
+
+
+def _assert_same_outcome(a, b):
+    """Two solves gave bitwise one solution, basis included, or one LPError."""
+    if isinstance(a, tuple):
+        assert a == b
+        return
+    _assert_same_solution(a, b)
+    for name in ("col_status", "row_status"):
+        assert list(getattr(a.basis, name)) == list(getattr(b.basis, name)), name
+
+
+def _reuse_sequence():
+    """Each outcome of a fixed sequence of solves: a 3x3 transport LP, one
+    past ``LARGE_COLS``, an interior-point LP, an infeasible one, a warm start,
+    the same LP cold right after it, and a start of another shape."""
+    rng = np.random.default_rng(5)
+    large, ipx = _transport(rng, 40, 40), _large_mot_lp()
+    assert large.n_vars >= lp_core.LARGE_COLS and ipx.n_vars >= lp_core.IPM_MIN_COLS
+    mot = _polytope(rng, 10, 20)
+    moved = LinearProgram(c=mot.c * (1 + 0.1 * rng.uniform(-1, 1, mot.n_vars)), A_eq=mot.A_eq, b_eq=mot.b_eq)
+    out = []
+
+    def solve(lp, start=None):
+        try:
+            out.append(solve_lp(lp, start))
+        except LPError as exc:
+            out.append(exc.args)
+        return out[-1]
+
+    solve(_transport(rng, 3, 3))
+    assert solve(large).stats["method"] == "highs-ds"
+    assert solve(ipx).stats["method"] == "highs-ipm"
+    assert solve(LinearProgram(c=[1.0], A_eq=[[1.0]], b_eq=[-1.0]))[0] == "infeasible"
+    start = solve(mot).basis
+    warm, cold = solve(moved, start), solve(moved)
+    assert warm.stats != cold.stats  # the start was taken
+    solve(_transport(rng, 3, 3), start)
+    return out
+
+
+def test_reused_highs_gives_a_fresh_instances_results(monkeypatch):
+    reused = _reuse_sequence()
+    monkeypatch.setattr(lp_core, "_highs", _Highs)
+    fresh = _reuse_sequence()
+    assert len(reused) == len(fresh) == 8
+    for a, b in zip(reused, fresh):
+        _assert_same_outcome(a, b)
+
+
+def test_threads_solving_at_once_get_the_serial_results():
+    """Four threads at once, each solving 20 transport and 20 mot LPs from
+    its own place in the list, with threads switched every microsecond:
+    each gets bitwise the serial results.  HiGHS runs without the
+    interpreter lock, and threads sharing one instance crash."""
+    rng = np.random.default_rng(6)
+    lps = [lp for _ in range(20) for lp in (_transport(rng, *rng.integers(2, 13, size=2)), _drawn_polytope(rng, None))]
+    serial = [solve_lp(lp) for lp in lps]
+    results, n_threads = {}, 4
+
+    def work(k):
+        order = np.roll(np.arange(len(lps)), 10 * k)
+        results[k] = dict(zip(order, (solve_lp(lps[i]) for i in order)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == list(range(n_threads))
+    for k in range(n_threads):
+        for i, sol in results[k].items():
+            _assert_same_outcome(sol, serial[i])
+
+
+def test_transport_rows_are_built_once_per_shape_and_read_only():
+    n, m = 3, 4
+    A = lp_core.plan_rows(n, m)
+    assert lp_core.plan_rows(n, m) is A
+    fresh = block_rows([Block(np.ones((n, 1, m))), Block(np.ones((m, 1, n)), row0=n, steps=(1, m))], (n + m, n * m))
+    assert np.array_equal(A.toarray(), fresh.toarray())
+    for v in (A.data, A.indices, A.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = v[0]
+    b_eq = np.concatenate([np.full(n, 1 / n), np.full(m, 1 / m)])
+    stats = solve_lp(LinearProgram(c=np.arange(n * m, dtype=float), A_eq=A, b_eq=b_eq)).stats
+    assert (stats["rows"], stats["cols"], stats["nnz"]) == (*fresh.shape, fresh.nnz)
