@@ -99,14 +99,16 @@ def split_marginals(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Discret
 
     The base first marginal is matched to the perturbed one by a
     W1-optimal transport plan on lifted atoms, the north-west corner plan
-    when both carry one common label and the transport LP's otherwise;
-    each component's share of the perturbed mass is the image of its base
-    atoms under that plan.  Second-marginal pieces are images of the
-    first-marginal pieces under the kernels of the inverse-transform
-    martingale coupling of mu' and nu', so every piece is in convex order
-    and the pieces reassemble both marginals exactly.  The components and
-    each base atom's component are ``pi.decomposition``, which a coupling
-    computes once, so a trend of calls on one base decomposes it once.
+    when both carry one common label and the transport LP's otherwise, with
+    its entries at or below 1e-14 set to 0 and each column rescaled to the
+    perturbed atom's weight; each component's share of the perturbed mass
+    is the image of its base atoms under that plan.  Second-marginal pieces
+    are images of the first-marginal pieces under the kernels of the
+    inverse-transform martingale coupling of mu' and nu', so every piece is
+    in convex order and the pieces reassemble both marginals exactly.  The
+    components and each base atom's component are ``pi.decomposition``,
+    which a coupling computes once, so a trend of calls on one base
+    decomposes it once.
     """
     mu_bar = pi.first_marginal
     mu_p = mu_bar_p.x_marginal()
@@ -118,6 +120,11 @@ def split_marginals(pi: DiscreteCoupling, mu_bar_p: LiftedMeasure, nu_p: Discret
         plan, _ = comonotone_plan(mu_bar.weights, mu_bar_p.weights)
     else:
         plan, _ = transport_plan(_point_cost(mu_bar.atoms, mu_bar_p.atoms), mu_bar.weights, mu_bar_p.weights)
+        # HiGHS leaves entries down to -1e-9, its primal tolerance: they go,
+        # and each column is rescaled to its perturbed atom's weight
+        plan[plan <= 1e-14] = 0.0
+        cols = plan.sum(axis=0)
+        plan *= np.divide(mu_bar_p.weights, cols, out=np.zeros_like(cols), where=cols > 0)
 
     gamma = _inverse_transform_coupling(mu_p, nu_p)
     rows = gamma.sum(axis=1, keepdims=True)

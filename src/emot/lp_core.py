@@ -24,8 +24,8 @@ faster in every round: without presolve the 14 500-column mot LPs took
 0.71x the time (the same 192 IPM iterations), the 10 440-column American
 LPs 0.78x, the 2 320-column mot LPs of the stability runs 0.60x and their
 1 600-column AW1 transport LPs 0.41x, with values within 6.2e-15
-relative.  Below 1 000 columns presolve solves most LPs outright (2 259
-of the 2 611 in a seed-0 stability pass take no simplex iteration), and
+relative.  Below 1 000 columns presolve solves most LPs outright (467 of
+the 771 in a seed-0 ``stability_approx`` pass take no simplex iteration), and
 without it one 9-column LP kept an equality residual of 4.6e-8, against
 6e-13 with it.  At the default primal tolerance mot plans held negative
 entries, which ``DiscreteCoupling`` refuses: -9.9e-9 in a 2 320-column
@@ -207,7 +207,8 @@ def _transport_rows(n: int, m: int, branches: int) -> sparse.csr_array:
 class LinearProgram:
     """min/max c @ x subject to A_eq x = b_eq, A_ub x <= b_ub, x >= lb.
 
-    A_eq and A_ub are held as CSR, whatever form they are given in."""
+    A_eq and A_ub are held as CSR, whatever form they are given in; a
+    float64 ``csr_array`` in canonical format is kept as it is."""
 
     c: np.ndarray
     A_eq: Optional[sparse.csr_array] = None
@@ -221,9 +222,10 @@ class LinearProgram:
         self.c = np.asarray(self.c, dtype=float)
         for name in ("A_eq", "b_eq", "A_ub", "b_ub"):
             v = getattr(self, name)
-            if v is not None:
-                v = v if sparse.issparse(v) else np.asarray(v, dtype=float)
-                setattr(self, name, sparse.csr_array(v, dtype=float) if name[0] == "A" else v)
+            if v is None or (type(v) is sparse.csr_array and v.dtype == np.float64 and v.has_canonical_format):
+                continue
+            v = v if sparse.issparse(v) else np.asarray(v, dtype=float)
+            setattr(self, name, sparse.csr_array(v, dtype=float) if name[0] == "A" else v)
         if self.sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
         if self.c.ndim != 1 or self.c.size == 0 or not np.all(np.isfinite(self.c)):

@@ -7,7 +7,18 @@ simplex restarts from the base optimum instead of pivoting from scratch:
 ``atom_jitter`` and ``mass_jitter`` keep the shape; ``quantile_discretize``
 changes nu's size, and a pair of another shape is solved cold.  A row
 still depends only on the config, because its start is the base solve's,
-which every run repeats.
+which depends only on the base problem.
+
+The base solve is shared across runs in one process: the last
+``BASE_CACHE_SIZE`` base results are kept, least recently used first out,
+keyed by what ``_solve`` reads (the problem, the bytes of mu's and nu's
+atoms and weights, tau and copula_m), so runs of one pair under other
+perturbation families, seeds or scales solve it once.  Every base solve
+is deterministic (HiGHS gives bitwise the same result on every solve of
+an LP), so a shared base changes no bit of a row.  A kept coupling's arrays are read-only, and a base solve
+that raises keeps nothing.  Rows and reports are not kept: they repeat
+only when one config runs twice, and keeping them would save no work a
+study needs.
 
 Reports are deterministic for a fixed config and seed: the random
 generator is a seeded 64-bit PCG and serialization uses sorted keys with
@@ -22,6 +33,7 @@ import io
 import json
 import numbers
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +64,8 @@ SCHEMA_VERSION = 1
 
 PERTURBATIONS = ("quantile_discretize", "atom_jitter", "mass_jitter")
 PROBLEMS = ("mot", "wmot", "amer", "vix", "shadow")
+BASE_CACHE_SIZE = 16  # base results kept, each with its coupling and basis
+_BASES: OrderedDict = OrderedDict()  # least recently used first
 
 
 class ConfigError(ValueError):
@@ -226,6 +240,26 @@ def _solve(problem: str, mu, nu, cfg: ExperimentConfig, start=None):
     raise ConfigError(f"unknown problem {problem!r}")
 
 
+def _base_solve(config: ExperimentConfig):
+    """``_solve`` on the config's base pair, shared with every earlier run
+    of the same base problem among the last ``BASE_CACHE_SIZE``."""
+    mu, nu = config.mu, config.nu
+    key = (config.problem, mu.atoms.tobytes(), mu.weights.tobytes(), nu.atoms.tobytes(), nu.weights.tobytes(),
+           config.tau, config.copula_m)
+    base = _BASES.pop(key, None)
+    if base is None:
+        base = _solve(config.problem, mu, nu, config)
+        coupling = base[1]
+        if coupling is not None:
+            for a in (coupling.y_support, coupling.kernels, coupling.first_marginal.atoms,
+                      coupling.first_marginal.weights):
+                a.flags.writeable = False
+    _BASES[key] = base
+    while len(_BASES) > BASE_CACHE_SIZE:
+        _BASES.popitem(last=False)
+    return base
+
+
 def run_stability(config: ExperimentConfig) -> StabilityReport:
     """Run the perturbation ladder and collect per-scale gap rows.
 
@@ -233,7 +267,7 @@ def run_stability(config: ExperimentConfig) -> StabilityReport:
     remaining scales still run.
     """
     rng = np.random.default_rng(config.seed)
-    base_value, base_coupling, base_basis = _solve(config.problem, config.mu, config.nu, config)
+    base_value, base_coupling, base_basis = _base_solve(config)
     rows = []
     for scale in config.scales:
         row = {f: None for f in ROW_FIELDS}

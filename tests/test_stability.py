@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from emot import lp_core, solvers
+from emot import lp_core, solvers, stability
 from emot.cli import main
 from emot.measures import DiscreteMeasure, check_convex_order, mean
 from emot.solvers import vix_dual_lp
@@ -354,6 +354,71 @@ class TestRunAndEmit:
         exact = vix_dual_lp(mu, nu, 1.0)["value"]
         assert [row["status"] for row in rep.rows] == ["ok", "ok"]
         assert all(abs(row["value_base"] - exact) <= 1e-9 for row in rep.rows)
+
+
+class TestSharedBase:
+    def test_a_second_run_on_the_pair_solves_its_base_once(self, monkeypatch):
+        solves, solve = [], solvers.solve_lp
+
+        def spy(p, start=None):
+            solves.append(p)
+            return solve(p, start)
+
+        monkeypatch.setattr(solvers, "solve_lp", spy)
+        mu, nu = base_pair()
+        run_stability(ExperimentConfig(mu=mu, nu=nu, perturbation="atom_jitter", scales=(0.2, 0.1), seed=3))
+        cfg = ExperimentConfig(mu=mu, nu=nu, perturbation="mass_jitter", scales=(0.2, 0.1), seed=5)
+        solves.clear()
+        shared = run_stability(cfg)
+        n_shared = len(solves)
+        stability._BASES.clear()
+        solves.clear()
+        cold = run_stability(cfg)
+        assert n_shared == len(solves) - 1 == len(cfg.scales)
+        for fmt in ("csv", "json"):
+            assert emit(shared, fmt) == emit(cold, fmt)
+
+    def test_configs_that_differ_in_what_the_base_solve_reads_share_nothing(self):
+        mu, nu = base_pair()
+        w = nu.weights.copy()
+        w[0] = np.nextafter(w[0], 1.0)
+        nu_ulp = DiscreteMeasure(nu.atoms, w)
+        assert nu_ulp.weights.tobytes() != nu.weights.tobytes()
+        variants = [{}, {"problem": "shadow"}, {"tau": 2.0}, {"copula_m": 4}, {"nu": nu_ulp}]
+        for k, kw in enumerate(variants, 1):
+            run_stability(ExperimentConfig(**{"mu": mu, "nu": nu, "scales": (0.2,), **kw}))
+            assert len(stability._BASES) == k, kw
+
+    def test_a_base_that_raises_keeps_nothing(self):
+        cfg = ExperimentConfig(mu=DiscreteMeasure([-2, 2], [0.5, 0.5]), nu=DiscreteMeasure([-1, 1], [0.5, 0.5]))
+        with pytest.raises(ValueError) as first:
+            run_stability(cfg)
+        assert not stability._BASES
+        with pytest.raises(type(first.value), match=re.escape(str(first.value))):
+            run_stability(cfg)
+        assert not stability._BASES
+
+    def test_a_kept_coupling_is_read_only(self):
+        mu, nu = base_pair()
+        run_stability(ExperimentConfig(mu=mu, nu=nu, scales=(0.2,)))
+        ((_, coupling, _),) = stability._BASES.values()
+        fm = coupling.first_marginal
+        for a in (coupling.y_support, coupling.kernels, fm.atoms, fm.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_the_kept_bases_stay_within_the_bound(self):
+        mu, nu = base_pair()
+        bound = stability.BASE_CACHE_SIZE
+        configs = [ExperimentConfig(mu=mu, nu=nu, scales=(0.2,), tau=float(t)) for t in range(1, bound + 4)]
+        for cfg in configs:
+            run_stability(cfg)
+            assert len(stability._BASES) <= bound
+        # the least recently used go first: a run on the oldest kept base moves it last
+        run_stability(configs[3])
+        run_stability(configs[0])
+        taus = [key[5] for key in stability._BASES]
+        assert len(taus) == bound and taus[-2:] == [4.0, 1.0] and 2.0 not in taus and 3.0 not in taus
 
 
 class TestCli:
