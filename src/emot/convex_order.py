@@ -122,6 +122,7 @@ class IrreducibleComponent:
 class IrreducibleDecomposition:
     components: tuple
     stationary: DiscreteMeasure  # common part eta
+    labels: np.ndarray  # each mu atom's component index, -1 where stationary; read-only
 
 
 def irreducible_decomposition(mu: DiscreteMeasure, nu: DiscreteMeasure) -> IrreducibleDecomposition:
@@ -129,8 +130,10 @@ def irreducible_decomposition(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Irred
 
     Per component, nu gets its interior atoms plus endpoint atoms sized by a
     2x2 mass/mean matching system; eta is mu restricted to {u_mu = u_nu}.
-    The order check, the strict gap and a component's width are taken at a
-    tolerance of 1e-10 (relative to the pair's scale for the gap).
+    ``labels`` gives each atom of mu its component's index, -1 for the
+    atoms of eta.  The order check, the strict gap and a component's width
+    are taken at a tolerance of 1e-10 (relative to the pair's scale for the
+    gap).
     """
     tol = 1e-10
     require_convex_order(mu, nu, "mu is not dominated by nu in convex order", tol)
@@ -146,10 +149,11 @@ def irreducible_decomposition(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Irred
     ib = np.minimum(np.searchsorted(nu.atoms, pts[stops - 1], side="right"), len(nu) - 1)
     mu_pos = np.searchsorted(pts, mu.atoms)
 
-    comp_out = []
+    comp_out, labels = [], np.full(len(mu), -1)
     alphas, betas = [], []
     for start, stop, a, b in zip(starts, stops, nu.atoms[ia], nu.atoms[ib]):
         sel = (mu_pos >= start) & (mu_pos < stop)
+        labels[sel] = len(comp_out)
         mu_n = DiscreteMeasure(mu.atoms[sel], mu.weights[sel])
         interior = nu.restrict(a, b)
         # endpoint masses alpha (at a) and beta (at b) from mass and mean match
@@ -173,7 +177,8 @@ def irreducible_decomposition(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Irred
     if np.any(booked > nu.weights + 1e-8 * scale):
         raise AssertionError("endpoint atom allocation exceeds available mass")
     stay = ~strict[mu_pos]
-    return IrreducibleDecomposition(tuple(comp_out), DiscreteMeasure(mu.atoms[stay], mu.weights[stay]))
+    labels.flags.writeable = False
+    return IrreducibleDecomposition(tuple(comp_out), DiscreteMeasure(mu.atoms[stay], mu.weights[stay]), labels)
 
 
 # -- Wasserstein projection in convex order ------------------------------

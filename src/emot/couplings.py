@@ -68,13 +68,9 @@ class DiscreteCoupling:
         stationary, read-only; computed on first use and kept."""
         mu = self.x_marginal()
         decomp = irreducible_decomposition(mu, self.second_marginal())
-        # the components hold bitwise copies of mu's atoms; a first-marginal
-        # atom takes the label of the mu atom its x merged into, the nearest
-        # one, as mu's atoms lie more than MERGE_TOL apart
-        labels = np.full(len(mu), -1)
-        for c, comp in enumerate(decomp.components):
-            labels[np.isin(mu.atoms, comp.mu.atoms)] = c
-        labels = labels[np.searchsorted(0.5 * (mu.atoms[1:] + mu.atoms[:-1]), self.first_marginal.xs)]
+        # a first-marginal atom takes the label of the mu atom its x merged
+        # into, the nearest one, as mu's atoms lie more than MERGE_TOL apart
+        labels = decomp.labels[np.searchsorted(0.5 * (mu.atoms[1:] + mu.atoms[:-1]), self.first_marginal.xs)]
         labels.flags.writeable = False
         return decomp, labels
 
@@ -169,9 +165,7 @@ def adapted_wasserstein(c1: DiscreteCoupling, c2: DiscreteCoupling) -> float:
     F1, F2 = (_kernel_cdfs(c.y_support, c.kernels, g[:-1]) for c in (c1, c2))
     dg = np.diff(g)
     inner = np.array([np.abs(f - F2) @ dg for f in F1])
-    dx = np.abs(fm1.xs[:, None] - fm2.xs[None, :])
-    du = np.abs(fm1.us[:, None] - fm2.us[None, :])
-    _, value = transport_plan(dx + du + inner, fm1.weights, fm2.weights)
+    _, value = transport_plan(_point_cost(fm1.atoms, fm2.atoms) + inner, fm1.weights, fm2.weights)
     return float(value)
 
 

@@ -1,6 +1,7 @@
 """Linear programming layer: one call into HiGHS that picks its method from
-the LP, one sparse builder for constraint matrices (``block_rows``), and
-basis enumeration for tiny polytopes.
+the LP, the rows of every plan LP (``plan_rows``: mass rows per x atom and
+per y atom, and barycentre rows per (x atom, branch)) filled directly as
+canonical CSR, and basis enumeration for tiny polytopes.
 
 ``solve_lp`` runs HiGHS's interior point with crossover (IPX) on LPs with
 at least ``IPM_MIN_COLS`` columns whose constraint matrix holds an entry
@@ -97,7 +98,7 @@ import functools
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -116,7 +117,6 @@ from scipy.optimize._highspy._core import (
 FEAS_TOL = 1e-9
 IPM_MIN_COLS = 3000
 LARGE_COLS = 1000  # from here on HiGHS runs without presolve, at a primal feasibility tolerance of 1e-10 (1e-9 below)
-MAX_VERTICES = 10000  # enumerate_vertices stops after this many
 
 
 class DimensionGuardError(ValueError):
@@ -140,64 +140,33 @@ class CertificateError(RuntimeError):
     """A solver's answer that failed its own check."""
 
 
-class Block(NamedTuple):
-    """Rows for ``block_rows``: with ``coef`` of shape (k, r, m), row
-    row0 + q*r + s carries coef[q, s, t] in column q*steps[0] +
-    t*steps[1].  Steps default to (m, 1), block q's own m columns."""
-
-    coef: np.ndarray
-    row0: int = 0
-    steps: Optional[tuple] = None
-
-
-def block_rows(blocks, shape) -> sparse.csr_array:
-    """Canonical CSR matrix of row blocks, filled from the known row lengths:
-    indices sorted within each row, a cell written twice holds the sum, and
-    zeros are not stored."""
-    blocks = [(np.asarray(coef, dtype=float), row0, steps) for coef, row0, steps in blocks]
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    for coef, row0, _ in blocks:
-        k, r, m = coef.shape
-        indptr[row0 + 1:row0 + 1 + k * r] += m
-    indptr = np.cumsum(indptr)
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int64)
-    fill = indptr[:-1].copy()  # next free slot of each row
-    for coef, row0, steps in blocks:
-        k, r, m = coef.shape
-        q_step, t_step = steps or (m, 1)
-        at = fill[row0:row0 + k * r, None] + np.arange(m)
-        fill[row0:row0 + k * r] += m
-        data[at] = coef.reshape(k * r, m)
-        cols = q_step * np.arange(k)[:, None, None] + t_step * np.arange(m)
-        indices[at] = np.broadcast_to(cols, coef.shape).reshape(k * r, m)
-    A = sparse.csr_array((data, indices, indptr), shape=shape)
-    A.sum_duplicates()  # sorts the indices of rows that several blocks share
-    A.eliminate_zeros()
-    return A
-
-
 def plan_rows(n: int, m: int, branches: int = 1, mart: Optional[np.ndarray] = None) -> sparse.csr_array:
-    """Rows over a plan indexed (i, branch, j): one mass row per i (summed over
-    branches), one per j, and given ``mart`` (n x m) one barycentre row per
-    (i, branch) carrying mart[i].
+    """Rows over a plan indexed (i, branch, j), as canonical CSR: one mass row
+    per i (summed over branches), one per j, and given ``mart`` (n x m) one
+    barycentre row per (i, branch) carrying mart[i].
 
-    Without ``mart`` (the transport rows) the matrix depends on the shape
-    alone, and one read-only matrix per shape, with int32 index arrays as
-    HiGHS takes them, is built and shared by every call."""
+    Row i holds the columns i*branches*m ... (i+1)*branches*m - 1 and row
+    n + j the columns j, j + m, j + 2m, ..., each with coefficient 1.
+    These transport rows depend on the shape alone, and one read-only
+    matrix per shape, with int32 index arrays as HiGHS takes them, is built
+    and shared by every call.  The barycentre rows (``mart`` repeated per
+    branch, zeros not stored) are stacked under a copy of them."""
+    T = _transport_rows(n, m, branches)
     if mart is None:
-        return _transport_rows(n, m, branches)
-    blocks = _transport_blocks(n, m, branches) + [Block(np.repeat(mart, branches, axis=0)[:, None, :], row0=n + m)]
-    return block_rows(blocks, (n + m + n * branches, n * branches * m))
-
-
-def _transport_blocks(n: int, m: int, branches: int) -> list:
-    return [Block(np.ones((n, 1, branches * m))), Block(np.ones((m, 1, n * branches)), row0=n, steps=(1, m))]
+        return T
+    bary = np.repeat(mart, branches, axis=0)
+    at = np.flatnonzero(bary)  # row q's columns are q*m + t, its flat indices
+    indptr = np.concatenate([T.indptr, T.indptr[-1] + np.cumsum(np.count_nonzero(bary, axis=1), dtype=np.int64)])
+    return sparse.csr_array((np.concatenate([T.data, bary.ravel()[at]]), np.concatenate([T.indices, at]), indptr),
+                            shape=(n + m + n * branches, n * branches * m))
 
 
 @functools.lru_cache(maxsize=64)  # bounded, as each matrix is kept; a stability_approx pass uses 3 shapes
 def _transport_rows(n: int, m: int, branches: int) -> sparse.csr_array:
-    A = block_rows(_transport_blocks(n, m, branches), (n + m, n * branches * m))
-    A.indices, A.indptr = A.indices.astype(np.int32), A.indptr.astype(np.int32)
+    q, cols = n * branches, n * branches * m
+    indices = np.concatenate([np.arange(cols), np.arange(cols).reshape(q, m).T.ravel()]).astype(np.int32)
+    indptr = np.concatenate([np.arange(n + 1) * branches * m, cols + q * np.arange(1, m + 1)]).astype(np.int32)
+    A = sparse.csr_array((np.ones(2 * cols), indices, indptr), shape=(n + m, cols))
     for v in (A.data, A.indices, A.indptr):
         v.flags.writeable = False
     return A
@@ -414,8 +383,7 @@ def enumerate_vertices(p: LinearProgram) -> list:
     basic-solution enumeration.
 
     Only equality-form LPs are taken, and the variable count is guarded.
-    Duplicate vertices within 1e-9 are removed, and the list stops at
-    ``MAX_VERTICES``.
+    Duplicate vertices within 1e-9 are removed.
     """
     if p.A_eq is None or p.A_ub is not None or p.bounds is not None:
         raise ValueError("enumerate_vertices takes equality-form LPs with x >= 0 only")
@@ -440,7 +408,5 @@ def enumerate_vertices(p: LinearProgram) -> list:
         if any(np.max(np.abs(x - v)) <= 1e-9 for v in vertices):
             continue
         vertices.append(x)
-        if len(vertices) >= MAX_VERTICES:
-            break
     return vertices
 

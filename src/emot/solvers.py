@@ -185,6 +185,7 @@ def price_american(mu: DiscreteMeasure, nu: DiscreteMeasure, phi1, phi2):
     is a max of two linear functionals of the kernel, so the price is the
     LP over two martingale branches per x atom: branch 1 collects the
     exercised mass (paid phi1), branch 2 the continued mass (paid phi2).
+    Returns the price and the two branches' masses.
     """
     require_convex_order(mu, nu)
     n, m = len(mu), len(nu)
@@ -198,13 +199,7 @@ def price_american(mu: DiscreteMeasure, nu: DiscreteMeasure, phi1, phi2):
     b_eq = np.concatenate([mu.weights, nu.weights, np.zeros(2 * n)])
     sol = solve_lp(LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, sense="max"))
     pi1, pi2 = sol.x.reshape(n, 2, m).transpose(1, 0, 2)
-    return {
-        "value": sol.value,
-        "exercise_plan": pi1,
-        "continue_plan": pi2,
-        "exercise_mass": float(pi1.sum()),
-        "continue_mass": float(pi2.sum()),
-    }
+    return {"value": sol.value, "exercise_mass": float(pi1.sum()), "continue_mass": float(pi2.sum())}
 
 
 # -- VIX subreplication ---------------------------------------------------

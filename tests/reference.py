@@ -13,8 +13,10 @@ convex-order minimum's oracle reads potentials through
 ``PiecewiseLinearConvex``, a potential held as breakpoint values with
 slopes taken from their differences.
 ``product_coupling``, the independent coupling, gives tests a coupling to
-start from, and ``block_rows_coo`` is the constraint-matrix builder that
-went through scipy's COO-to-CSR conversion.  The VIX bin LP, which
+start from.  ``block_rows_coo`` builds a matrix of row blocks through
+scipy's COO-to-CSR conversion: it is the oracle of ``plan_rows``, whose
+transport and barycentre rows it builds from their blocks, and the builder
+of the reference LPs' matrices.  The VIX bin LP, which
 ``emot vix`` solved before its exact LP over two-point kernels, is the
 bracket oracle: ``vix_bracket`` gives d_lo <= D_sub <= d_hi with gap one bin
 width times mu(R), and ``vix_bin_primal_lp`` its portfolio LP.
@@ -49,7 +51,7 @@ from scipy import sparse
 from emot import convex_order
 from emot.convex_order import _lower_convex_hull, require_convex_order
 from emot.couplings import DiscreteCoupling, _point_cost, disintegrate, martingale_polytope_lp
-from emot.lp_core import Block, CertificateError, LinearProgram, block_rows, plan_rows, solve_lp, transport_plan
+from emot.lp_core import CertificateError, LinearProgram, plan_rows, solve_lp, transport_plan
 from emot.measures import MERGE_TOL, DiscreteMeasure, LiftedMeasure, cdf, potential_values
 from emot.solvers import BarrierMaps, _log_contract, _support_ends
 
@@ -134,7 +136,11 @@ def product_coupling(mu_bar: LiftedMeasure, nu: DiscreteMeasure) -> DiscreteCoup
 
 
 def block_rows_coo(blocks, shape) -> sparse.csr_array:
-    """CSR matrix of row blocks in one ``csr_array`` call; zeros are not stored."""
+    """CSR matrix of row blocks (coef, row0, steps) in one ``csr_array`` call
+    from COO triplets: with ``coef`` of shape (k, r, m), row row0 + q*r + s
+    carries coef[q, s, t] in column q*steps[0] + t*steps[1], steps None
+    meaning (m, 1), block q's own m columns.  A cell written twice holds the
+    sum, and zeros are not stored."""
     data, rows, cols = [], [], []
     for coef, row0, steps in blocks:
         coef = np.asarray(coef, dtype=float)
@@ -370,14 +376,15 @@ def refit_lp(base_kernel: DiscreteMeasure, mu_bar_piece: LiftedMeasure, nu_piece
     gaps = np.diff(grid)
     L = gaps.size
     w, xs, sgn = mu_bar_piece.weights, mu_bar_piece.xs, np.array([1.0, -1.0])
-    eq = [Block(np.stack([np.ones((n, m)), ys[None, :] - xs[:, None]], axis=1)),
-          Block(np.broadcast_to(w, (m, 1, n)), row0=2 * n, steps=(1, m))]
+    eq = [(np.stack([np.ones((n, m)), ys[None, :] - xs[:, None]], axis=1), 0, None),
+          (np.broadcast_to(w, (m, 1, n)), 2 * n, (1, m))]
     k_cdf = sgn[None, :, None] * (ys[None, None, :] <= grid[:L, None, None] + 1e-12)
-    A_ub = sparse.hstack([block_rows([Block(np.broadcast_to(k_cdf.reshape(2 * L, m), (n, 2 * L, m)))], (2 * n * L, n * m)),
+    k_rows = [(np.broadcast_to(k_cdf.reshape(2 * L, m), (n, 2 * L, m)), 0, None)]
+    A_ub = sparse.hstack([block_rows_coo(k_rows, (2 * n * L, n * m)),
                           sparse.kron(sparse.eye_array(n * L), -np.ones((2, 1)))], format="csr")
     return LinearProgram(
         c=np.concatenate([np.zeros(n * m), (w[:, None] * gaps).ravel()]),
-        A_eq=block_rows(eq, (2 * n + m, n * m + n * L)),
+        A_eq=block_rows_coo(eq, (2 * n + m, n * m + n * L)),
         b_eq=np.concatenate([np.tile([1.0, 0.0], n), nu_piece.weights / nu_piece.mass * mu_bar_piece.mass]),
         A_ub=A_ub,
         b_ub=np.tile((cdf(base_kernel, grid)[:L, None] * sgn).ravel(), n),
@@ -413,7 +420,7 @@ def vix_bin_lp(mu, nu, tau, edges):
         c=np.tile(np.repeat(edges[:-1], m), n),
         A_eq=plan_rows(n, m, nb, mart=nu.atoms[None, :] - mu.atoms[:, None]),
         b_eq=np.concatenate([mu.weights, nu.weights, np.zeros(n * nb)]),
-        A_ub=block_rows([Block(low_high)], (2 * n * nb, n * nb * m)),
+        A_ub=block_rows_coo([(low_high, 0, None)], (2 * n * nb, n * nb * m)),
         b_ub=np.zeros(2 * n * nb),
     )
 

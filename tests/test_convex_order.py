@@ -257,6 +257,18 @@ class TestDecomposition:
         assert wasserstein_line(mu_sum, mu) <= 1e-12
         assert wasserstein_line(nu_sum, nu) <= 1e-8
 
+    @settings(max_examples=100)
+    @given(spread_pairs())
+    def test_labels_name_each_atoms_component(self, pair):
+        """Each mu atom's label is the index of the component holding it,
+        -1 when it is stationary, and the labels are read-only."""
+        mu, nu = pair
+        d = irreducible_decomposition(mu, nu)
+        for c, comp in enumerate(d.components):
+            assert np.array_equal(mu.atoms[d.labels == c], comp.mu.atoms)
+        assert np.array_equal(mu.atoms[d.labels == -1], d.stationary.atoms)
+        assert not d.labels.flags.writeable
+
     @pytest.mark.xfail(strict=True, raises=AssertionError)
     def test_endpoint_atom_beside_a_rounding_level_gap(self):
         # The strict-gap run ends at nu's atom 2.7334520217, where the gap is
@@ -281,6 +293,7 @@ class TestDecomposition:
         d = irreducible_decomposition(mu, nu)
         assert len(d.components) == 0
         assert d.stationary.mass == pytest.approx(1.0)
+        assert d.labels.tolist() == [-1, -1, -1]
 
 
 class TestProjection:

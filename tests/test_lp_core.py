@@ -26,11 +26,9 @@ from emot import couplings, lp_core, solvers
 from emot.convex_order import convex_order_projection
 from emot.measures import DiscreteMeasure, LiftedMeasure
 from emot.lp_core import (
-    Block,
     DimensionGuardError,
     LinearProgram,
     LPError,
-    block_rows,
     enumerate_vertices,
     solve_lp,
     transport_plan,
@@ -290,39 +288,29 @@ def test_linear_program_holds_csr():
     assert isinstance(LinearProgram(c=[1.0], A_eq=sparse.coo_array([[2]]), b_eq=[1.0]).A_eq, sparse.csr_array)
 
 
-def _random_blocks(rng):
-    """Blocks with zero coefficients and non-default steps, listed out of
-    row order, in two layers of disjoint row ranges.  The layers share rows
-    and columns, and no cell is written more than twice, so a cell's sum
-    rounds the same in either order."""
-    n_rows, blocks, n_cols = int(rng.integers(1, 12)), [], 1
-    for _ in range(2):
-        row0 = int(rng.integers(0, n_rows))
-        while row0 < n_rows:
-            r = int(rng.integers(1, min(5, n_rows - row0) + 1))
-            k, m = int(rng.integers(1, (n_rows - row0) // r + 1)), int(rng.integers(1, 6))
-            steps = None if rng.random() < 0.3 else (int(rng.integers(0, 4)) * m, int(rng.integers(1, 3)))
-            q_step, t_step = steps or (m, 1)
-            coef = rng.uniform(-2, 2, (k, r, m)) * (rng.random((k, r, m)) < 0.7)
-            blocks.append(Block(coef, row0, steps))
-            n_cols = max(n_cols, (k - 1) * q_step + (m - 1) * t_step + 1)
-            row0 += k * r + int(rng.integers(0, 3))
-    rng.shuffle(blocks)
-    return blocks, (n_rows, n_cols)
+def _plan_blocks(n, m, branches, mart=None):
+    """plan_rows' rows as ``block_rows_coo`` blocks: the mass rows of i over
+    its branches, the rows of j, and the barycentre rows of (i, branch)."""
+    blocks = [(np.ones((n, 1, branches * m)), 0, None), (np.ones((m, 1, n * branches)), n, (1, m))]
+    if mart is not None:
+        blocks.append((np.repeat(mart, branches, axis=0)[:, None, :], n + m, None))
+    return blocks
 
 
-def test_block_rows_matches_coo_build():
-    """The directly filled CSR is the canonical matrix the COO path builds,
-    array for array, so HiGHS sees the same input."""
+def test_plan_rows_matches_coo_build():
+    """The directly filled CSR is the canonical matrix the COO path builds
+    from the transport and barycentre blocks, array for array, so HiGHS sees
+    the same input."""
     rng = np.random.default_rng(5)
     for _ in range(300):
-        blocks, shape = _random_blocks(rng)
-        A, B = block_rows(blocks, shape), block_rows_coo(blocks, shape)
-        assert A.shape == B.shape and A.has_canonical_format
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(A, name), getattr(B, name)), name
-    block = Block(rng.uniform(-1, 1, (2, 2, 3)), row0=1, steps=(1, 2))
-    assert np.array_equal(block_rows([block, block], (5, 9)).toarray(), 2 * block_rows([block], (5, 9)).toarray())
+        n, m, branches = (int(v) for v in rng.integers(1, 7, 3))
+        mart = rng.uniform(-2, 2, (n, m)) * (rng.random((n, m)) < 0.7)
+        for given, rows in ((None, n + m), (mart, n + m + n * branches)):
+            A = lp_core.plan_rows(n, m, branches, given)
+            B = block_rows_coo(_plan_blocks(n, m, branches, given), (rows, n * branches * m))
+            assert A.shape == B.shape and A.has_canonical_format
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(A, name), getattr(B, name)), name
 
 
 # -- method rule -------------------------------------------------------------
@@ -755,7 +743,7 @@ def test_transport_rows_are_built_once_per_shape_and_read_only():
     n, m = 3, 4
     A = lp_core.plan_rows(n, m)
     assert lp_core.plan_rows(n, m) is A
-    fresh = block_rows([Block(np.ones((n, 1, m))), Block(np.ones((m, 1, n)), row0=n, steps=(1, m))], (n + m, n * m))
+    fresh = block_rows_coo(_plan_blocks(n, m, 1), (n + m, n * m))
     assert np.array_equal(A.toarray(), fresh.toarray())
     for v in (A.data, A.indices, A.indptr):
         with pytest.raises(ValueError, match="read-only"):
