@@ -159,7 +159,9 @@ def adapted_wasserstein(c1: DiscreteCoupling, c2: DiscreteCoupling) -> float:
     The kernel cost is W1 on the line in its CDF form: on the union grid g
     of both y supports, with F1 and F2 the kernels' cumulative masses at g,
     inner[i] = |F1[i] - F2| @ diff(g), one row of F1 at a time, so no array
-    exceeds n2 x |g|."""
+    exceeds n2 x |g|.  The outer transport is ``transport_plan``'s: an
+    assignment when both first marginals are uniform of one size, as a
+    stability row's are, an LP otherwise."""
     fm1, fm2 = c1.first_marginal, c2.first_marginal
     g = np.union1d(c1.y_support, c2.y_support)
     F1, F2 = (_kernel_cdfs(c.y_support, c.kernels, g[:-1]) for c in (c1, c2))

@@ -1,7 +1,12 @@
 """Linear programming layer: one call into HiGHS that picks its method from
 the LP, the rows of every plan LP (``plan_rows``: mass rows per x atom and
 per y atom, and barycentre rows per (x atom, branch)) filled directly as
-canonical CSR, and basis enumeration for tiny polytopes.
+canonical CSR, transport plans, and basis enumeration for tiny polytopes.
+
+``transport_plan`` solves an n x n problem whose 2n weights are positive
+and within ``FEAS_TOL`` of each other as an assignment: its polytope is
+then a scaled Birkhoff polytope, whose vertices are permutation matrices.
+Every other transport problem is an LP (CHANGES.md has the timings).
 
 ``solve_lp`` runs HiGHS's interior point with crossover (IPX) on LPs with
 at least ``IPM_MIN_COLS`` columns whose constraint matrix holds an entry
@@ -23,10 +28,9 @@ tolerances otherwise (1e-7).  Presolve was measured by replaying the LPs
 of seed-0 benchmark passes, four alternating rounds on a 2-core host,
 faster in every round: without presolve the 14 500-column mot LPs took
 0.71x the time (the same 192 IPM iterations), the 10 440-column American
-LPs 0.78x, the 2 320-column mot LPs of the stability runs 0.60x and their
-1 600-column AW1 transport LPs 0.41x, with values within 6.2e-15
-relative.  Below 1 000 columns presolve solves most LPs outright (467 of
-the 771 in a seed-0 ``stability_approx`` pass take no simplex iteration), and
+LPs 0.78x, the 2 320-column mot LPs of the stability runs 0.60x and
+1 600-column (40 x 40) transport LPs 0.41x, with values within 6.2e-15
+relative.  Below 1 000 columns presolve solves most LPs outright, and
 without it one 9-column LP kept an equality residual of 4.6e-8, against
 6e-13 with it.  At the default primal tolerance mot plans held negative
 entries, which ``DiscreteCoupling`` refuses: -9.9e-9 in a 2 320-column
@@ -57,7 +61,8 @@ against cold IPX's 0.11-0.12 s, and at 200x290 0.11-0.29 s against
 0.66-0.74 s, values within 9.7e-16 relative; 200 warm 12x20 LPs, which
 presolve when cold, came within 3.7e-15.
 
-HiGHS is called through scipy's bundled binding
+No other module imports from ``scipy.optimize``, so every solver call
+stays here.  HiGHS is called through scipy's bundled binding
 (``scipy.optimize._highspy._core``) in one place, ``linprog``: it hands
 HiGHS the ``LinearProgram``'s CSR rows as they were built, as numpy buffers
 through ``_Highs.passModel``'s array overload, with the options
@@ -102,6 +107,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import linear_sum_assignment
 from scipy.optimize._highspy._core import (
     HighsBasis,
     HighsModelStatus,
@@ -362,19 +368,33 @@ def linprog(c, *, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, sense
 
 
 def transport_plan(cost: np.ndarray, w_row: np.ndarray, w_col: np.ndarray):
-    """Optimal transport plan between two weight vectors for a cost matrix.
+    """Optimal transport plan between two weight vectors for a cost matrix:
+    (plan, value), an optimal vertex whose rows sum to ``w_row`` and whose
+    columns sum to ``w_col`` within ``FEAS_TOL``.
 
-    Returns (plan, value).  Masses must agree up to 1e-9.
+    An n x n problem whose 2n weights are positive and lie within
+    ``FEAS_TOL`` of each other is an assignment: ``r, c =
+    linear_sum_assignment(cost)``, the plan holds ``w_row[i]`` at (i, c[i]),
+    so its rows are ``w_row`` exactly, and the value is
+    ``w_row @ cost[r, c]``.  Every other problem is an LP for ``solve_lp``.
+    Raises ``ValueError`` on a non-finite cost, a negative or non-finite
+    weight, or masses more than 1e-9 x max(1, mass) apart.
     """
     cost = np.asarray(cost, dtype=float)
     w_row = np.asarray(w_row, dtype=float)
     w_col = np.asarray(w_col, dtype=float)
     n, m = cost.shape
+    w = np.concatenate([w_row, w_col])
+    if not (np.isfinite(cost).all() and np.isfinite(w).all()) or (w < 0).any():
+        raise ValueError("transport takes finite costs and finite, nonnegative weights")
     if abs(w_row.sum() - w_col.sum()) > 1e-9 * max(1.0, w_row.sum()):
         raise ValueError("transport requires equal masses")
-    A_eq = plan_rows(n, m)
-    b_eq = np.concatenate([w_row, w_col])
-    sol = solve_lp(LinearProgram(c=cost.ravel(), A_eq=A_eq, b_eq=b_eq))
+    if n == m and w.min() > 0 and w.max() - w.min() <= FEAS_TOL:
+        r, c = linear_sum_assignment(cost)
+        plan = np.zeros((n, n))
+        plan[r, c] = w_row
+        return plan, float(w_row @ cost[r, c])
+    sol = solve_lp(LinearProgram(c=cost.ravel(), A_eq=plan_rows(n, m), b_eq=w))
     return sol.x.reshape(n, m), sol.value
 
 

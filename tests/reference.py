@@ -33,6 +33,10 @@ convex-order minimum of a measure with its window law in exact rational
 arithmetic, the answer where the two disagree.  ``binary_kernel`` is the
 two-point law the tests build martingale images from.
 
+``transport_value`` is the value of a transport LP by scipy's ``linprog``,
+which shares no path with ``transport_plan``: the oracle of
+``transport_plan`` and the outer transport of both W1 values here.
+
 The tests' own checks follow: the quantile function, closed-form W1
 between binary kernels, flat W1 between couplings (the lower bound on
 adapted W1), the nesting of shadow barriers, the left-monotone support of
@@ -47,11 +51,12 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import linprog
 
 from emot import convex_order
 from emot.convex_order import _lower_convex_hull, require_convex_order
 from emot.couplings import DiscreteCoupling, _point_cost, disintegrate, martingale_polytope_lp
-from emot.lp_core import CertificateError, LinearProgram, plan_rows, solve_lp, transport_plan
+from emot.lp_core import CertificateError, LinearProgram, plan_rows, solve_lp
 from emot.measures import MERGE_TOL, DiscreteMeasure, LiftedMeasure, cdf, potential_values
 from emot.solvers import BarrierMaps, _log_contract, _support_ends
 
@@ -125,8 +130,17 @@ def adapted_wasserstein(c1: DiscreteCoupling, c2: DiscreteCoupling) -> float:
             dx = abs(c1.first_marginal.xs[i] - c2.first_marginal.xs[j])
             du = abs(c1.first_marginal.us[i] - c2.first_marginal.us[j])
             cost[i, j] = dx + du + inner
-    _, value = transport_plan(cost, c1.first_marginal.weights, c2.first_marginal.weights)
-    return float(value)
+    return transport_value(cost, c1.first_marginal.weights, c2.first_marginal.weights)
+
+
+def transport_value(cost, w_row, w_col) -> float:
+    """Optimal transport value by scipy's ``linprog``, the LP oracle that
+    shares no code path with ``transport_plan``."""
+    n, m = np.shape(cost)
+    res = linprog(np.ravel(cost), A_eq=plan_rows(n, m), b_eq=np.concatenate([w_row, w_col]), method="highs")
+    if res.status != 0:
+        raise CertificateError(f"transport LP {res.message}")
+    return float(res.fun)
 
 
 def product_coupling(mu_bar: LiftedMeasure, nu: DiscreteMeasure) -> DiscreteCoupling:
@@ -522,8 +536,7 @@ def w1_binary(x: float, y: float, z: float, yk: float, zk: float) -> float:
 def wasserstein_coupling(c1: DiscreteCoupling, c2: DiscreteCoupling) -> float:
     """Flat W1 between joint measures with the product metric on R x U x R."""
     j1, j2 = c1.joint(), c2.joint()
-    _, value = transport_plan(_point_cost(j1[:, :3], j2[:, :3]), j1[:, 3], j2[:, 3])
-    return float(value)
+    return transport_value(_point_cost(j1[:, :3], j2[:, :3]), j1[:, 3], j2[:, 3])
 
 
 def barrier_monotonicity_violation(bm: BarrierMaps, tol: float = 1e-9) -> float:

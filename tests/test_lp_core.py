@@ -98,6 +98,58 @@ class TestTransportPlan:
         assert np.allclose(plan.sum(axis=1), w1, atol=1e-9)
         assert np.allclose(plan.sum(axis=0), w2, atol=1e-9)
 
+    def test_refuses_bad_input_before_either_path(self, monkeypatch):
+        methods = _methods(monkeypatch)
+        w = np.full(3, 1 / 3)
+        for cost, w_row, w_col in [
+            (np.where(np.eye(3) > 0, np.nan, 1.0), w, w),
+            (np.ones((3, 3)), -w, -w),
+            (np.ones((3, 3)), w, 2 * w),
+            (np.ones((3, 3)), np.array([np.inf, 0.0, 0.0]), np.array([np.inf, 0.0, 0.0])),
+            (np.ones((3, 4)), np.array([np.nan, 0.5, 0.5]), np.full(4, 0.25)),
+        ]:
+            with pytest.raises(ValueError):
+                transport_plan(cost, w_row, w_col)
+        assert methods == []
+
+    def test_uniform_square_is_an_assignment(self, monkeypatch):
+        """200 draws, n from 1 to 40, against scipy's ``linprog``: integer
+        costs with ties or uniform ones; 1/n weights on both sides, moved on
+        half of the draws by zero-sum steps of at most ``FEAS_TOL``/4, or, on
+        every fourth draw, non-uniform weights (the control, an LP for
+        HiGHS).  A uniform draw makes no HiGHS call and returns ``w_row`` on
+        a permutation, its rows bitwise ``w_row`` and its columns within
+        ``FEAS_TOL``; its value is the oracle's up to 1e-12 relative plus
+        2 max|cost| ||moves||_1, the most the LP's optimum moves with its
+        marginals."""
+        rng = np.random.default_rng(45)
+        tol = lp_core.FEAS_TOL
+        methods = _methods(monkeypatch)
+        for k in range(200):
+            control = k % 4 == 0
+            n = int(rng.integers(2 if control else 1, 41))
+            top = (0, 1, 2, 5, 100)[k % 5]  # integer costs below top, all ties at 1; uniform ones at 0
+            cost = rng.integers(0, top, (n, n)).astype(float) if top else rng.uniform(size=(n, n))
+            if control:
+                w_row, w_col = (w / w.sum() for w in rng.uniform(0.1, 1, (2, n)))
+            else:
+                moves = rng.uniform(-tol / 8, tol / 8, (2, n)) if k % 2 else np.zeros((2, n))
+                w_row, w_col = 1 / n + moves - moves.mean(axis=1, keepdims=True)
+            off = np.abs(np.concatenate([w_row, w_col]) - 1 / n).sum() if not control else 0.0
+            before = len(methods)
+            plan, value = transport_plan(cost, w_row, w_col)
+            highs_calls = len(methods) - before
+            oracle = reference.transport_value(cost, w_row, w_col)
+            assert abs(value - oracle) <= 1e-12 * max(1.0, abs(value)) + 2 * cost.max() * off, k
+            if control:
+                assert highs_calls == 1, k
+                continue
+            assert highs_calls == 0, k
+            assert (np.count_nonzero(plan, axis=0) == 1).all() and (np.count_nonzero(plan, axis=1) == 1).all(), k
+            assert np.array_equal(plan.max(axis=1), w_row), k
+            assert np.array_equal(plan.sum(axis=1), w_row), k
+            assert np.abs(plan.sum(axis=0) - w_col).max() <= tol, k
+
 
 class TestEnumerateVertices:
     def test_simplex(self):
@@ -417,7 +469,8 @@ def test_large_american_lp_is_optimal_at_the_default_dual_tolerance(monkeypatch)
 
 def test_transport_and_mid_sized_mot_stay_on_dual_simplex(monkeypatch):
     rng = np.random.default_rng(1)
-    w = np.full(100, 0.01)
+    w = rng.uniform(0.5, 1.5, 100)  # not uniform, so the transport is an LP and not an assignment
+    w /= w.sum()
     lifted = LiftedMeasure(np.column_stack([rng.uniform(-1, 1, 40), rng.uniform(0, 1, 40)]), np.full(40, 1 / 40))
     _, mot = _mot_lp(rng, lifted, 58)
     assert mot.n_vars < lp_core.IPM_MIN_COLS

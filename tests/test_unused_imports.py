@@ -9,8 +9,9 @@ Every parameter of a named function or method, nested ones too, is read
 by its body; a method's self or cls is exempt, and so is a lambda, which
 implements a fixed callback signature such as the ``COSTS`` entries.
 No two functions or methods have the same body.  No module but
-``lp_core.py`` imports HiGHS's binding, ``scipy.optimize._highspy``, the one
-place ``lp_core``'s docstring promises.
+``lp_core.py`` imports from ``scipy.optimize``, which holds HiGHS's binding
+and the assignment solver, so every solver call, LP or assignment, stays
+behind ``lp_core``.
 
 No linter is part of the toolchain, so this check stands in for one.
 ``__init__.py`` is skipped by the import check: its imports are the
@@ -68,12 +69,12 @@ def unused_imports(tree: ast.Module) -> list:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
 
 
-HIGHS_BINDING = "scipy.optimize._highspy"
+SOLVERS = "scipy.optimize"
 
 
-def highs_binding_imports(trees: dict) -> list:
-    """"module (line)" of each import of ``HIGHS_BINDING``, or of a name in
-    it, by a module other than ``lp_core.py``."""
+def solver_imports(trees: dict) -> list:
+    """"module (line)" of each import of ``SOLVERS``, of a module in it or
+    of a name in it, by a module other than ``lp_core.py``."""
     found = []
     for module, tree in trees.items():
         for node in ast.walk(tree):
@@ -83,7 +84,7 @@ def highs_binding_imports(trees: dict) -> list:
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            if module != "lp_core.py" and any(n == HIGHS_BINDING or n.startswith(HIGHS_BINDING + ".") for n in names):
+            if module != "lp_core.py" and any(n == SOLVERS or n.startswith(SOLVERS + ".") for n in names):
                 found.append(f"{module} (line {node.lineno})")
     return found
 
@@ -313,9 +314,11 @@ def test_duplicated_body_is_flagged():
 
 
 def test_highs_binding_is_imported_by_lp_core_only():
+    """HiGHS's binding, like every other name in ``SOLVERS``, is imported by
+    ``lp_core.py`` alone."""
     trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
-    assert any(HIGHS_BINDING in ast.dump(node) for node in ast.walk(trees["lp_core.py"]))
-    assert highs_binding_imports(trees) == []
+    assert any(SOLVERS in ast.dump(node) for node in ast.walk(trees["lp_core.py"]))
+    assert solver_imports(trees) == []
 
 
 @pytest.mark.parametrize("planted", [
@@ -323,9 +326,12 @@ def test_highs_binding_is_imported_by_lp_core_only():
     "from scipy.optimize._highspy import _core",
     "from scipy.optimize import _highspy",
     "import scipy.optimize._highspy._core as core",
+    "from scipy.optimize import linear_sum_assignment",
+    "from scipy import optimize",
+    "import scipy.optimize",
 ])
 def test_highs_binding_import_is_flagged(planted):
     trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
     text = (SRC / "solvers.py").read_text() + "\n" + planted + "\n"
     trees["solvers.py"] = ast.parse(text)
-    assert highs_binding_imports(trees) == [f"solvers.py (line {len(text.splitlines())})"]
+    assert solver_imports(trees) == [f"solvers.py (line {len(text.splitlines())})"]
