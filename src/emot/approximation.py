@@ -256,7 +256,7 @@ def approximate_pairs(xs, ys, base, xps, qs, interval, nu_p: DiscreteMeasure, ep
     trim_err[inside] = np.abs(gaps) @ np.diff(pts)
     trim_err = float(trim_err.max())
 
-    step3 = min_cost_martingale_rearrangement(theta, nu_p)
+    step3 = _rearrangement(theta, nu_p)  # the window loop checked theta <= nu' at 1e-9
     # redistribute each cell through the plan's rows: a cell atom belongs to
     # the theta atom it merged into, the nearest one, as theta's atoms lie
     # more than MERGE_TOL apart
@@ -289,6 +289,12 @@ def min_cost_martingale_rearrangement(theta: DiscreteMeasure, nu: DiscreteMeasur
     be at most it.
     """
     require_convex_order(theta, nu, "rearrangement requires convex order")
+    return _rearrangement(theta, nu)
+
+
+def _rearrangement(theta: DiscreteMeasure, nu: DiscreteMeasure):
+    """``min_cost_martingale_rearrangement`` of a pair already checked to be
+    in convex order at 1e-9."""
     plan = _inverse_transform_coupling(theta, nu)
     cost = float(plan.ravel() @ np.abs(nu.atoms[None, :] - theta.atoms[:, None]).ravel())
     # the order check allows a mass gap of 1e-9; W1 needs equal masses

@@ -9,6 +9,7 @@ the tests' oracle), and barrier maps.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -291,26 +292,51 @@ def shadow_coupling(mu_bar: LiftedMeasure, nu: DiscreteMeasure):
     """Lifted martingale coupling minimizing (1 - u) sqrt(1 + y^2), by successive shadows
     (Beiglboeck & Juillet, Ann. Probab. 2016): the atoms of mu_bar, in (u, x) order, each
     take their shadow in what is left of nu, the quantile slice [a, a + w] of mean x.  Its
-    moment I(a + w) - I(a) is piecewise linear in a, I the integral of the quantile function.
+    moment is piecewise linear and nondecreasing in a, and the slice holds x's quantile
+    level, so a lies in [F(x-) - w, F(x)].  The search walks that bracket's knots on the
+    prefix sums of what is left, skipping spent atoms by bisection: one cumsum per atom,
+    then O(log n) per knot.  The slice's end masses are solved from its mass and mean.
     One u level costs the same in any order (Abel summation); the x order makes it unique.
     """
     if np.any(mu_bar.us < -1e-12) or np.any(mu_bar.us > 1 + 1e-12):
         raise ValueError("shadow coupling needs u-labels in [0, 1]")
     require_convex_order(mu_bar.x_marginal(), nu)
     ys, left, plan = nu.atoms, nu.weights.copy(), np.zeros((len(mu_bar), len(nu)))
+    y, last = ys.tolist(), len(ys) - 1
     order = np.lexsort((mu_bar.xs, mu_bar.us))
-    for i, x, w in zip(order, mu_bar.xs[order], mu_bar.weights[order]):
-        P, Q = np.cumsum(np.concatenate([[[0.0], [0.0]], [left, left * ys]], axis=1), axis=1)
-        knots = np.sort(np.clip(np.concatenate([P, P - w]), 0.0, P[-1] - w))  # where a or a + w is in P
-        moment = np.maximum.accumulate(np.interp(knots + w, P, Q) - np.interp(knots, P, Q))
-        k = min(max(np.searchsorted(moment, w * x), 1), len(knots) - 1)  # moment[k - 1] < w x <= moment[k]
-        # the slice runs from atom j0 to j1, and its end masses solve its mass and mean exactly;
-        # j0 is set last, so that a slice inside one atom (j0 == j1) puts all of w there
-        j0, j1 = np.clip(np.searchsorted(P, 0.5 * (knots[k - 1] + knots[k]) + [0.0, w], "right"), 1, len(ys)) - 1
-        mid = slice(j0 + 1, j1)
-        end = (w * (x - ys[j0]) - left[mid] @ (ys[mid] - ys[j0])) / (ys[j1] - ys[j0]) if j1 > j0 else 0.0
-        plan[i, mid], plan[i, j1], plan[i, j0] = left[mid], max(end, 0.0), max(w - left[mid].sum() - end, 0.0)
-        left = np.maximum(left - plan[i], 0.0)
+    for i, x, w in zip(order.tolist(), mu_bar.xs[order].tolist(), mu_bar.weights[order].tolist()):
+        P = np.cumsum(left).tolist()  # P[j]: what is left up to atom j, so atom j holds (P[j - 1], P[j]]
+        k = bisect.bisect_left(y, x)
+        a = max((P[k - 1] if k else 0.0) - w, 0.0)  # the slice holds x's level, so a >= F(x-) - w
+        # atoms j and l hold a and a + w; d is the slice's moment about x, over its atoms
+        j, l = min(bisect.bisect_right(P, a), last), min(bisect.bisect_right(P, a + w), last)
+        d, s, k = 0.0, a, j
+        while k < l:
+            d, s = d + (P[k] - s) * (y[k] - x), P[k]
+            k = bisect.bisect_right(P, s, k + 1)  # the next atom with weight left
+        d += (a + w - s) * (y[l] - x)
+        # raise a knot by knot, a reaching P[j] or a + w reaching P[l], until the moment reaches w x;
+        # the slice ends at P[last] - w
+        while True:
+            na, nb = P[j], P[l] - w
+            step = na if na < nb else nb
+            d, a = d + (step - a) * (y[l] - y[j]), step
+            if d >= 0.0 or (nb <= na and P[l] >= P[last]):
+                break
+            if nb <= na:
+                l = bisect.bisect_right(P, P[l], l + 1)
+            if na <= nb:
+                j = bisect.bisect_right(P, na, j + 1)
+        # the slice runs from atom j to l, and its end masses solve its mass and mean exactly;
+        # j is set last, so that a slice inside one atom (j == l) puts all of w there
+        mid = slice(j + 1, l)
+        inner = left[mid]
+        end = (w * (x - y[j]) - inner @ (ys[mid] - y[j])) / (y[l] - y[j]) if l > j else 0.0
+        el, ej = max(end, 0.0), max(w - inner.sum() - end, 0.0)
+        plan[i, mid], plan[i, l], plan[i, j] = inner, el, ej
+        left[mid] = 0.0
+        left[l] = max(left[l] - el, 0.0)
+        left[j] = max(left[j] - ej, 0.0)
     value = float((1.0 - mu_bar.us) @ plan @ np.sqrt(1.0 + ys**2))
     return {"value": value, "coupling": coupling_from_plan(mu_bar, nu, plan)}
 
@@ -356,8 +382,7 @@ def copula_lift(mu: DiscreteMeasure, copula: str = "independence", m: int = 1) -
         raise ValueError(f"unknown copula {copula!r}")
     cells = np.full((m, m), 1.0 / (m * m)) if copula == "independence" else np.eye(m) / m
     # quantile cell i of mu, scaled by m * cells[i, k], carries label (k + 1/2) / m
-    W = cell_masses(mu, np.arange(m + 1) * mu.mass / m)
-    weights = (m * cells)[:, :, None] * W[:, None, :]
-    labels = np.broadcast_to(((np.arange(m) + 0.5) / m)[None, :, None], weights.shape)
+    weights = (m * cells).T @ cell_masses(mu, np.arange(m + 1) * mu.mass / m)  # (label, atom)
+    labels = np.broadcast_to(((np.arange(m) + 0.5) / m)[:, None], weights.shape)
     atoms = np.column_stack([np.broadcast_to(mu.atoms, weights.shape).ravel(), labels.ravel()])
     return LiftedMeasure(atoms, weights.ravel())

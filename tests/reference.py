@@ -25,7 +25,9 @@ approximation cell held one lifted atom; the LP tests keep it as an LP with
 both equality and inequality rows.  ``min_displacement`` is the LP over
 the martingale polytope that gave the approximation its feasible coupling
 and its rearrangement before the inverse-transform coupling; it is the
-oracle that coupling's cost is checked against.  ``trim_cell`` and
+oracle that coupling's cost is checked against.  ``shadow_plan`` is the
+shadow coupling's plan by the knot-sort search it used before the walk
+over prefix sums: the walk's oracle.  ``trim_cell`` and
 ``project_cell`` are the approximation's stage two one cell at a time,
 through the hull-based ``convex_min`` and the window law ``window_kernel``,
 as they were before the quantile-slice form; ``window_min`` is the
@@ -411,6 +413,27 @@ def min_displacement(mu_bar: LiftedMeasure, nu: DiscreteMeasure):
     cost = np.abs(nu.atoms[None, :] - mu_bar.xs[:, None])
     sol = solve_lp(martingale_polytope_lp(mu_bar, nu, cost=cost.ravel()))
     return sol.x.reshape(cost.shape), sol.value
+
+
+def shadow_plan(mu_bar: LiftedMeasure, nu: DiscreteMeasure) -> np.ndarray:
+    """The plan of ``shadow_coupling`` by its knot-sort search: for each atom,
+    every knot where a or a + w meets a prefix sum, the slice moment at each
+    by interpolation, and the first piece on which it reaches w x."""
+    ys, left, plan = nu.atoms, nu.weights.copy(), np.zeros((len(mu_bar), len(nu)))
+    order = np.lexsort((mu_bar.xs, mu_bar.us))
+    for i, x, w in zip(order, mu_bar.xs[order], mu_bar.weights[order]):
+        P, Q = np.cumsum(np.concatenate([[[0.0], [0.0]], [left, left * ys]], axis=1), axis=1)
+        knots = np.sort(np.clip(np.concatenate([P, P - w]), 0.0, P[-1] - w))  # where a or a + w is in P
+        moment = np.maximum.accumulate(np.interp(knots + w, P, Q) - np.interp(knots, P, Q))
+        k = min(max(np.searchsorted(moment, w * x), 1), len(knots) - 1)  # moment[k - 1] < w x <= moment[k]
+        # the slice runs from atom j0 to j1, and its end masses solve its mass and mean exactly;
+        # j0 is set last, so that a slice inside one atom (j0 == j1) puts all of w there
+        j0, j1 = np.clip(np.searchsorted(P, 0.5 * (knots[k - 1] + knots[k]) + [0.0, w], "right"), 1, len(ys)) - 1
+        mid = slice(j0 + 1, j1)
+        end = (w * (x - ys[j0]) - left[mid] @ (ys[mid] - ys[j0])) / (ys[j1] - ys[j0]) if j1 > j0 else 0.0
+        plan[i, mid], plan[i, j1], plan[i, j0] = left[mid], max(end, 0.0), max(w - left[mid].sum() - end, 0.0)
+        left = np.maximum(left - plan[i], 0.0)
+    return plan
 
 
 # -- the VIX bin LP: a bracket [d_lo, d_hi] around the exact VIX value ------

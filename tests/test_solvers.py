@@ -5,9 +5,9 @@ from scipy.optimize import linprog
 
 from emot.convex_order import ConvexOrderError, convex_order_projection
 from emot import solvers
-from emot.couplings import check_martingale, martingale_polytope_lp
+from emot.couplings import check_martingale, coupling_from_plan, martingale_polytope_lp
 from emot.lp_core import solve_lp
-from emot.measures import DiscreteMeasure, LiftedMeasure, check_convex_order, mean, total_variation
+from emot.measures import DiscreteMeasure, LiftedMeasure, cell_masses, check_convex_order, mean, total_variation
 from emot.solvers import (
     COSTS,
     CostSpec,
@@ -433,6 +433,70 @@ def certified_shadow(mb, nu):
     return r
 
 
+def shadow_value_and_plan(mb, nu):
+    """shadow_coupling's value, and the plan it hands to ``coupling_from_plan``."""
+    plans = []
+
+    def keep(mu_bar, nu, plan):
+        plans.append(plan.copy())
+        return coupling_from_plan(mu_bar, nu, plan)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "coupling_from_plan", keep)
+        value = shadow_coupling(mb, nu)["value"]
+    return value, plans[0]
+
+
+@st.composite
+def shadow_lifts(draw):
+    """FOUND_MU and FOUND_NU, or a ``convex_pairs`` pair at atom scale 1e-3 to 1e2 whose nu
+    may hold a light share of a spread of itself (each atom y moved to y - l and y + r with
+    its mean kept), which keeps nu above mu in convex order; lifted with u = 0 or by either
+    copula at m = 1-16."""
+    if draw(st.integers(0, 9)) == 0:
+        mu, nu = FOUND_MU, FOUND_NU
+    else:
+        mu, nu = draw(convex_pairs())
+        light = draw(st.sampled_from([0.0, 1e-14, 1e-10, 1e-6]))
+        l, r, s = draw(st.floats(0.01, 1)), draw(st.floats(0.01, 1)), 10.0 ** draw(st.floats(-3, 2))
+        share = np.repeat([1.0 - light, light * r / (l + r), light * l / (l + r)], len(nu))
+        atoms = np.concatenate([nu.atoms, nu.atoms - l, nu.atoms + r])
+        mu, nu = DiscreteMeasure(s * mu.atoms, mu.weights), DiscreteMeasure(s * atoms, share * np.tile(nu.weights, 3))
+    lift = draw(st.sampled_from(["plain", "independence", "hoeffding_frechet"]))
+    return (LiftedMeasure.from_measure(mu) if lift == "plain" else copula_lift(mu, lift, draw(st.integers(1, 16)))), nu
+
+
+@st.composite
+def spread_lifts(draw):
+    """1-5 mu atoms with weights from U(0.1, 1) or t^6 + 1e-12, t in [0, 8], each spread into
+    a binary kernel, so that mu <=cx nu exactly; lifted by either copula at m = 1-8."""
+    n = draw(st.integers(1, 5))
+    xs = draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n, unique=True))
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(st.floats(0.1, 1), min_size=n, max_size=n)))
+    else:
+        w = np.array(draw(st.lists(st.floats(0, 8), min_size=n, max_size=n))) ** 6 + 1e-12
+    mu = DiscreteMeasure(xs, w / w.sum())
+    nu = DiscreteMeasure([], [])
+    for x, wx in zip(mu.atoms, mu.weights):
+        nu = nu + binary_kernel(x, x - draw(st.floats(0, 3)), x + draw(st.floats(0, 3))).scaled(wx)
+    return copula_lift(mu, draw(st.sampled_from(["independence", "hoeffding_frechet"])), draw(st.integers(1, 8))), nu
+
+
+# a spread_lifts pair; lifted by the independence copula at m = 4, the kernel of its atom
+# (2.055, 0.125), of weight 2.3e-14, lies 3.0e-4 span off its x
+TINY_MU = DiscreteMeasure(
+    [-2.068136252435343, -1.743112249306833, -0.5473117362900268, 2.0552065048727126, 4.837633865406946],
+    [0.0026980224865497692, 0.8667057127352892, 0.12258848908284099, 9.096051434857639e-14, 0.008007775695229037],
+)
+TINY_NU = DiscreteMeasure(
+    [-3.687791023503683, -3.5202305793361064, -2.079686457135106, 0.29378835778511814, 0.6559910709838779,
+     1.1215713959308773, 2.428486632126588, 2.4435539998870697, 4.131653913594997, 6.326201693790233],
+    [0.5162509006336821, 0.0614786980946497, 0.002684892913061853, 1.3129573487916309e-05, 1.915590262422147e-14,
+     0.3504548121016071, 7.180461172435492e-14, 0.06110979098819128, 0.00543169639977813, 0.0025760792954509074],
+)
+
+
 def lp_minimum(mb, nu, cost):
     """Minimum of the lifted martingale LP with cost matrix ``cost``, or None where
     HiGHS fails.  Its feasibility tolerances are 1e-10: at the default 1e-7 the
@@ -506,6 +570,33 @@ class TestShadow:
         oracle = lp_minimum(mb, nu, (nu.atoms[None, :] - mb.xs[:, None]) ** 3)
         assert oracle is None or abs(cost - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
+    @settings(max_examples=300)
+    @given(shadow_lifts())
+    def test_slice_walk_is_the_knot_sort(self, lift):
+        mb, nu = lift
+        value, plan = shadow_value_and_plan(mb, nu)
+        oracle = reference.shadow_plan(mb, nu)
+        oracle_value = float((1.0 - mb.us) @ oracle @ np.sqrt(1.0 + nu.atoms ** 2))
+        assert np.abs(plan - oracle).max() <= 1e-12 * max(1.0, nu.atoms[-1] - nu.atoms[0])
+        assert np.array_equal(plan > 1e-12, oracle > 1e-12)
+        assert abs(value - oracle_value) <= 1e-12 * max(1.0, abs(oracle_value))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    def test_tiny_atom_kernel_is_at_its_barycentre(self):
+        # what is left of nu carries the rounding of every earlier subtraction, and an atom of
+        # weight 2.3e-14 late in the (u, x) order takes it
+        c = shadow_coupling(copula_lift(TINY_MU, "independence", 4), TINY_NU)["coupling"]
+        assert check_martingale(c, 1e-9 * (TINY_NU.atoms[-1] - TINY_NU.atoms[0]))[0]
+
+    @settings(max_examples=200)
+    @given(spread_lifts())
+    def test_kernel_residual_weighted_by_mass(self, lift):
+        mb, nu = lift
+        c = shadow_coupling(mb, nu)["coupling"]
+        fm = c.first_marginal
+        residual = fm.weights * np.abs(c.kernels @ c.y_support - fm.xs)
+        assert residual.max() <= 1e-14 * (nu.atoms[-1] - nu.atoms[0])
+
 
 class TestBarriers:
     def test_binary_kernel(self):
@@ -568,6 +659,28 @@ class TestCopulaLift:
         mu = DiscreteMeasure([-1, 1], [0.5, 0.5])
         lm = copula_lift(mu, "independence", 1)
         assert np.allclose(lm.us, 0.5)
+
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(0, 8)), min_size=1, max_size=20, unique_by=lambda a: a[0]),
+           st.booleans(), st.integers(1, 64))
+    def test_weights_are_cell_masses(self, atoms, heavy_tailed, m):
+        x, t = np.array(atoms).T
+        w = t ** 6 + 1e-12 if heavy_tailed else 0.1 + t / 8.0
+        mu = DiscreteMeasure(x, w / w.sum())
+        labels = (np.arange(m) + 0.5) / m
+
+        def by_label_and_atom(lm):
+            row, col = np.searchsorted(labels, lm.us), np.searchsorted(mu.atoms, lm.xs)
+            assert np.array_equal(labels[row], lm.us) and np.array_equal(mu.atoms[col], lm.xs)
+            dense = np.zeros((m, len(mu)))
+            dense[row, col] = lm.weights
+            return dense
+
+        # a cell mass is a difference of cumulative sums, so it carries their rounding, in ulps of the mass
+        ind = by_label_and_atom(copula_lift(mu, "independence", m))
+        assert np.abs(ind - mu.weights / m).max() <= 8 * np.spacing(mu.mass)
+        hf = by_label_and_atom(copula_lift(mu, "hoeffding_frechet", m))
+        assert np.array_equal(hf, cell_masses(mu, np.arange(m + 1) * mu.mass / m))
 
     def test_x_marginal_exact(self):
         rng = np.random.default_rng(30)

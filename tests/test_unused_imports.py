@@ -34,6 +34,8 @@ UNCALLED_PUBLIC = {
     "check_martingale": "a coupling's martingale residual, for callers and the tests of every solver",
     "convex_min": "the general convex-order minimum: acceptance criterion 05 and the oracle of the approximation's "
     "window minimum",
+    "min_cost_martingale_rearrangement": "the rearrangement with its own order check, for callers; the approximation "
+    "checks the pair in its window loop and calls `_rearrangement`",
 }
 
 # functions whose defaulted parameters no module passes, each with the reason they stay
