@@ -187,6 +187,14 @@ def price_american(mu: DiscreteMeasure, nu: DiscreteMeasure, phi1, phi2):
     LP over two martingale branches per x atom: branch 1 collects the
     exercised mass (paid phi1), branch 2 the continued mass (paid phi2).
     Returns the price and the two branches' masses.
+
+    A branch that cannot beat the other at x is left out of the LP, with its
+    barycentre row: exercise where phi1(x) <= min_y phi2(x, y), continuation
+    where max_y phi2(x, y) < phi1(x).  The optimum is unchanged: moving a
+    branch's mass at x to the other branch, with the same sub-kernel, keeps
+    every row and does not lower the objective.  A tie at such an x goes to
+    continuing; at any other x the split of an optimum that is not unique is
+    HiGHS's vertex.  Raises ``ValueError`` on payoffs that are not finite.
     """
     require_convex_order(mu, nu)
     n, m = len(mu), len(nu)
@@ -194,12 +202,18 @@ def price_american(mu: DiscreteMeasure, nu: DiscreteMeasure, phi1, phi2):
     p1, p2 = np.asarray(phi1, dtype=float), np.asarray(phi2, dtype=float)
     if p1.shape != (n,) or p2.shape != (n, m):
         raise ValueError("payoff arrays must have shapes (len(mu),) and (len(mu), len(nu))")
-    # variables (i, branch, j): shared marginals, one barycentre row per (i, branch)
-    c = np.stack([np.broadcast_to(p1[:, None], (n, m)), p2], axis=1).ravel()
-    A_eq = plan_rows(n, m, 2, mart=ys[None, :] - xs[:, None])
-    b_eq = np.concatenate([mu.weights, nu.weights, np.zeros(2 * n)])
+    if not (np.isfinite(p1).all() and np.isfinite(p2).all()):
+        raise ValueError("payoffs phi1 and phi2 must be finite")
+    # variables (i, branch, j): shared marginals, one barycentre row per (i, branch) kept
+    keep = np.column_stack([p1 > p2.min(axis=1), p2.max(axis=1) >= p1]).ravel()
+    cols, rows = np.repeat(keep, m), np.concatenate([np.ones(n + m, bool), keep])
+    c = np.stack([np.broadcast_to(p1[:, None], (n, m)), p2], axis=1).ravel()[cols]
+    A_eq = plan_rows(n, m, 2, mart=ys[None, :] - xs[:, None])[rows][:, cols]
+    b_eq = np.concatenate([mu.weights, nu.weights, np.zeros(keep.sum())])
     sol = solve_lp(LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, sense="max"))
-    pi1, pi2 = sol.x.reshape(n, 2, m).transpose(1, 0, 2)
+    x = np.zeros(cols.size)
+    x[cols] = sol.x
+    pi1, pi2 = x.reshape(n, 2, m).transpose(1, 0, 2)
     return {"value": sol.value, "exercise_mass": float(pi1.sum()), "continue_mass": float(pi2.sum())}
 
 

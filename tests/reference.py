@@ -27,7 +27,10 @@ the martingale polytope that gave the approximation its feasible coupling
 and its rearrangement before the inverse-transform coupling; it is the
 oracle that coupling's cost is checked against.  ``shadow_plan`` is the
 shadow coupling's plan by the knot-sort search it used before the walk
-over prefix sums: the walk's oracle.  ``trim_cell`` and
+over prefix sums: the walk's oracle.  ``american_lp`` is the American LP
+with both branches at every x atom, as ``price_american`` solved it before
+it left out the dominated branches, and ``american_price`` its value and
+branch masses: the oracle of the value.  ``trim_cell`` and
 ``project_cell`` are the approximation's stage two one cell at a time,
 through the hull-based ``convex_min`` and the window law ``window_kernel``,
 as they were before the quantile-slice form; ``window_min`` is the
@@ -413,6 +416,31 @@ def min_displacement(mu_bar: LiftedMeasure, nu: DiscreteMeasure):
     cost = np.abs(nu.atoms[None, :] - mu_bar.xs[:, None])
     sol = solve_lp(martingale_polytope_lp(mu_bar, nu, cost=cost.ravel()))
     return sol.x.reshape(cost.shape), sol.value
+
+
+def american_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, phi1, phi2) -> LinearProgram:
+    """The American LP with both branches at every x atom, over variables
+    (i, branch, j), exercise first: ``price_american``'s LP before it left out
+    the branches that cannot beat the other."""
+    require_convex_order(mu, nu)
+    n, m = len(mu), len(nu)
+    xs, ys = mu.atoms, nu.atoms
+    p1, p2 = np.asarray(phi1, dtype=float), np.asarray(phi2, dtype=float)
+    if p1.shape != (n,) or p2.shape != (n, m):
+        raise ValueError("payoff arrays must have shapes (len(mu),) and (len(mu), len(nu))")
+    # variables (i, branch, j): shared marginals, one barycentre row per (i, branch)
+    c = np.stack([np.broadcast_to(p1[:, None], (n, m)), p2], axis=1).ravel()
+    A_eq = plan_rows(n, m, 2, mart=ys[None, :] - xs[:, None])
+    b_eq = np.concatenate([mu.weights, nu.weights, np.zeros(2 * n)])
+    return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, sense="max")
+
+
+def american_price(mu: DiscreteMeasure, nu: DiscreteMeasure, phi1, phi2) -> dict:
+    """The value and branch masses of ``american_lp``: the oracle of ``price_american``."""
+    n, m = len(mu), len(nu)
+    sol = solve_lp(american_lp(mu, nu, phi1, phi2))
+    pi1, pi2 = sol.x.reshape(n, 2, m).transpose(1, 0, 2)
+    return {"value": sol.value, "exercise_mass": float(pi1.sum()), "continue_mass": float(pi2.sum())}
 
 
 def shadow_plan(mu_bar: LiftedMeasure, nu: DiscreteMeasure) -> np.ndarray:

@@ -1,7 +1,3 @@
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -752,23 +748,11 @@ def test_inverse_transform_coupling_of_means_apart_within_the_order_tolerance(pa
     assert miss <= 2.0 * abs(shift) * nu.mass + 1e-14 * max(1.0, span)
 
 
-def load_workloads(monkeypatch):
-    """The benchmark's input generators, loaded by path, as ``benchmarks`` is
-    not a package; its dataclasses need the module in ``sys.modules``."""
-    spec = importlib.util.spec_from_file_location(
-        "benchmark_workloads", Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_weight_jitter_sweep_never_raises(monkeypatch):
+def test_weight_jitter_sweep_never_raises(workloads):
     # abs-cost MOT couplings of 3-11 x 5-17 atoms, approximated onto mu' with
     # its atoms moved by 0.01 and its weights by a relative r, and nu' moved
     # by 0.01 and repaired; the LPs deciding masses to 1e-9 raised on 36 of
     # 40 seeds at r = 1e-7
-    workloads = load_workloads(monkeypatch)
     cost = CostSpec(fn=lambda x, u, ys: np.abs(np.asarray(ys) - x))
     for seed in range(10):
         rng = np.random.default_rng([seed, 34])
@@ -786,14 +770,13 @@ def test_weight_jitter_sweep_never_raises(monkeypatch):
             assert np.abs(fm.weights * (K @ ys - fm.xs)).max() <= 1e-9, (seed, r)
 
 
-def test_weight_jitter_sweep_with_the_labels_moved(monkeypatch):
+def test_weight_jitter_sweep_with_the_labels_moved(workloads):
     # the sweep above, seed 7 at r = 1e-7, with mu''s labels moved too, to
     # clip(0.01 dx, 0, 1): the first marginals then carry several labels, so
     # split_marginals keeps the transport LP for its W1 plan, whose entries
     # reached -9.3e-10; the piece's nu kept that mass, the cells dropped it,
     # and no window passed the order check ("projected cell marginals never
     # dominated the target")
-    workloads = load_workloads(monkeypatch)
     rng = np.random.default_rng([7, 34])
     mu, nu = workloads.convex_pair(rng, rng.integers(3, 12), rng.integers(5, 18))
     pi = solve_mot(mu, nu, CostSpec(fn=lambda x, u, ys: np.abs(np.asarray(ys) - x)))["coupling"]

@@ -235,6 +235,15 @@ def _layout_american(rng, monkeypatch):
     return [(lp.A_eq, P.ravel(), expected)]
 
 
+def _layout_american_dominated(rng, monkeypatch):
+    """Continuing never beats exercising at -1 (payoff 5 against 0), and exercising never
+    beats continuing at 1 (payoff -5), so the LP holds branch (-1, exercise) and (1, continue)."""
+    mu, nu = DiscreteMeasure([-1, 1], [0.5, 0.5]), DiscreteMeasure([-2, 0, 2], [0.25, 0.5, 0.25])
+    lp = _captured(monkeypatch, solvers, lambda: solvers.price_american(mu, nu, [5.0, -5.0], np.zeros((2, 3))))
+    P = rng.uniform(size=(2, 3))  # (x atom, y atom) of the one branch kept at each x
+    return [(lp.A_eq, P.ravel(), np.concatenate([P.sum(1), P.sum(0), _bary(P, mu.atoms, nu.atoms)]))]
+
+
 def _vix_case():
     mu = DiscreteMeasure([0.9, 1.1], [0.5, 0.5])
     nu = DiscreteMeasure([0.7, 1.0, 1.3], [0.25, 0.5, 0.25])
@@ -320,8 +329,8 @@ def _layout_refit(rng, monkeypatch):
 
 @pytest.mark.parametrize(
     "layout",
-    [_layout_transport, _layout_polytope, _layout_american, _layout_vix_bins, _layout_vix_primal,
-     _layout_vix_two_point, _layout_distance, _layout_refit],
+    [_layout_transport, _layout_polytope, _layout_american, _layout_american_dominated, _layout_vix_bins,
+     _layout_vix_primal, _layout_vix_two_point, _layout_distance, _layout_refit],
     ids=lambda f: f.__name__.removeprefix("_layout_"),
 )
 def test_block_builder_layout(layout, monkeypatch):
@@ -452,19 +461,35 @@ AMER_NU_WEIGHTS = np.repeat(
 )
 
 
-def test_large_american_lp_is_optimal_at_the_default_dual_tolerance(monkeypatch):
-    """With the dual feasibility tolerance at 1e-10 as well as the primal one,
-    crossover left this LP 3.6e-8 dual infeasible and HiGHS reported status
-    Unknown, so ``emot amer`` exited with code 3."""
+def _large_american():
     mu = DiscreteMeasure(AMER_MU_ATOMS, np.full(60, 1 / 60))
     nu = DiscreteMeasure(AMER_NU_ATOMS, AMER_NU_WEIGHTS)
-    payoffs = np.maximum(mu.atoms, 0.0), np.tile(0.9 * np.maximum(nu.atoms, 0.0), (len(mu), 1))
-    lp = _captured(monkeypatch, solvers, lambda: solvers.price_american(mu, nu, *payoffs))
+    return mu, nu, np.maximum(mu.atoms, 0.0), np.tile(0.9 * np.maximum(nu.atoms, 0.0), (len(mu), 1))
+
+
+def _assert_optimal_at_the_default_dual_tolerance(lp):
     sol = solve_lp(lp)
     assert sol.stats["method"] == "highs-ipm" and lp.n_vars >= lp_core.LARGE_COLS
     sign = 1.0 if lp.sense == "min" else -1.0
     presolved = linprog(sign * lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq, method="highs-ipm")
     assert abs(sol.value - sign * presolved.fun) <= 1e-12 * abs(presolved.fun)
+
+
+def test_large_american_lp_is_optimal_at_the_default_dual_tolerance():
+    """With the dual feasibility tolerance at 1e-10 as well as the primal one,
+    crossover left this LP, both branches at every x, 3.6e-8 dual infeasible
+    and HiGHS reported status Unknown, so ``emot amer`` exited with code 3."""
+    lp = reference.american_lp(*_large_american())
+    assert lp.n_vars == 60 * 2 * 87
+    _assert_optimal_at_the_default_dual_tolerance(lp)
+
+
+def test_large_american_lp_without_dominated_branches_is_optimal_at_the_default_dual_tolerance(monkeypatch):
+    """The same input as the LP ``price_american`` solves, without the branches that cannot beat the other."""
+    mu, nu, phi1, phi2 = _large_american()
+    lp = _captured(monkeypatch, solvers, lambda: solvers.price_american(mu, nu, phi1, phi2))
+    assert lp.n_vars < 60 * 2 * 87
+    _assert_optimal_at_the_default_dual_tolerance(lp)
 
 
 def test_transport_and_mid_sized_mot_stay_on_dual_simplex(monkeypatch):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from emot.convex_order import ConvexOrderError, convex_order_projection
 from emot import solvers
 from emot.couplings import check_martingale, coupling_from_plan, martingale_polytope_lp
-from emot.lp_core import solve_lp
+from emot.lp_core import LinearProgram, LPError, solve_lp
 from emot.measures import DiscreteMeasure, LiftedMeasure, cell_masses, check_convex_order, mean, total_variation
 from emot.solvers import (
     COSTS,
@@ -596,6 +596,112 @@ class TestShadow:
         fm = c.first_marginal
         residual = fm.weights * np.abs(c.kernels @ c.y_support - fm.xs)
         assert residual.max() <= 1e-14 * (nu.atoms[-1] - nu.atoms[0])
+
+
+AMER_CASES = ("below_min", "at_min", "above_max", "at_max", "constant", "between")
+
+
+@st.composite
+def american_inputs(draw):
+    """A ``convex_pairs`` pair with payoffs in [-2, 2], each x atom's row drawn as one case
+    of ``price_american``'s rule: phi1 below or at min phi2 (exercise never pays more),
+    strictly above max phi2 (continuing never does), at max phi2, phi2 constant at phi1,
+    or strictly between min and max phi2."""
+    mu, nu = draw(convex_pairs())
+    n, m = len(mu), len(nu)
+    p2 = np.array(draw(st.lists(st.floats(-2, 2), min_size=n * m, max_size=n * m))).reshape(n, m)
+    p1 = np.empty(n)
+    for i in range(n):
+        case, t = draw(st.sampled_from(AMER_CASES)), draw(st.floats(0.01, 0.99))
+        lo, hi = p2[i].min(), p2[i].max()
+        if case == "constant":
+            p2[i] = p1[i] = 4 * t - 2
+        else:
+            p1[i] = {"below_min": lo - t, "at_min": lo, "above_max": hi + t, "at_max": hi,
+                     "between": lo + t * (hi - lo)}[case]
+    return mu, nu, p1, p2
+
+
+def american_columns(mu, nu, phi1, phi2):
+    """``price_american``'s result, the LP it solved, its solution, and each column's x atom
+    and branch (0 exercise, 1 continue).  Atom i's mass row holds the columns of its
+    branches, m a branch, exercise first; a lone branch is read as exercise unless its
+    costs are phi2[i]."""
+    seen = []
+
+    def spy(lp):
+        seen.append((lp, solve_lp(lp)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "solve_lp", spy)
+        r = price_american(mu, nu, phi1, phi2)
+    (lp, sol), m = seen[-1], len(nu)
+    counts = np.diff(lp.A_eq.indptr[:len(mu) + 1])
+    atom = np.repeat(np.arange(len(mu)), counts)
+    branch = np.concatenate([np.repeat([0, 1], m) if k == 2 * m else np.full(m, int(np.array_equal(c, phi2[i])))
+                             for i, (k, c) in enumerate(zip(counts, np.split(lp.c, np.cumsum(counts)[:-1])))])
+    return r, lp, sol, atom, branch
+
+
+class TestAmericanRule:
+    """``price_american`` leaves out a branch where it cannot beat the other."""
+
+    @settings(max_examples=200)
+    @given(american_inputs())
+    def test_matches_the_full_lp(self, inputs):
+        mu, nu, p1, p2 = inputs
+        try:
+            oracle = reference.american_price(mu, nu, p1, p2)["value"]
+        except LPError:
+            # HiGHS calls a few of these feasible LPs infeasible, on pairs equal to rounding with
+            # atoms 1e-8 apart (ROADMAP item 8); so it may the LP without the dominated branches,
+            # as in test_pair_equal_to_rounding_with_atoms_1e8_apart
+            assume(False)
+        r, _, sol, atom, branch = american_columns(mu, nu, p1, p2)
+        assert abs(r["value"] - oracle) <= 1e-9 * max(1.0, abs(oracle))
+        masses = np.zeros((len(mu), 2))
+        np.add.at(masses, (atom, branch), sol.x)
+        assert np.all(masses[p1 <= p2.min(axis=1), 0] == 0.0)
+        assert np.all(masses[p2.max(axis=1) < p1, 1] == 0.0)
+        assert abs(r["exercise_mass"] + r["continue_mass"] - mu.mass) <= 1e-9
+
+    @pytest.mark.parametrize("phi1, phi2", [
+        ([-np.inf, 1.0], [[0.0, 0.0], [0.0, 0.0]]),  # exercise at -1 is left out
+        ([np.nan, 1.0], [[0.0, 0.0], [0.0, 0.0]]),
+        ([1.0, 1.0], [[-np.inf, 0.0], [0.0, 0.0]]),  # continuing at -1 is left out
+        ([1.0, 1.0], [[np.nan, 0.0], [0.0, 0.0]]),
+    ])
+    def test_non_finite_payoffs_raise(self, phi1, phi2):
+        mu, nu = DiscreteMeasure([-1, 1], [0.5, 0.5]), DiscreteMeasure([-2, 2], [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            price_american(mu, nu, phi1, phi2)
+
+    @pytest.mark.xfail(strict=True, raises=LPError, reason="ROADMAP item 8")
+    def test_pair_equal_to_rounding_with_atoms_1e8_apart(self):
+        """mu and nu share their atoms, 0 and 1e-8 among them, and their weights differ by
+        ulps.  Continuing never pays less here, so the LP is the mot LP of the pair, which
+        HiGHS calls infeasible, as it does ``solve_mot``'s; with both branches at every x it
+        was solved, to value 0."""
+        atoms = [-1.5114107644726209, 0.0, 1e-08, 2.0161440288278563]
+        mu = DiscreteMeasure(atoms, [0.2585420578604582, 0.3562354134314365, 0.2024027551053368, 0.1828197736027685])
+        nu = DiscreteMeasure(atoms, [0.2585420578604582, 0.35623541343143655, 0.20240275510533678,
+                                     0.18281977360276847])
+        assert price_american(mu, nu, np.full(4, -0.01), np.zeros((4, 4)))["value"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_exercise_mass_does_not_depend_on_column_order(self, workloads):
+        """On the 8 seed-0 ``lp_large`` amer inputs, the LP with both branches at every
+        x put 1.7e-3 to 3.5e-2 more or less exercise mass in (x, branch, y) column
+        order than branch-major: the ties sat at the x where exercise never pays more."""
+        rng = workloads.make_rng(0, False, 1)
+        pairs = [[workloads.convex_pair(rng, n, m) for n, m in ((100, 145), (20, 29), (60, 87), (20, 29))][2]
+                 for _ in range(workloads.LP_POOL)]
+        for mu, nu in pairs:
+            r, lp, _, _, branch = american_columns(
+                mu, nu, np.maximum(mu.atoms, 0.0), np.tile(0.9 * np.maximum(nu.atoms, 0.0), (len(mu), 1)))
+            order = np.argsort(branch, kind="stable")
+            sol = solve_lp(LinearProgram(c=lp.c[order], A_eq=lp.A_eq[:, order], b_eq=lp.b_eq, sense="max"))
+            assert abs(r["exercise_mass"] - sol.x[branch[order] == 0].sum()) <= 1e-12
 
 
 class TestBarriers:
